@@ -5,7 +5,8 @@ from .betti import (BettiTable, BoundaryMatrix, bound_applicability, graded_bett
 from .complexes import (DEFAULT_MAX_FACES, LabelledComplex, MatrixNN, faridi_complex,
                         generator_matrix, incidence_matrix, max_vector, taylor_complex,
                         tuple_complex, tuple_matrix)
-from .errors import DimensionError, DomainError, ResourceCapError, ValidationError
+from .errors import (DimensionError, DomainError, InvariantError, ResourceCapError,
+                     ValidationError)
 from .hypergraph import Hypergraph, edge_ideal
 from .matchings import (EdgeFamily, FamilyClassification, InvariantReport, classify,
                         count_families, families, invariants)

@@ -1,92 +1,146 @@
 """Graded Betti numbers, regularity, and homology-survivor bounds.
 
 The reduced boundary map keeps only the label-preserving terms of the
-simplicial boundary; Betti numbers then come from per-degree exact rank
-computations.  Ranks are exact: fraction-free integer elimination over
-the rationals by default, modular elimination over GF(p) on request.
+simplicial boundary.  A subface keeps its face's degree exactly when it
+keeps the face's lcm label, so every boundary matrix is block-diagonal
+by lcm label (the lcm-lattice view of Gasharov-Peeva-Welker, 1999).
+`graded_betti` assembles each label block directly as sparse signed
+columns and sums the block ranks into the graded table.  All ranks come
+from one exact sparse eliminator over Z that takes the characteristic
+as a parameter: entries are reduced mod p for a prime characteristic,
+and the rationals are never replaced by a modular shortcut.  It pivots
+on units first, which on these +-1 blocks is the multidegree-preserving
+cancellation of Batzies-Welker (2002), and falls back to fraction-free
+steps when only non-unit entries remain.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
+
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson-Webster 2017); larger characteristics are refused.
+MAX_CHARACTERISTIC = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _is_prime(p):
-    if p < 2:
+def _is_prime(n):
+    """Deterministic Miller-Rabin, exact for n <= MAX_CHARACTERISTIC."""
+    if n < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
 def validate_characteristic(char):
+    if char > MAX_CHARACTERISTIC:
+        raise DomainError(f"characteristic {char} exceeds the supported maximum "
+                          f"{MAX_CHARACTERISTIC}")
     if char != 0 and not _is_prime(char):
         raise DomainError(f"characteristic must be 0 or a prime, got {char}")
 
 
-def integer_rank(rows, char=0):
-    """Rank of an integer matrix over Q (char 0) or over GF(char).
+def _pivot_rows(columns, char):
+    """Pivot rows of an exact elimination over Q (char 0) or GF(char).
 
-    Char 0 uses Bareiss fraction-free elimination: every intermediate entry
-    is a minor of the input, so the divisions are exact and the arithmetic
-    stays in the integers.
+    Their number is the rank of the matrix with the given sparse columns.
+    Each column is a dict from row keys to integers that are nonzero
+    (mod char), and is consumed; char must already be validated.
+
+    Columns are reduced one at a time against the pivots found so far, in
+    the order those were found: a pivot column is zero on every earlier
+    pivot row, so one pass in that order clears all pivot rows, and a
+    column left nonzero is independent and becomes the next pivot.  Over
+    GF(char) every nonzero entry is a unit and entries are reduced mod char
+    as they are computed.  Over Z the units are +-1; a column with no unit
+    entry waits until every other column is placed, and a step against a
+    non-unit pivot a is the fraction-free v <- (a/g) v - (b/g) P with
+    g = gcd(a, b), after which v is divided by the gcd of its entries.
+    Scaling a column by a nonzero integer never changes its rank over Q,
+    so the result is exact.
     """
+    pivots = {}  # row -> (order found, pivot column, pivot entry, its inverse or None)
+    queue = list(columns)
+    first_pass = len(queue)
+    for n, v in enumerate(queue):
+        heap = [(pivots[r][0], r) for r in v if r in pivots]
+        heapify(heap)
+        scaled = False
+        while heap:
+            r = heappop(heap)[1]
+            b = v.get(r)
+            if not b:
+                continue
+            _, col, a, inv = pivots[r]
+            if inv is None:
+                g = gcd(a, b)
+                for key in v:
+                    v[key] *= a // g
+                b //= g
+                scaled = True
+            else:
+                b *= inv
+            for key, x in col.items():
+                y = v.get(key, 0) - b * x
+                if char:
+                    y %= char
+                if y:
+                    if key not in v and key in pivots:
+                        heappush(heap, (pivots[key][0], key))
+                    v[key] = y
+                else:
+                    v.pop(key, None)
+        if not v:
+            continue
+        if scaled:
+            g = 0
+            for x in v.values():
+                g = gcd(g, x)
+            for key in v:
+                v[key] //= g
+        r = next(iter(v))
+        if not char and abs(v[r]) != 1:
+            r = min(v, key=lambda key: abs(v[key]))
+        a = v[r]
+        if char:
+            inv = pow(a, -1, char)
+        elif a == 1 or a == -1:
+            inv = a
+        elif n < first_pass:
+            queue.append(v)  # no unit entry: retry once every other column is placed
+            continue
+        else:
+            inv = None
+        pivots[r] = (len(pivots), v, a, inv)
+    return set(pivots)
+
+
+def integer_rank(rows, char=0):
+    """Rank of a dense integer matrix over Q (char 0) or over GF(char)."""
     validate_characteristic(char)
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    if char:
-        return _modular_rank(m, char)
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for c in range(nc):
-        piv = next((r for r in range(rank, nr) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank]
-        for r in range(rank + 1, nr):
-            row = m[r]
-            f = row[c]
-            for cc in range(c + 1, nc):
-                row[cc] = (row[cc] * lead[c] - f * lead[cc]) // prev
-            row[c] = 0
-        prev = lead[c]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def _modular_rank(m, p):
-    nr, nc = len(m), len(m[0])
-    for row in m:
-        for c in range(nc):
-            row[c] %= p
-    rank = 0
-    for c in range(nc):
-        piv = next((r for r in range(rank, nr) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], p - 2, p)
-        lead = m[rank]
-        for r in range(rank + 1, nr):
-            f = m[r][c] * inv % p
-            if f:
-                row = m[r]
-                for cc in range(c, nc):
-                    row[cc] = (row[cc] - f * lead[cc]) % p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    rows = [list(r) for r in rows]
+    width = len(rows[0]) if rows else 0
+    columns = [{r: row[c] for r, row in enumerate(rows) if (row[c] % char if char else row[c])}
+               for c in range(width)]
+    return len(_pivot_rows(columns, char))
 
 
 class BettiTable:
@@ -156,13 +210,28 @@ class BoundaryMatrix(NamedTuple):
         return integer_rank(self.entries, char)
 
 
+def _boundary_column(degree, face, j):
+    """Label-keeping boundary terms of a face at degree j, as {subface: sign}.
+
+    Removing the k-th vertex (1-based, in sorted order) has sign (-1)^k.
+    A subface's label divides the face's, so keeping the degree is the
+    same as keeping the label.  `degree` is the complex's face-degree lookup.
+    """
+    column = {}
+    for k in range(len(face)):
+        sub = face[:k] + face[k + 1:]
+        if degree(sub) == j:
+            column[sub] = -1 if k % 2 == 0 else 1
+    return column
+
+
 def reduced_boundary(cx, i, j):
-    """Matrix of the reduced boundary map at homological index i, degree j.
+    """Dense matrix of the reduced boundary map at homological index i, degree j.
 
     Columns are the (i-1)-dimensional faces with label degree j, rows the
-    (i-2)-dimensional ones.  Removing the k-th vertex (1-based, in sorted
-    order) contributes sign (-1)^k exactly when the lcm label is unchanged;
-    for a subface that is the same as the degree being unchanged.
+    (i-2)-dimensional ones, and the entries are the label-keeping terms of
+    the simplicial boundary.  `graded_betti` does not build these; they
+    are the plain per-degree view of the same map.
     """
     if i < 1:
         raise DomainError(f"homological index must be >= 1, got {i}")
@@ -171,36 +240,52 @@ def reduced_boundary(cx, i, j):
     entries = [[0] * len(cols) for _ in rows]
     row_pos = {face: r for r, face in enumerate(rows)}
     for c, face in enumerate(cols):
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1:]
-            if cx.degree(sub) == j:
-                entries[row_pos[sub]][c] = -1 if k % 2 == 0 else 1
+        for sub, sign in _boundary_column(cx.degree, face, j).items():
+            entries[row_pos[sub]][c] = sign
     return BoundaryMatrix(i, j, rows, cols, tuple(tuple(r) for r in entries))
 
 
 def graded_betti(cx, char=0, power=None):
     """Betti table of the quotient supported on the given complex.
 
-    For each homological index i and each degree j occurring among the
-    (i-1)-faces, the Betti number is the face count minus the ranks of the
-    two adjacent reduced boundaries in that degree.
+    The faces of each dimension d are grouped by lcm label.  A label L
+    with n faces of dimension d contributes n - rank(d, L) - rank(d + 1, L)
+    to the Betti number at i = d + 1, j = deg L, where rank(d, L) is the
+    rank of the boundary block from the d-faces labelled L to the
+    (d-1)-faces labelled L.
+
+    Dimensions run from the top down so that each block can skip the
+    columns that are pivot rows of the block above it ("clearing"): the
+    reduced pivot columns of rank(d + 1, L) are boundaries, triangular on
+    those rows, so the cleared columns lie in the span of the others and
+    rank(d, L) is unchanged without them.  Only the faces of one dimension
+    and the pivot rows of the one above are kept at a time.
     """
     validate_characteristic(char)
-    ranks = {}
-
-    def rank_at(i, j):
-        if (i, j) not in ranks:
-            ranks[i, j] = reduced_boundary(cx, i, j).rank(char)
-        return ranks[i, j]
-
     entries = {(0, 0): 1}
-    for i in range(1, cx.dim + 2):
-        for j, faces in cx.degree_slices(i - 1).items():
-            value = len(faces) - rank_at(i, j) - rank_at(i + 1, j)
-            assert value >= 0
+    degree = cx.degree
+    cleared = {}  # label -> pivot rows of its block one dimension up
+    for d in range(cx.dim, -1, -1):
+        groups = {}
+        for face in cx.faces_of_dim(d):
+            groups.setdefault(cx.label_exps(face), []).append(face)
+        below = {}
+        totals = {}
+        for label, faces in groups.items():
+            j = degree(faces[0])
+            skip = cleared.get(label, ())
+            rows = _pivot_rows([_boundary_column(degree, face, j)
+                                for face in faces if face not in skip], char)
+            if rows:
+                below[label] = rows
+            totals[j] = totals.get(j, 0) + len(faces) - len(rows) - len(skip)
+        for j, value in totals.items():
+            if value < 0:
+                raise InvariantError(f"negative Betti number beta[{d + 1}, {j}] = {value}")
             if value:
-                entries[i, j] = value
-    return BettiTable(entries, power=power, char=char)
+                entries[d + 1, j] = value
+        cleared = below
+    return BettiTable(dict(sorted(entries.items())), power=power, char=char)
 
 
 def survivor_face_sets(cx, i, j):
@@ -214,7 +299,7 @@ def survivor_face_sets(cx, i, j):
     """
     certain, possible = set(), set()
     for face in cx.degree_slices(i - 1).get(j, ()):
-        if any(cx.degree(face[:k] + face[k + 1:]) == j for k in range(len(face))):
+        if _boundary_column(cx.degree, face, j):
             continue
         no_flat_extension = True
         recoverable = True
@@ -248,16 +333,8 @@ def bound_applicability(cx, i, j):
     codimension one, so the Betti number is at least the number of certain
     survivors.
     """
-    upper = True
-    for face in cx.degree_slices(i - 1).get(j, ()):
-        if any(cx.degree(face[:k] + face[k + 1:]) == j for k in range(len(face))):
-            upper = False
-            break
-    lower = True
-    for ext in cx.degree_slices(i).get(j, ()):
-        flats = sum(1 for k in range(len(ext))
-                    if cx.degree(ext[:k] + ext[k + 1:]) == j)
-        if flats > 1:
-            lower = False
-            break
+    upper = not any(_boundary_column(cx.degree, face, j)
+                    for face in cx.degree_slices(i - 1).get(j, ()))
+    lower = all(len(_boundary_column(cx.degree, ext, j)) <= 1
+                for ext in cx.degree_slices(i).get(j, ()))
     return BoundApplicability(upper, lower)

@@ -15,3 +15,7 @@ class ValidationError(ValueError):
 
 class ResourceCapError(RuntimeError):
     """A complex would exceed the configured face budget."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a defect, not bad input."""

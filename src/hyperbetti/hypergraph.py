@@ -24,21 +24,30 @@ def _mask_vertices(mask):
     return tuple(out)
 
 
+# Vertex numbers and counts must be exactly `int`: JSON true/false arrive as
+# bool, which isinstance() would accept as 1 and 0.
+
+def _reject_vertex(v, n):
+    if type(v) is not int:
+        raise ValidationError(f"vertex {v!r} is not an integer")
+    raise ValidationError(f"vertex {v!r} out of range 1..{n}")
+
+
 class Hypergraph:
     """A simple hypergraph: edges are incomparable vertex sets of size >= 2."""
 
     __slots__ = ("n", "edges", "labels")
 
     def __init__(self, n, edges, labels=None):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValidationError(f"vertex count must be a nonnegative integer, got {n!r}")
         masks = []
         for edge in edges:
             vertices = list(edge)
             mask = 0
             for v in vertices:
-                if not isinstance(v, int) or not 1 <= v <= n:
-                    raise ValidationError(f"vertex {v!r} out of range 1..{n}")
+                if type(v) is not int or not 1 <= v <= n:
+                    _reject_vertex(v, n)
                 bit = 1 << (v - 1)
                 if mask & bit:
                     raise ValidationError(f"duplicate vertex {v} in edge {sorted(vertices)}")
@@ -99,8 +108,8 @@ class Hypergraph:
         """
         wmask = 0
         for v in vertices:
-            if not isinstance(v, int) or not 1 <= v <= self.n:
-                raise ValidationError(f"vertex {v!r} out of range 1..{self.n}")
+            if type(v) is not int or not 1 <= v <= self.n:
+                _reject_vertex(v, self.n)
             wmask |= 1 << (v - 1)
         kept = [_mask_vertices(mask) for mask in self.edges if mask | wmask == wmask]
         return Hypergraph(self.n, kept, self.labels)

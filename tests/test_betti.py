@@ -4,10 +4,12 @@ from math import comb
 
 import pytest
 
+from hyperbetti import betti
 from hyperbetti.betti import (BettiTable, bound_applicability, graded_betti,
-                              integer_rank, reduced_boundary, survivor_face_sets)
+                              integer_rank, reduced_boundary, survivor_face_sets,
+                              validate_characteristic)
 from hyperbetti.complexes import faridi_complex, taylor_complex
-from hyperbetti.errors import DomainError
+from hyperbetti.errors import DomainError, InvariantError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.monomials import power_generators
 from hyperbetti.verify import random_hypergraph
@@ -45,6 +47,39 @@ class TestIntegerRank:
     def test_bad_characteristic(self):
         with pytest.raises(DomainError):
             integer_rank([[1]], 4)
+
+    @pytest.mark.parametrize("values", [range(-3, 4), (-3, -2, 0, 0, 2, 3)])
+    def test_non_unit_entries_over_q(self, values):
+        # the second pool has no unit entries at all, so every pivot starts
+        # on the fraction-free path
+        rng = random.Random(14)
+        for _ in range(80):
+            m = [[rng.choice(values) for _ in range(rng.randint(1, 9))]]
+            m += [[rng.choice(values) for _ in m[0]] for _ in range(rng.randint(0, 8))]
+            assert integer_rank(m) == fraction_rank(m)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 32003])
+    @pytest.mark.parametrize("values", [range(-3, 4), (-3, -2, 0, 0, 2, 3)])
+    def test_non_unit_entries_mod_p(self, p, values):
+        rng = random.Random(15 + p)
+        for _ in range(25):
+            m = [[rng.choice(values) for _ in range(rng.randint(1, 8))]]
+            m += [[rng.choice(values) for _ in m[0]] for _ in range(rng.randint(0, 7))]
+            assert integer_rank(m, p) == gf_rank(m, p)
+
+
+class TestCharacteristic:
+    @pytest.mark.parametrize("p", [2, 3, 5, 41, 43, 32003, (1 << 31) - 1, (1 << 61) - 1])
+    def test_primes_accepted(self, p):
+        validate_characteristic(p)
+
+    @pytest.mark.parametrize("n", [-7, 1, 4, 6, 32001, 561, 3215031751,
+                                   ((1 << 31) - 1) * ((1 << 61) - 1)])
+    def test_composites_rejected(self, n):
+        # 561 is a Carmichael number; 3215031751 is a strong pseudoprime
+        # to bases 2, 3, 5 and 7
+        with pytest.raises(DomainError):
+            validate_characteristic(n)
 
 
 class TestReducedBoundary:
@@ -161,6 +196,35 @@ class TestGradedBetti:
             cx = faridi_complex(ideal, t)
             assert graded_betti(cx, char=2).entries == graded_betti(cx).entries
             assert graded_betti(cx, char=3).entries == graded_betti(cx).entries
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_blocks_match_dense_boundaries(self, char):
+        # the blocked table against one rebuilt from the dense per-degree
+        # reduced_boundary matrices
+        rng = random.Random(51)
+        for seed in range(6):
+            h = random_hypergraph(rng.randint(4, 6), rng.randint(2, 4),
+                                  rng.choice((2, 3)), seed)
+            ideal = edge_ideal(h)
+            for t in (1, 2):
+                cx = faridi_complex(ideal, t)
+                dense = {(0, 0): 1}
+                for i in range(1, cx.dim + 2):
+                    for j, faces in cx.degree_slices(i - 1).items():
+                        value = (len(faces) - reduced_boundary(cx, i, j).rank(char)
+                                 - reduced_boundary(cx, i + 1, j).rank(char))
+                        if value:
+                            dense[i, j] = value
+                assert graded_betti(cx, char=char).entries == dense
+
+    def test_negative_betti_number_is_an_error(self, monkeypatch, example39):
+        # one phantom pivot per block over-reports every block rank by one
+        real = betti._pivot_rows
+        monkeypatch.setattr(betti, "_pivot_rows",
+                            lambda columns, char: real(columns, char) | {object()})
+        cx = faridi_complex(edge_ideal(example39), 1)
+        with pytest.raises(InvariantError, match=r"beta\[\d+, \d+\] = -\d+"):
+            graded_betti(cx)
 
     @pytest.mark.parametrize("char", [0, 2, 3, 5])
     @pytest.mark.parametrize("name", ["example39", "path5", "four_cycle"])

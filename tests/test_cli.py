@@ -1,4 +1,5 @@
 import json
+import time
 
 from hyperbetti.cli import main
 
@@ -54,6 +55,25 @@ class TestBettiCommand:
     def test_bad_characteristic_is_input_error(self, capsys, data_dir):
         code, _, _ = run_cli(capsys, "betti", "--char", "6", str(data_dir / "path5.json"))
         assert code == 2
+
+    def test_huge_characteristic_exits_quickly(self, capsys, data_dir):
+        # 2^89 - 1 is prime but above the deterministic Miller-Rabin bound
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "betti", "--char", str((1 << 89) - 1),
+                               str(data_dir / "path5.json"))
+        assert code == 2 and "exceeds" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_large_prime_characteristic(self, capsys, data_dir):
+        code, out, _ = run_cli(capsys, "betti", "--char", str((1 << 61) - 1), "--json",
+                               str(data_dir / "path5.json"))
+        assert code == 0 and json.loads(out)["reg"] == 3
+
+    def test_boolean_vertex_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"n": 2, "edges": [[true, 2]]}')
+        code, out, err = run_cli(capsys, "betti", str(bad))
+        assert code == 2 and "not an integer" in err and out == ""
 
     def test_resource_cap_exit(self, capsys, data_dir):
         code, _, err = run_cli(capsys, "betti", "-t", "3", "--max-faces", "4",

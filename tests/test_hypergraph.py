@@ -32,6 +32,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="out of range"):
             Hypergraph(3, [[0, 1]])
 
+    def test_booleans_rejected(self):
+        # JSON true/false parse to bool, which Python counts as an int
+        with pytest.raises(ValidationError, match="not an integer"):
+            Hypergraph(2, [[True, 2]])
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            Hypergraph(True, [])
+        with pytest.raises(ValidationError, match="not an integer"):
+            Hypergraph(3, [[1, 2]]).induced([False, 1])
+
     def test_duplicate_vertex_in_edge(self):
         with pytest.raises(ValidationError, match="duplicate vertex"):
             Hypergraph(3, [[1, 1, 2]])
