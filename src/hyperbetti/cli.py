@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .betti import graded_betti, validate_characteristic
 from .complexes import DEFAULT_MAX_FACES, faridi_complex, taylor_complex
@@ -80,7 +81,7 @@ def cmd_matchings(args):
     hypergraph = Hypergraph.load(args.file)
     report = invariants(hypergraph, size_cap=args.size_cap)
     if args.json:
-        out = report.as_dict()
+        out = asdict(report)
         if args.list_kind:
             out["families"] = [
                 {"edges": [k + 1 for k in idx], "type": list(cls.family_type)}
@@ -90,7 +91,7 @@ def cmd_matchings(args):
             ]
         print(json.dumps(out, sort_keys=True, separators=(",", ":")))
         return 0
-    for key, value in report.as_dict().items():
+    for key, value in asdict(report).items():
         if key == "exhaustive":
             continue
         shown = "undefined" if value is None else value

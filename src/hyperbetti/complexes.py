@@ -10,90 +10,11 @@ degrees drive all homological computations downstream.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
 
 from .errors import DimensionError, DomainError, ResourceCapError
-from .monomials import enumerate_tuples, power_generators
+from .monomials import power_generators
 
 DEFAULT_MAX_FACES = 1 << 20
-
-
-class MatrixNN:
-    """A small dense matrix of nonnegative integers."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(r) for r in entries)
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise DimensionError(f"ragged rows of widths {sorted(widths)}")
-        for r in rows:
-            for x in r:
-                if not isinstance(x, int) or x < 0:
-                    raise DomainError(f"entries must be nonnegative integers, got {x!r}")
-        self.rows = len(rows)
-        self.cols = widths.pop() if widths else 0
-        self.entries = rows
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for r in range(self.rows):
-            row = self.entries[r]
-            out.append(tuple(sum(row[k] * other.entries[k][c] for k in range(self.cols))
-                             for c in range(other.cols)))
-        return MatrixNN(out)
-
-    def column(self, j):
-        return tuple(self.entries[r][j] for r in range(self.rows))
-
-    def column_sums(self):
-        return tuple(sum(self.column(j)) for j in range(self.cols))
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixNN) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"MatrixNN({[list(r) for r in self.entries]})"
-
-
-def incidence_matrix(hypergraph):
-    """The n x m 0/1 matrix with entry (v, k) = 1 iff vertex v lies in edge k."""
-    return MatrixNN([
-        [1 if hypergraph.edges[k] >> (v - 1) & 1 else 0
-         for k in range(hypergraph.num_edges)]
-        for v in range(1, hypergraph.n + 1)
-    ])
-
-
-def generator_matrix(ideal):
-    """The n x m matrix whose columns are the generator exponent vectors."""
-    return MatrixNN([
-        [g.exps[v] for g in ideal.generators]
-        for v in range(ideal.n)
-    ])
-
-
-def tuple_matrix(tuples):
-    """The m x p matrix whose columns are the given factorization tuples."""
-    tups = list(tuples)
-    if not tups:
-        raise DomainError("no tuples")
-    m = len(tups[0].entries)
-    return MatrixNN([[b.entries[r] for b in tups] for r in range(m)])
-
-
-def max_vector(matrix, columns):
-    """Rowwise maxima over the selected columns; repeats collapse."""
-    cols = sorted(set(columns))
-    if not cols:
-        raise DomainError("empty column selection")
-    for c in cols:
-        if not 0 <= c < matrix.cols:
-            raise DomainError(f"column {c} out of range 0..{matrix.cols - 1}")
-    return tuple(max(row[c] for c in cols) for row in matrix.entries)
 
 
 def _expand_facets(facets, max_faces):
@@ -143,18 +64,13 @@ class LabelledComplex:
         for _, mono in self.vertices:
             if len(mono.exps) != nvars:
                 raise DimensionError("vertex labels in different rings")
-        face_store = _expand_facets(facets, max_faces)
-        exps = {}
-        degrees = {}
-        for face in face_store:
-            e = [0] * nvars
-            for v in face:
-                for i, x in enumerate(self.vertices[v][1].exps):
-                    if x > e[i]:
-                        e[i] = x
-            e = tuple(e)
-            exps[face] = e
-            degrees[face] = sum(e)
+        exps = {(): (0,) * nvars}
+        for face in _expand_facets(facets, max_faces):
+            if face:
+                # _expand_facets inserts the prefix face[:-1] (same facet, one
+                # vertex fewer) before the face, so its label is already here
+                exps[face] = tuple(map(max, exps[face[:-1]], self.vertices[face[-1]][1].exps))
+        degrees = {face: sum(e) for face, e in exps.items()}
         by_dim = {}
         for face in exps:
             by_dim.setdefault(len(face) - 1, []).append(face)
@@ -173,9 +89,6 @@ class LabelledComplex:
 
     def faces_of_dim(self, d):
         return self.faces.get(d, ())
-
-    def has_face(self, face):
-        return face in self._exps
 
     def label_exps(self, face):
         return self._exps[face]
@@ -259,25 +172,6 @@ def _support_facets(tuples, t):
             seen.add(f)
             out.append(f)
     return out
-
-
-class TupleComplex(NamedTuple):
-    """The support complex on all factorization tuples, no labels attached."""
-
-    vertices: tuple
-    faces: dict
-
-
-def tuple_complex(m, t, max_faces=DEFAULT_MAX_FACES):
-    """The support complex on every length-m tuple summing to t."""
-    verts = tuple(enumerate_tuples(m, t))
-    facets = _support_facets(verts, t)
-    store = _expand_facets(facets, max_faces)
-    by_dim = {}
-    for face in store:
-        by_dim.setdefault(len(face) - 1, []).append(face)
-    faces = {d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())}
-    return TupleComplex(verts, faces)
 
 
 def faridi_complex(ideal, t, max_faces=DEFAULT_MAX_FACES):

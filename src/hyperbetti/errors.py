@@ -14,7 +14,7 @@ class ValidationError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A complex would exceed the configured face budget."""
+    """A complex or an edge-family walk would exceed its budget."""
 
 
 class InvariantError(RuntimeError):

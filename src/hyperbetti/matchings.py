@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .errors import DomainError
+from .complexes import DEFAULT_MAX_FACES
+from .errors import DomainError, ResourceCapError
 
 KINDS = ("matching", "self_matching", "semi_induced", "self_semi_induced", "induced")
 
@@ -30,21 +32,6 @@ class FamilyClassification:
         if kind not in KINDS:
             raise DomainError(f"unknown family kind {kind!r}; choose one of {KINDS}")
         return getattr(self, "is_" + kind)
-
-
-@dataclass(frozen=True)
-class EdgeFamily:
-    """A family of edge indices together with its type (size, union size)."""
-
-    indices: tuple[int, ...]
-    size: int
-    union_size: int
-
-    @classmethod
-    def of(cls, hypergraph, indices):
-        idx = tuple(sorted(set(indices)))
-        union = hypergraph.union_mask(idx)
-        return cls(idx, len(idx), union.bit_count())
 
 
 def _classify_indices(hypergraph, idx):
@@ -81,17 +68,28 @@ def classify(hypergraph, indices):
     return _classify_indices(hypergraph, idx)
 
 
+def _check_budget(m, sizes):
+    """Refuse a walk over more than DEFAULT_MAX_FACES edge subsets."""
+    subsets = sum(comb(m, size) for size in sizes)
+    if subsets > DEFAULT_MAX_FACES:
+        raise ResourceCapError(
+            f"{subsets} edge families to classify, over the cap of {DEFAULT_MAX_FACES}")
+
+
 def families(hypergraph, kind=None, size_cap=None):
     """Yield (indices, classification) for every nonempty family up to size_cap.
 
     Families come in deterministic order: by size, then lexicographically.
     The semi-induced flags are not monotone under adding edges, so every
-    subset is classified at completion rather than pruned.
+    subset is classified at completion rather than pruned.  More than
+    DEFAULT_MAX_FACES subsets to visit raise ResourceCapError before any
+    is classified.
     """
     if kind is not None and kind not in KINDS:
         raise DomainError(f"unknown family kind {kind!r}; choose one of {KINDS}")
     m = hypergraph.num_edges
     cap = m if size_cap is None else min(size_cap, m)
+    _check_budget(m, range(1, cap + 1))
     for size in range(1, cap + 1):
         for idx in combinations(range(m), size):
             cls = _classify_indices(hypergraph, idx)
@@ -103,6 +101,7 @@ def count_families(hypergraph, kind, size, union_size=None):
     """Exact number of families of the given kind and size (and union size)."""
     if size < 1:
         raise DomainError(f"family size must be >= 1, got {size}")
+    _check_budget(hypergraph.num_edges, [size])
     count = 0
     for idx in combinations(range(hypergraph.num_edges), size):
         cls = _classify_indices(hypergraph, idx)
@@ -131,20 +130,19 @@ class InvariantReport:
     semi_induced_excess: int | None
     exhaustive: bool
 
-    def as_dict(self):
-        return {
-            "matching_number": self.matching_number,
-            "induced_matching_number": self.induced_matching_number,
-            "induced_matching_excess": self.induced_matching_excess,
-            "self_semi_induced_number": self.self_semi_induced_number,
-            "self_semi_induced_excess": self.self_semi_induced_excess,
-            "semi_induced_excess": self.semi_induced_excess,
-            "exhaustive": self.exhaustive,
-        }
-
 
 def invariants(hypergraph, size_cap=None):
     """Exact matching invariants by exhaustive family enumeration."""
+    exhaustive = size_cap is None or size_cap >= hypergraph.num_edges
+    return invariants_of(families(hypergraph, size_cap=size_cap), exhaustive)
+
+
+def invariants_of(walk, exhaustive):
+    """Matching invariants folded from (indices, classification) pairs.
+
+    `walk` is what families() yields; `exhaustive` says whether it covered
+    every family size.
+    """
     best = {
         "matching_number": None,
         "induced_matching_number": None,
@@ -158,7 +156,7 @@ def invariants(hypergraph, size_cap=None):
         if best[key] is None or value > best[key]:
             best[key] = value
 
-    for _, cls in families(hypergraph, size_cap=size_cap):
+    for _, cls in walk:
         i, j = cls.family_type
         if cls.is_matching:
             raise_to("matching_number", i)
@@ -170,5 +168,4 @@ def invariants(hypergraph, size_cap=None):
             raise_to("self_semi_induced_excess", j - i)
         if cls.is_semi_induced:
             raise_to("semi_induced_excess", j - i)
-    exhaustive = size_cap is None or size_cap >= hypergraph.num_edges
     return InvariantReport(exhaustive=exhaustive, **best)

@@ -8,7 +8,9 @@ defect; the harness exits nonzero on any such report.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
@@ -17,7 +19,7 @@ from .betti import bound_applicability, graded_betti, survivor_face_sets
 from .complexes import faridi_complex, taylor_complex
 from .errors import DomainError, ResourceCapError
 from .hypergraph import Hypergraph, edge_ideal
-from .matchings import count_families, families, invariants
+from .matchings import families, invariants_of
 from .monomials import power_generators
 
 CORPUS_MAX_FACES = 1 << 14
@@ -54,13 +56,15 @@ def describe(hypergraph):
 
 
 class ComputeCache:
-    """Memoizes support complexes and Betti tables per (ideal, power)."""
+    """Memoizes support complexes and Betti tables per (ideal, power), and
+    the edge-family walk per hypergraph."""
 
     def __init__(self, char=0, max_faces=CORPUS_MAX_FACES):
         self.char = char
         self.max_faces = max_faces
         self._complexes = {}
         self._tables = {}
+        self._walks = {}
 
     def complex_for(self, ideal, t):
         key = (ideal, t)
@@ -87,38 +91,75 @@ class ComputeCache:
             return 0
         return self.table_for(ideal, t).regularity() + 1
 
+    def families(self, hypergraph):
+        """Every (indices, classification) pair of the hypergraph, walked once.
 
-def _gated(name, label, reason, extra=None):
-    witness = {"reason": reason}
-    if extra:
-        witness.update(extra)
-    return CheckReport(name, label, False, None, witness)
+        A walk over the family budget raises ResourceCapError before any
+        subset is classified, so it is cheap to raise again on each lookup.
+        """
+        if hypergraph not in self._walks:
+            self._walks[hypergraph] = list(families(hypergraph))
+        return self._walks[hypergraph]
 
 
-def check_second_power(hypergraph, cache=None, label=None):
+class _Unmet(Exception):
+    """Raised by a check body whose hypotheses fail, with a dict of witness
+    fields as its argument."""
+
+
+def _defaults(hypergraph, cache, label):
+    return cache or ComputeCache(), label or describe(hypergraph)
+
+
+def _check(name, needs):
+    """Turn a check body into a check that returns a CheckReport.
+
+    The check is called as check(hypergraph, *args, cache=None, label=None)
+    and gates on `needs` first: "edges" (at least one edge) or "uniform"
+    (all edges of one size).  The body is called as body(hypergraph, ideal,
+    cache, *args) and returns (holds, witness).  A ResourceCapError or a
+    _Unmet from the body becomes a gated report.
+    """
+    def decorate(body):
+        def check(hypergraph, *args, cache=None, label=None):
+            cache, label = _defaults(hypergraph, cache, label)
+            satisfied, holds = False, None
+            if needs == "edges" and hypergraph.num_edges == 0:
+                witness = {"reason": "no edges"}
+            elif needs == "uniform" and hypergraph.uniform_size() is None:
+                witness = {"reason": "not uniform"}
+            else:
+                try:
+                    holds, witness = body(hypergraph, edge_ideal(hypergraph), cache, *args)
+                    satisfied = True
+                except ResourceCapError as e:
+                    witness = {"reason": f"resource cap: {e}"}
+                except _Unmet as e:
+                    witness = {"reason": "hypotheses not satisfied", **e.args[0]}
+            return CheckReport(name, label, satisfied, holds, witness)
+        # not functools.wraps: its __wrapped__ would show the body's signature
+        check.__name__ = check.__qualname__ = body.__name__
+        check.__doc__ = body.__doc__
+        return check
+    return decorate
+
+
+@_check("second_power_sandwich", needs="uniform")
+def check_second_power(hypergraph, ideal, cache):
     """Both-sided survivor bounds at degree 2di for the square of the ideal,
     and the matching-count test: fewer than 2^i size-i matchings forces the
     (i, 2di) Betti number of the square to vanish."""
-    name = "second_power_sandwich"
-    label = label or describe(hypergraph)
-    cache = cache or ComputeCache()
     d = hypergraph.uniform_size()
-    if d is None:
-        return _gated(name, label, "not uniform")
-    ideal = edge_ideal(hypergraph)
-    try:
-        cx = cache.complex_for(ideal, 2)
-        table = cache.table_for(ideal, 2)
-    except ResourceCapError as e:
-        return _gated(name, label, f"resource cap: {e}")
-    holds = True
+    cx = cache.complex_for(ideal, 2)
+    table = cache.table_for(ideal, 2)
+    walk = cache.families(hypergraph)
     cases = []
     for i in range(2, cx.dim + 2):
         j = 2 * d * i
         beta = table.betti(i, j)
         certain, possible = survivor_face_sets(cx, i, j)
         applies = bound_applicability(cx, i, j)
-        n_matchings = count_families(hypergraph, "matching", i)
+        n_matchings = sum(1 for idx, cls in walk if len(idx) == i and cls.is_matching)
         ok = (applies.upper and applies.lower
               and len(certain) <= beta <= len(possible))
         if n_matchings < 2 ** i:
@@ -127,36 +168,21 @@ def check_second_power(hypergraph, cache=None, label=None):
                       "certain": len(certain), "possible": len(possible),
                       "upper_applies": applies.upper, "lower_applies": applies.lower,
                       "matchings": n_matchings, "ok": ok})
-        holds = holds and ok
-    return CheckReport(name, label, True, holds, {"d": d, "cases": cases})
+    return all(case["ok"] for case in cases), {"d": d, "cases": cases}
 
 
-def _ssim_types(hypergraph):
-    """Self-semi-induced families grouped by type (size, union size)."""
-    types = {}
-    for idx, cls in families(hypergraph):
-        if cls.is_self_semi_induced:
-            types.setdefault(cls.family_type, []).append(idx)
-    return types
-
-
-def check_lower_bounds(hypergraph, t, cache=None, label=None):
+@_check("power_betti_lower_bounds", needs="edges")
+def check_lower_bounds(hypergraph, ideal, cache, t):
     """Lower bounds on Betti numbers of the t-th power from self-semi-induced
     families: per-family nonvanishing, per-type counting bounds, and the
     regularity chain for uniform hypergraphs."""
-    name = "power_betti_lower_bounds"
-    label = label or describe(hypergraph)
-    cache = cache or ComputeCache()
-    if hypergraph.num_edges == 0:
-        return _gated(name, label, "no edges")
-    ideal = edge_ideal(hypergraph)
     d = hypergraph.uniform_size()
-    try:
-        table = cache.table_for(ideal, t)
-    except ResourceCapError as e:
-        return _gated(name, label, f"resource cap: {e}")
-    types = _ssim_types(hypergraph)
-    holds = True
+    table = cache.table_for(ideal, t)
+    walk = cache.families(hypergraph)
+    types = {}  # self-semi-induced families by type (size, union size)
+    for idx, cls in walk:
+        if cls.is_self_semi_induced:
+            types.setdefault(cls.family_type, []).append(idx)
     cases = []
     seen = set()
     for (i, j), fams in sorted(types.items()):
@@ -170,7 +196,6 @@ def check_lower_bounds(hypergraph, t, cache=None, label=None):
                 ok = beta > 0
                 cases.append({"kind": "nonvanishing", "i": target[0], "j": target[1],
                               "beta": beta, "ok": ok})
-                holds = holds and ok
     for (i, j), fams in sorted(types.items()):
         s = len(fams)
         if t == 1:
@@ -178,15 +203,13 @@ def check_lower_bounds(hypergraph, t, cache=None, label=None):
             ok = beta >= s
             cases.append({"kind": "count", "i": i, "j": j, "beta": beta,
                           "bound": s, "ok": ok})
-            holds = holds and ok
         elif d is not None:
             beta = table.betti(i, d * (t - 1) + j)
             ok = beta >= s * i
             cases.append({"kind": "count", "i": i, "j": d * (t - 1) + j,
                           "beta": beta, "bound": s * i, "ok": ok})
-            holds = holds and ok
     if d is not None:
-        inv = invariants(hypergraph)
+        inv = invariants_of(walk, True)
         reg = table.regularity()
         low_induced = (d - 1) * inv.induced_matching_number
         low_excess = inv.self_semi_induced_excess
@@ -194,169 +217,114 @@ def check_lower_bounds(hypergraph, t, cache=None, label=None):
         cases.append({"kind": "regularity", "reg": reg,
                       "induced_bound": d * (t - 1) + low_induced,
                       "excess_bound": d * (t - 1) + low_excess, "ok": ok})
-        holds = holds and ok
-    return CheckReport(name, label, True, holds, {"t": t, "cases": cases})
+    return all(case["ok"] for case in cases), {"t": t, "cases": cases}
 
 
-def check_min_gens(hypergraph, k, cache=None, label=None, family_cap=None):
+@_check("ssim_products_are_minimal_generators", needs="edges")
+def check_min_gens(hypergraph, ideal, cache, k):
     """Every product of k edges from a self-semi-induced family must appear
     among the minimal generators of the k-th power."""
-    name = "ssim_products_are_minimal_generators"
-    label = label or describe(hypergraph)
-    if hypergraph.num_edges == 0:
-        return _gated(name, label, "no edges")
     if k < 1:
         raise DomainError(f"power must be >= 1, got {k}")
-    ideal = edge_ideal(hypergraph)
     generators = {mono for _, mono in power_generators(ideal, k)}
     edge_monos = list(ideal.generators)
     holds = True
     checked = 0
     missing = []
-    for idx, cls in families(hypergraph, size_cap=family_cap):
+    for idx, cls in cache.families(hypergraph):
         if not cls.is_self_semi_induced:
             continue
         for combo in combinations_with_replacement(idx, k):
-            prod = edge_monos[combo[0]]
-            for e in combo[1:]:
-                prod = prod * edge_monos[e]
+            prod = functools.reduce(operator.mul, (edge_monos[e] for e in combo))
             checked += 1
             if prod not in generators:
                 holds = False
                 missing.append({"family": list(idx), "combo": list(combo)})
-    return CheckReport(name, label, True, holds,
-                       {"k": k, "products_checked": checked, "missing": missing})
+    return holds, {"k": k, "products_checked": checked, "missing": missing}
 
 
-def check_reg_upper(hypergraph, t, cache=None, label=None):
+@_check("regularity_upper_bounds", needs="uniform")
+def check_reg_upper(hypergraph, ideal, cache, t):
     """Upper bounds on the regularity of the t-th power: the edge-count bound
     and the two splitting-off inequalities through subideals."""
-    name = "regularity_upper_bounds"
-    label = label or describe(hypergraph)
-    cache = cache or ComputeCache()
     d = hypergraph.uniform_size()
-    if d is None:
-        return _gated(name, label, "not uniform")
-    ideal = edge_ideal(hypergraph)
     m = hypergraph.num_edges
-    try:
-        reg_quotient = cache.table_for(ideal, t).regularity()
-        cases = []
-        edge_bound = d * (t - 1) + m * (d - 1)
-        ok = reg_quotient <= edge_bound
-        cases.append({"kind": "edge_count", "reg": reg_quotient,
-                      "bound": edge_bound, "ok": ok})
-        holds = ok
-        reg_ideal = reg_quotient + 1
-        if m >= 2:
-            split = max(cache.ideal_regularity(ideal.truncate(m - 1), t) + d - 1,
-                        cache.ideal_regularity(ideal, t - 1) + d)
-            ok = reg_ideal <= split
-            cases.append({"kind": "one_step_split", "reg_ideal": reg_ideal,
-                          "bound": split, "ok": ok})
-            holds = holds and ok
-        parts = [cache.ideal_regularity(ideal.truncate(k), 1) + (m - k) * (d - 1)
-                 for k in range(1, m + 1)]
-        first_power_bound = d * (t - 1) + max(parts)
-        ok = reg_ideal <= first_power_bound
-        cases.append({"kind": "first_power_reduction", "reg_ideal": reg_ideal,
-                      "bound": first_power_bound, "ok": ok})
-        holds = holds and ok
-    except ResourceCapError as e:
-        return _gated(name, label, f"resource cap: {e}")
-    return CheckReport(name, label, True, holds, {"t": t, "cases": cases})
+    reg_quotient = cache.table_for(ideal, t).regularity()
+    cases = []
+    edge_bound = d * (t - 1) + m * (d - 1)
+    ok = reg_quotient <= edge_bound
+    cases.append({"kind": "edge_count", "reg": reg_quotient,
+                  "bound": edge_bound, "ok": ok})
+    reg_ideal = reg_quotient + 1
+    if m >= 2:
+        split = max(cache.ideal_regularity(ideal.truncate(m - 1), t) + d - 1,
+                    cache.ideal_regularity(ideal, t - 1) + d)
+        ok = reg_ideal <= split
+        cases.append({"kind": "one_step_split", "reg_ideal": reg_ideal,
+                      "bound": split, "ok": ok})
+    parts = [cache.ideal_regularity(ideal.truncate(k), 1) + (m - k) * (d - 1)
+             for k in range(1, m + 1)]
+    first_power_bound = d * (t - 1) + max(parts)
+    ok = reg_ideal <= first_power_bound
+    cases.append({"kind": "first_power_reduction", "reg_ideal": reg_ideal,
+                  "bound": first_power_bound, "ok": ok})
+    return all(case["ok"] for case in cases), {"t": t, "cases": cases}
 
 
-def check_vanishing(hypergraph, t, r, s, cache=None, label=None):
+@_check("betti_vanishing_window", needs="uniform")
+def check_vanishing(hypergraph, ideal, cache, t, r, s):
     """When no face of dimension s-1 or s+1 has degree r and a self-semi-induced
     family of type (s+1, r - d(t-1)) exists, the ideal-convention Betti numbers
     vanish at s-1 and s+1 in degree r and are nonzero at s."""
-    name = "betti_vanishing_window"
-    label = label or describe(hypergraph)
-    cache = cache or ComputeCache()
     d = hypergraph.uniform_size()
-    if d is None:
-        return _gated(name, label, "not uniform")
-    ideal = edge_ideal(hypergraph)
-    try:
-        cx = cache.complex_for(ideal, t)
-        table = cache.table_for(ideal, t)
-    except ResourceCapError as e:
-        return _gated(name, label, f"resource cap: {e}")
+    cx = cache.complex_for(ideal, t)
+    table = cache.table_for(ideal, t)
     window_clear = all(cx.degree(f) != r for f in cx.faces_of_dim(s - 1)) and \
         all(cx.degree(f) != r for f in cx.faces_of_dim(s + 1))
     target_type = (s + 1, r - d * (t - 1))
-    family_exists = any(cls.family_type == target_type
-                        for _, cls in families(hypergraph, kind="self_semi_induced"))
+    family_exists = any(cls.is_self_semi_induced and cls.family_type == target_type
+                        for _, cls in cache.families(hypergraph))
     if not (window_clear and family_exists):
-        return _gated(name, label, "hypotheses not satisfied",
-                      {"t": t, "r": r, "s": s, "window_clear": window_clear,
-                       "family_exists": family_exists})
+        raise _Unmet({"t": t, "r": r, "s": s, "window_clear": window_clear,
+                      "family_exists": family_exists})
     below = table.ideal_betti(s - 1, r)
     mid = table.ideal_betti(s, r)
     above = table.ideal_betti(s + 1, r)
     holds = below == 0 and above == 0 and mid != 0
-    return CheckReport(name, label, True, holds,
-                       {"t": t, "r": r, "s": s,
-                        "beta_below": below, "beta_mid": mid, "beta_above": above})
+    return holds, {"t": t, "r": r, "s": s,
+                   "beta_below": below, "beta_mid": mid, "beta_above": above}
 
 
-def check_taylor_agreement(hypergraph, t, cache=None, label=None):
+@_check("taylor_faridi_agreement", needs="edges")
+def check_taylor_agreement(hypergraph, ideal, cache, t):
     """The Betti tables supported on the full simplex and on the support
     complex must coincide."""
-    name = "taylor_faridi_agreement"
-    label = label or describe(hypergraph)
-    cache = cache or ComputeCache()
-    if hypergraph.num_edges == 0:
-        return _gated(name, label, "no edges")
-    ideal = edge_ideal(hypergraph)
-    try:
-        table = cache.table_for(ideal, t)
-        simplex = taylor_complex(power_generators(ideal, t), max_faces=cache.max_faces)
-    except ResourceCapError as e:
-        return _gated(name, label, f"resource cap: {e}")
+    table = cache.table_for(ideal, t)
+    simplex = taylor_complex(power_generators(ideal, t), max_faces=cache.max_faces)
     taylor_table = graded_betti(simplex, char=cache.char, power=t)
     holds = taylor_table.entries == table.entries
     witness = {"t": t, "faces_taylor": simplex.face_count}
     if not holds:
         witness["taylor"] = [[i, j, b] for (i, j), b in taylor_table.items_sorted()]
         witness["faridi"] = [[i, j, b] for (i, j), b in table.items_sorted()]
-    return CheckReport(name, label, True, holds, witness)
+    return holds, witness
 
 
-def check_first_power_simplex(hypergraph, cache=None, label=None):
+@_check("first_power_complex_is_simplex", needs="edges")
+def check_first_power_simplex(hypergraph, ideal, cache):
     """At power one the support complex is the Taylor simplex itself."""
-    name = "first_power_complex_is_simplex"
-    label = label or describe(hypergraph)
-    cache = cache or ComputeCache()
-    if hypergraph.num_edges == 0:
-        return _gated(name, label, "no edges")
-    ideal = edge_ideal(hypergraph)
-    try:
-        cx = cache.complex_for(ideal, 1)
-        simplex = taylor_complex(power_generators(ideal, 1), max_faces=cache.max_faces)
-    except ResourceCapError as e:
-        return _gated(name, label, f"resource cap: {e}")
-    holds = cx == simplex
-    return CheckReport(name, label, True, holds, {"faces": cx.face_count})
+    cx = cache.complex_for(ideal, 1)
+    simplex = taylor_complex(power_generators(ideal, 1), max_faces=cache.max_faces)
+    return cx == simplex, {"faces": cx.face_count}
 
 
-def check_survivor_sandwich(hypergraph, t, cache=None, label=None):
+@_check("survivor_bound_sandwich", needs="edges")
+def check_survivor_sandwich(hypergraph, ideal, cache, t):
     """Wherever the survivor bounds apply, the Betti number must sit between
     the certain and possible survivor counts."""
-    name = "survivor_bound_sandwich"
-    label = label or describe(hypergraph)
-    cache = cache or ComputeCache()
-    if hypergraph.num_edges == 0:
-        return _gated(name, label, "no edges")
-    ideal = edge_ideal(hypergraph)
-    try:
-        cx = cache.complex_for(ideal, t)
-        table = cache.table_for(ideal, t)
-    except ResourceCapError as e:
-        return _gated(name, label, f"resource cap: {e}")
-    holds = True
-    cases = []
+    cx = cache.complex_for(ideal, t)
+    table = cache.table_for(ideal, t)
+    cases = []  # every failing case is kept, so the verdict reads them alone
     for i in range(1, cx.dim + 2):
         for j in cx.degree_slices(i - 1):
             applies = bound_applicability(cx, i, j)
@@ -364,18 +332,14 @@ def check_survivor_sandwich(hypergraph, t, cache=None, label=None):
                 continue
             certain, possible = survivor_face_sets(cx, i, j)
             beta = table.betti(i, j)
-            ok = True
-            if applies.upper:
-                ok = ok and beta <= len(possible)
-            if applies.lower:
-                ok = ok and beta >= len(certain)
+            ok = ((not applies.upper or beta <= len(possible))
+                  and (not applies.lower or beta >= len(certain)))
             if not ok or beta:
                 cases.append({"i": i, "j": j, "beta": beta,
                               "certain": len(certain), "possible": len(possible),
                               "upper_applies": applies.upper,
                               "lower_applies": applies.lower, "ok": ok})
-            holds = holds and ok
-    return CheckReport(name, label, True, holds, {"t": t, "cases": cases})
+    return all(case["ok"] for case in cases), {"t": t, "cases": cases}
 
 
 def random_hypergraph(n, m, d, seed):
@@ -457,29 +421,34 @@ def builtin_corpus(random_per_config=3, master_seed=1187):
 
 
 def run_checks(hypergraph, t_max=3, cache=None, label=None, min_gen_powers=(2, 3)):
-    """All checks for one instance, in a fixed order."""
-    label = label or describe(hypergraph)
-    cache = cache or ComputeCache()
-    reports = [check_first_power_simplex(hypergraph, cache, label)]
+    """All checks for one instance, in a fixed order.
+
+    The vanishing windows are keyed by the self-semi-induced family types,
+    so a uniform hypergraph whose family walk is over the budget raises
+    ResourceCapError here.
+    """
+    cache, label = _defaults(hypergraph, cache, label)
+    reports = [check_first_power_simplex(hypergraph, cache=cache, label=label)]
     for t in range(1, t_max + 1):
-        reports.append(check_taylor_agreement(hypergraph, t, cache, label))
-        reports.append(check_lower_bounds(hypergraph, t, cache, label))
-        reports.append(check_survivor_sandwich(hypergraph, t, cache, label))
-        reports.append(check_reg_upper(hypergraph, t, cache, label))
-    reports.append(check_second_power(hypergraph, cache, label))
+        reports.append(check_taylor_agreement(hypergraph, t, cache=cache, label=label))
+        reports.append(check_lower_bounds(hypergraph, t, cache=cache, label=label))
+        reports.append(check_survivor_sandwich(hypergraph, t, cache=cache, label=label))
+        reports.append(check_reg_upper(hypergraph, t, cache=cache, label=label))
+    reports.append(check_second_power(hypergraph, cache=cache, label=label))
     for k in min_gen_powers:
-        reports.append(check_min_gens(hypergraph, k, cache, label))
+        reports.append(check_min_gens(hypergraph, k, cache=cache, label=label))
     d = hypergraph.uniform_size()
     if d is not None:
         seen = set()
-        for _, cls in families(hypergraph, kind="self_semi_induced"):
+        for _, cls in cache.families(hypergraph):
+            if not cls.is_self_semi_induced:
+                continue
             i, j = cls.family_type
             for t in range(1, t_max + 1):
                 key = (t, d * (t - 1) + j, i - 1)
                 if key not in seen:
                     seen.add(key)
-                    reports.append(check_vanishing(hypergraph, key[0], key[1], key[2],
-                                                   cache, label))
+                    reports.append(check_vanishing(hypergraph, *key, cache=cache, label=label))
     return reports
 
 
@@ -491,12 +460,10 @@ def summarize(reports):
     }
 
 
-def run_corpus(entries, t_max=3, char=0, max_faces=CORPUS_MAX_FACES,
-               min_gen_powers=(2, 3)):
+def run_corpus(entries, t_max=3, char=0, max_faces=CORPUS_MAX_FACES):
     """Run all checks over (name, hypergraph) pairs; returns (reports, summary)."""
     reports = []
     for name, hypergraph in entries:
         cache = ComputeCache(char=char, max_faces=max_faces)
-        reports.extend(run_checks(hypergraph, t_max=t_max, cache=cache,
-                                  label=name, min_gen_powers=min_gen_powers))
+        reports.extend(run_checks(hypergraph, t_max=t_max, cache=cache, label=name))
     return reports, summarize(reports)

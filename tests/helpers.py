@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from hyperbetti.errors import DimensionError, DomainError
+
 
 def fraction_rank(rows):
     """Rank over Q by plain Gaussian elimination on Fractions."""
@@ -91,3 +93,81 @@ def brute_minimal_power_generators(ideal, t):
     products = set(brute_power_products(ideal, t))
     return {p for p in products
             if not any(q != p and q.divides(p) for q in products)}
+
+
+class MatrixNN:
+    """A small dense matrix of nonnegative integers."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, entries):
+        rows = tuple(tuple(r) for r in entries)
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:
+            raise DimensionError(f"ragged rows of widths {sorted(widths)}")
+        for r in rows:
+            for x in r:
+                if not isinstance(x, int) or x < 0:
+                    raise DomainError(f"entries must be nonnegative integers, got {x!r}")
+        self.rows = len(rows)
+        self.cols = widths.pop() if widths else 0
+        self.entries = rows
+
+    def mul(self, other):
+        if self.cols != other.rows:
+            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        out = []
+        for r in range(self.rows):
+            row = self.entries[r]
+            out.append(tuple(sum(row[k] * other.entries[k][c] for k in range(self.cols))
+                             for c in range(other.cols)))
+        return MatrixNN(out)
+
+    def column(self, j):
+        return tuple(self.entries[r][j] for r in range(self.rows))
+
+    def column_sums(self):
+        return tuple(sum(self.column(j)) for j in range(self.cols))
+
+    def __eq__(self, other):
+        return isinstance(other, MatrixNN) and self.entries == other.entries
+
+    def __repr__(self):
+        return f"MatrixNN({[list(r) for r in self.entries]})"
+
+
+def incidence_matrix(hypergraph):
+    """The n x m 0/1 matrix with entry (v, k) = 1 iff vertex v lies in edge k."""
+    return MatrixNN([
+        [1 if hypergraph.edges[k] >> (v - 1) & 1 else 0
+         for k in range(hypergraph.num_edges)]
+        for v in range(1, hypergraph.n + 1)
+    ])
+
+
+def generator_matrix(ideal):
+    """The n x m matrix whose columns are the generator exponent vectors."""
+    return MatrixNN([
+        [g.exps[v] for g in ideal.generators]
+        for v in range(ideal.n)
+    ])
+
+
+def tuple_matrix(tuples):
+    """The m x p matrix whose columns are the given factorization tuples."""
+    tups = list(tuples)
+    if not tups:
+        raise DomainError("no tuples")
+    m = len(tups[0].entries)
+    return MatrixNN([[b.entries[r] for b in tups] for r in range(m)])
+
+
+def max_vector(matrix, columns):
+    """Rowwise maxima over the selected columns; repeats collapse."""
+    cols = sorted(set(columns))
+    if not cols:
+        raise DomainError("empty column selection")
+    for c in cols:
+        if not 0 <= c < matrix.cols:
+            raise DomainError(f"column {c} out of range 0..{matrix.cols - 1}")
+    return tuple(max(row[c] for c in cols) for row in matrix.entries)

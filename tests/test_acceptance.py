@@ -2,9 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they print.
 The corpus-wide criteria share a single verification run over the builtin
-corpus (module-scoped fixture).
+corpus (module-scoped fixture), which also pins the whole `verify` stream.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,11 @@ from hyperbetti.verify import builtin_corpus, run_corpus
 from helpers import hochster_betti
 
 CORPUS_BUDGET_SECONDS = 600.0
+
+# sha256 of `hyperbetti verify --corpus builtin --t-max 3` stdout.  Anything
+# that changes a corpus report must re-record it; raising CORPUS_MAX_FACES
+# does, because the cap-gated reports then run.
+VERIFY_STREAM_SHA256 = "c55f393bf582d7a576b1f4938e3601a218b57ed7292c2db97f27921d6fdf90e5"
 
 
 def criterion(num, ok, detail):
@@ -76,6 +82,13 @@ def test_criterion_2_golden_three_triples_with_transversal(data_dir):
                      f"sim_excess={inv.semi_induced_excess} "
                      f"reg(R/I)={reg_quotient} reg(I)={reg_ideal} "
                      f"Hochster oracle agrees: {oracle_agrees} time={elapsed:.3f}s")
+
+
+def test_verify_stream_is_pinned(corpus_run):
+    reports, summary, _ = corpus_run
+    stream = "".join(r.to_json() + "\n" for r in reports)
+    stream += json.dumps({"summary": summary}, sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(stream.encode()).hexdigest() == VERIFY_STREAM_SHA256
 
 
 def test_criterion_3_taylor_faridi_agreement(corpus_run):

@@ -12,7 +12,7 @@ from hyperbetti.complexes import faridi_complex, taylor_complex
 from hyperbetti.errors import DomainError, InvariantError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.monomials import power_generators
-from hyperbetti.verify import random_hypergraph
+from hyperbetti.verify import builtin_corpus, random_hypergraph
 from helpers import fraction_rank, gf_rank, hochster_betti
 
 
@@ -236,6 +236,15 @@ class TestGradedBetti:
         assert graded_betti(faridi_complex(ideal, 1), char=char).entries == expected
         assert graded_betti(taylor_complex(power_generators(ideal, 1)),
                             char=char).entries == expected
+
+    def test_hochster_oracle_on_corpus(self):
+        # every corpus instance but example39 (n = 9, covered above) over Q
+        corpus = builtin_corpus()
+        small = [(name, h) for name, h in corpus if h.n <= 7]
+        assert len(small) == len(corpus) - 1
+        for name, h in small:
+            table = graded_betti(faridi_complex(edge_ideal(h), 1))
+            assert table.entries == hochster_betti(h), name
 
 
 class TestBettiTable:

@@ -100,6 +100,16 @@ class TestMatchingsCommand:
         assert code == 0
         assert "matching_number" in out and " 1" in out
 
+    def test_family_walk_over_budget(self, capsys, tmp_path):
+        path40 = tmp_path / "path40.json"
+        path40.write_text(json.dumps({"n": 41, "edges": [[k, k + 1] for k in range(1, 41)]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "matchings", str(path40))
+        assert code == 3 and "resource cap" in err and out == ""
+        assert time.perf_counter() - start < 1.0
+        code, out, _ = run_cli(capsys, "matchings", "--size-cap", "3", str(path40))
+        assert code == 0 and "lower bounds only" in out
+
     def test_family_listing(self, capsys, data_dir):
         code, out, _ = run_cli(capsys, "matchings", "--list", "self_semi_induced",
                                "--size", "2", str(data_dir / "path5.json"))

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from hyperbetti.errors import DomainError
+from hyperbetti.errors import DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph
-from hyperbetti.matchings import (EdgeFamily, classify, count_families, families,
-                                  invariants)
+from hyperbetti.matchings import classify, count_families, families, invariants
 from hyperbetti.verify import random_hypergraph
 
 
@@ -43,8 +42,7 @@ class TestClassify:
             classify(path5, [5])
 
     def test_edge_family_type(self, example39):
-        fam = EdgeFamily.of(example39, [0, 3])
-        assert fam.size == 2 and fam.union_size == 5
+        assert classify(example39, [0, 3]).family_type == (2, 5)
 
 
 class TestInvariants:
@@ -102,6 +100,19 @@ class TestCounts:
     def test_bad_kind(self, path5):
         with pytest.raises(DomainError):
             count_families(path5, "perfect", 1)
+
+    def test_walk_over_budget_refused(self):
+        def path(m):
+            return Hypergraph(m + 1, [[k, k + 1] for k in range(1, m + 1)])
+
+        # 2^21 - 1 families of 21 edges and C(40, 6) six-edge families of 40
+        # edges are both over the 2^20 budget; the 780 two-edge families are
+        # not, and 39 of them share a vertex
+        with pytest.raises(ResourceCapError):
+            next(families(path(21)))
+        with pytest.raises(ResourceCapError):
+            count_families(path(40), "matching", 6)
+        assert count_families(path(40), "matching", 2) == 780 - 39
 
 
 class TestProperties:

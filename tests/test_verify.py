@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+import hyperbetti.matchings as matchings
 import hyperbetti.verify as verify
 from hyperbetti.betti import BettiTable
-from hyperbetti.errors import DomainError
+from hyperbetti.errors import DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph
 from hyperbetti.verify import (CheckReport, ComputeCache, builtin_corpus,
                                check_first_power_simplex, check_lower_bounds,
@@ -114,7 +115,7 @@ class TestIndividualChecks:
 
     def test_taylor_agreement_gated_by_cap(self, path5):
         cache = ComputeCache(max_faces=8)
-        report = check_taylor_agreement(path5, 3, cache)
+        report = check_taylor_agreement(path5, 3, cache=cache)
         assert report.gated
         assert "resource cap" in report.witness["reason"]
 
@@ -127,6 +128,18 @@ class TestIndividualChecks:
             report = check_survivor_sandwich(example39, t)
             assert report.hypothesis_satisfied and report.conclusion_holds
 
+    def test_family_walk_over_budget_is_gated(self):
+        # 21 edges have 2^21 - 1 nonempty families, over the 2^20 walk budget
+        path = Hypergraph(22, [[k, k + 1] for k in range(1, 22)])
+        report = check_min_gens(path, 1)
+        assert report.gated
+        assert report.witness["reason"].startswith("resource cap:")
+        assert "edge families" in report.witness["reason"]
+        # the vanishing windows are keyed by the family types, so run_checks
+        # cannot enumerate them for a uniform instance
+        with pytest.raises(ResourceCapError):
+            run_checks(path, t_max=1, min_gen_powers=())
+
 
 class TestHarness:
     def test_run_checks_clean(self, path5):
@@ -135,6 +148,21 @@ class TestHarness:
         names = {r.check for r in reports}
         assert "taylor_faridi_agreement" in names
         assert "betti_vanishing_window" in names
+
+    def test_one_family_walk_per_instance(self, example39, path5, monkeypatch):
+        classified = []
+        classify_indices = matchings._classify_indices
+
+        def counted(hypergraph, idx):
+            classified.append(idx)
+            return classify_indices(hypergraph, idx)
+
+        monkeypatch.setattr(matchings, "_classify_indices", counted)
+        # each nonempty edge subset is classified once per instance
+        for h in (example39, path5):
+            classified.clear()
+            run_checks(h, t_max=3)
+            assert len(classified) == 2 ** h.num_edges - 1
 
     def test_summary_counts(self, path5):
         reports = run_checks(path5, t_max=2)
