@@ -296,25 +296,18 @@ def survivor_face_sets(cx, i, j):
     one-vertex extension keeps the label; it stays possible when every
     label-keeping extension also keeps the label after removing one of the
     face's own vertices.  certain <= actual survivors <= possible.
+
+    The label-keeping extensions of a face F are the i-faces of degree j
+    whose label-keeping boundary column holds F, and such an extension is
+    recoverable exactly when its column holds a second face.
     """
-    certain, possible = set(), set()
-    for face in cx.degree_slices(i - 1).get(j, ()):
-        if _boundary_column(cx.degree, face, j):
-            continue
-        no_flat_extension = True
-        recoverable = True
-        for ext in cx.extensions(face):
-            if cx.degree(ext) != j:
-                continue
-            no_flat_extension = False
-            if not any(cx.degree(tuple(x for x in ext if x != u)) == j for u in face):
-                recoverable = False
-                break
-        if no_flat_extension:
-            certain.add(face)
-        if recoverable:
-            possible.add(face)
-    return certain, possible
+    columns = [_boundary_column(cx.degree, ext, j) for ext in cx.degree_slices(i).get(j, ())]
+    extended = {face for column in columns for face in column}
+    stuck = {face for column in columns if len(column) == 1 for face in column}
+    candidates = [face for face in cx.degree_slices(i - 1).get(j, ())
+                  if not _boundary_column(cx.degree, face, j)]
+    return ({face for face in candidates if face not in extended},
+            {face for face in candidates if face not in stuck})
 
 
 class BoundApplicability(NamedTuple):

@@ -15,7 +15,7 @@ from .betti import graded_betti, validate_characteristic
 from .complexes import DEFAULT_MAX_FACES, faridi_complex, taylor_complex
 from .errors import DimensionError, DomainError, ResourceCapError, ValidationError
 from .hypergraph import Hypergraph, edge_ideal
-from .matchings import KINDS, families, invariants
+from .matchings import KINDS, families, invariants_of
 from .monomials import power_generators
 from .verify import CORPUS_MAX_FACES, builtin_corpus, random_hypergraph, run_corpus
 
@@ -79,16 +79,22 @@ def cmd_betti(args):
 
 def cmd_matchings(args):
     hypergraph = Hypergraph.load(args.file)
-    report = invariants(hypergraph, size_cap=args.size_cap)
+    exhaustive = args.size_cap is None or args.size_cap >= hypergraph.num_edges
+    listed = []
+
+    def walk():
+        # one walk: the invariants fold it and the listing filters it
+        for idx, cls in families(hypergraph, size_cap=args.size_cap):
+            if _family_selected(cls, args):
+                listed.append((idx, cls))
+            yield idx, cls
+
+    report = invariants_of(walk(), exhaustive)
     if args.json:
         out = asdict(report)
         if args.list_kind:
-            out["families"] = [
-                {"edges": [k + 1 for k in idx], "type": list(cls.family_type)}
-                for idx, cls in families(hypergraph, kind=args.list_kind,
-                                         size_cap=args.size_cap)
-                if _family_selected(cls, args)
-            ]
+            out["families"] = [{"edges": [k + 1 for k in idx], "type": list(cls.family_type)}
+                               for idx, cls in listed]
         print(json.dumps(out, sort_keys=True, separators=(",", ":")))
         return 0
     for key, value in asdict(report).items():
@@ -100,14 +106,15 @@ def cmd_matchings(args):
         print(f"(lower bounds only: enumeration capped at size {args.size_cap})")
     if args.list_kind:
         print(f"{args.list_kind} families (edges numbered from 1):")
-        for idx, cls in families(hypergraph, kind=args.list_kind, size_cap=args.size_cap):
-            if _family_selected(cls, args):
-                print(f"  {[k + 1 for k in idx]} type {cls.family_type}")
+        for idx, cls in listed:
+            print(f"  {[k + 1 for k in idx]} type {cls.family_type}")
     return 0
 
 
 def _family_selected(cls, args):
     i, j = cls.family_type
+    if args.list_kind is None or not cls.has_kind(args.list_kind):
+        return False
     if args.size is not None and i != args.size:
         return False
     if args.union_size is not None and j != args.union_size:

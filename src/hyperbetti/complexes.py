@@ -17,37 +17,6 @@ from .monomials import power_generators
 DEFAULT_MAX_FACES = 1 << 20
 
 
-def _expand_facets(facets, max_faces):
-    """All subsets of the given facets (sorted index tuples), deduplicated.
-
-    Returns the face set as a dict keyed by face (insertion order is by
-    facet, then by subset size); includes the empty face.  Raises when the
-    running count would exceed max_faces.
-    """
-    canonical = []
-    seen = set()
-    for facet in facets:
-        f = tuple(sorted(set(facet)))
-        if f and f not in seen:
-            seen.add(f)
-            canonical.append(f)
-    if max_faces is not None:
-        for f in canonical:
-            if len(f) >= max_faces.bit_length():
-                raise ResourceCapError(
-                    f"facet with {len(f)} vertices yields {1 << len(f)} faces, over the cap of {max_faces}")
-    faces = {(): None}
-    for facet in canonical:
-        for size in range(1, len(facet) + 1):
-            for face in combinations(facet, size):
-                if face not in faces:
-                    faces[face] = None
-                    if max_faces is not None and len(faces) > max_faces:
-                        raise ResourceCapError(
-                            f"complex exceeds the cap of {max_faces} faces")
-    return faces
-
-
 class LabelledComplex:
     """Simplicial complex on labelled vertices, closed under subsets.
 
@@ -64,19 +33,31 @@ class LabelledComplex:
         for _, mono in self.vertices:
             if len(mono.exps) != nvars:
                 raise DimensionError("vertex labels in different rings")
+        # empty and repeated facets are dropped, first occurrence order kept
+        canonical = [f for f in dict.fromkeys(tuple(sorted(set(facet))) for facet in facets) if f]
+        if max_faces is not None:
+            for f in canonical:
+                if len(f) >= max_faces.bit_length():
+                    raise ResourceCapError(
+                        f"facet with {len(f)} vertices yields {1 << len(f)} faces, over the cap of {max_faces}")
+        labels = [mono.exps for _, mono in self.vertices]
         exps = {(): (0,) * nvars}
-        for face in _expand_facets(facets, max_faces):
-            if face:
-                # _expand_facets inserts the prefix face[:-1] (same facet, one
-                # vertex fewer) before the face, so its label is already here
-                exps[face] = tuple(map(max, exps[face[:-1]], self.vertices[face[-1]][1].exps))
-        degrees = {face: sum(e) for face, e in exps.items()}
-        by_dim = {}
-        for face in exps:
-            by_dim.setdefault(len(face) - 1, []).append(face)
+        by_dim = {-1: [()]}
+        for facet in canonical:
+            for size in range(1, len(facet) + 1):
+                bucket = by_dim.setdefault(size - 1, [])
+                for face in combinations(facet, size):
+                    if face not in exps:
+                        # the prefix face[:-1] is a subset of this facet one vertex
+                        # smaller, so the size loop has already labelled it
+                        exps[face] = tuple(map(max, exps[face[:-1]], labels[face[-1]]))
+                        bucket.append(face)
+                        if max_faces is not None and len(exps) > max_faces:
+                            raise ResourceCapError(
+                                f"complex exceeds the cap of {max_faces} faces")
         self.faces = {d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())}
         self._exps = exps
-        self._degrees = degrees
+        self._degrees = {face: sum(e) for face, e in exps.items()}
         self._slices = {}
 
     @property
@@ -104,18 +85,6 @@ class LabelledComplex:
                 groups.setdefault(self._degrees[face], []).append(face)
             self._slices[d] = {j: tuple(fs) for j, fs in sorted(groups.items())}
         return self._slices[d]
-
-    def extensions(self, face):
-        """Faces obtained from this one by adding a single vertex."""
-        members = set(face)
-        out = []
-        for v in range(len(self.vertices)):
-            if v in members:
-                continue
-            cand = tuple(sorted(face + (v,)))
-            if cand in self._exps:
-                out.append(cand)
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, LabelledComplex)
@@ -147,31 +116,17 @@ def _support_facets(tuples, t):
     Per generator position i there are two candidate facets over the given
     tuples: the spread faces (entry i at most t-1, every other entry at most
     ceil(t/2)) and the concentrated faces (entry i at least t-1).  Empty and
-    duplicate facets are dropped, first occurrence order kept.
+    repeated facets are left for LabelledComplex to drop.
     """
-    if not tuples:
-        return []
     m = len(tuples[0].entries)
     s = (t + 1) // 2
-    facets = []
-    for i in range(m):
-        spread = tuple(idx for idx, b in enumerate(tuples)
-                       if b.entries[i] <= t - 1
-                       and all(e <= s for k, e in enumerate(b.entries) if k != i))
-        if spread:
-            facets.append(spread)
-    for i in range(m):
-        concentrated = tuple(idx for idx, b in enumerate(tuples)
-                             if b.entries[i] >= t - 1)
-        if concentrated:
-            facets.append(concentrated)
-    seen = set()
-    out = []
-    for f in facets:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    return out
+    spread = [tuple(idx for idx, b in enumerate(tuples)
+                    if b.entries[i] <= t - 1
+                    and all(e <= s for k, e in enumerate(b.entries) if k != i))
+              for i in range(m)]
+    concentrated = [tuple(idx for idx, b in enumerate(tuples) if b.entries[i] >= t - 1)
+                    for i in range(m)]
+    return spread + concentrated
 
 
 def faridi_complex(ideal, t, max_faces=DEFAULT_MAX_FACES):

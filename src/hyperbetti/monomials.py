@@ -8,6 +8,8 @@ tuple records how a degree-t product splits over the base generators.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .errors import DimensionError, DomainError
 
 
@@ -125,16 +127,14 @@ def enumerate_tuples(m, t):
         raise DomainError(f"need at least one generator, got m={m}")
     if t < 1:
         raise DomainError(f"power must be >= 1, got t={t}")
+    # sorted index multisets in lexicographic order give the count vectors
+    # with larger leading entries first
     out = []
-
-    def descend(prefix, remaining, slots):
-        if slots == 1:
-            out.append(ExponentTuple(prefix + (remaining,)))
-            return
-        for head in range(remaining, -1, -1):
-            descend(prefix + (head,), remaining - head, slots - 1)
-
-    descend((), t, m)
+    for combo in combinations_with_replacement(range(m), t):
+        entries = [0] * m
+        for k in combo:
+            entries[k] += 1
+        out.append(ExponentTuple(entries))
     return out
 
 
@@ -157,13 +157,24 @@ def minimal_generators(monomials):
 
     First-occurrence order of the survivors is preserved; the result is an
     antichain under divisibility.  An empty input gives an empty output.
+
+    Each degree is tested only against the survivors of strictly smaller
+    degree: a proper divisor has smaller degree, and a monomial dropped as
+    redundant has a surviving divisor of its own.  So a set of one degree
+    needs no divisibility test at all.
     """
     mons = list(monomials)
     for g in mons[1:]:
         mons[0]._check_ring(g)
     unique = list(dict.fromkeys(mons))
-    return [g for g in unique
-            if not any(h.divides(g) for h in unique if h is not g)]
+    by_degree = {}
+    for g in unique:
+        by_degree.setdefault(g.degree, []).append(g)
+    kept = set()
+    for degree in sorted(by_degree):
+        smaller = tuple(kept)
+        kept.update(g for g in by_degree[degree] if not any(h.divides(g) for h in smaller))
+    return [g for g in unique if g in kept]
 
 
 class MonomialIdeal:
@@ -178,8 +189,9 @@ class MonomialIdeal:
                 raise DimensionError(f"generator {g!r} not in {n} variables")
         if len(set(gens)) != len(gens):
             raise DomainError("duplicate generators")
+        minimal = set(minimal_generators(gens))
         for g in gens:
-            if any(h.divides(g) for h in gens if h is not g):
+            if g not in minimal:
                 raise DomainError(f"generating set not minimal: {g} is redundant")
         self.n = n
         self.generators = gens
@@ -224,11 +236,8 @@ def power_generators(ideal, t):
     for b in enumerate_tuples(len(gens), t):
         mono = tuple_product(gens, b)
         balanced = max(b.entries) <= bound
-        if mono not in reps:
+        if mono not in reps or (balanced and not reps[mono][1]):
             reps[mono] = (b, balanced)
-        elif balanced and not reps[mono][1]:
-            reps[mono] = (b, balanced)
-    survivors = [(b, mono) for mono, (b, _) in reps.items()
-                 if not any(other.divides(mono) for other in reps if other != mono)]
+    survivors = [(reps[mono][0], mono) for mono in minimal_generators(reps)]
     survivors.sort(key=lambda pair: pair[0].sort_key())
     return survivors

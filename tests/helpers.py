@@ -77,6 +77,36 @@ def hochster_betti(hypergraph, rank=fraction_rank):
     return entries
 
 
+def survivor_oracle(cx, i, j):
+    """Certain and possible survivor sets at (i, j), by searching extensions.
+
+    Reads only cx.faces and cx.degree.  An (i-1)-face of degree j whose
+    every vertex removal changes the degree qualifies.  Its flat extensions
+    are the faces with one more vertex and the same degree.  It is certain
+    when it has none, and possible when every flat extension keeps the
+    degree after removing one of the face's own vertices.
+    """
+    upper = set(cx.faces.get(i, ()))
+    vertices = {v for (v,) in cx.faces.get(0, ())}
+    certain, possible = set(), set()
+    for face in cx.faces.get(i - 1, ()):
+        if cx.degree(face) != j:
+            continue
+        if any(cx.degree(face[:k] + face[k + 1:]) == j for k in range(len(face))):
+            continue
+        flat = []
+        for v in vertices - set(face):
+            ext = tuple(sorted(face + (v,)))
+            if ext in upper and cx.degree(ext) == j:
+                flat.append(ext)
+        if not flat:
+            certain.add(face)
+        if all(any(cx.degree(tuple(x for x in ext if x != u)) == j for u in face)
+               for ext in flat):
+            possible.add(face)
+    return certain, possible
+
+
 def brute_power_products(ideal, t):
     """Every product of exactly t generators, as a list with repetitions."""
     out = []

@@ -11,9 +11,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hyperbetti
 from hyperbetti.betti import graded_betti
 from hyperbetti.complexes import faridi_complex, taylor_complex
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
@@ -171,9 +173,12 @@ def test_criterion_8_triviality_anchors(corpus_run):
 def test_criterion_9_verify_determinism():
     args = [sys.executable, "-m", "hyperbetti.cli", "verify", "--random", "50",
             "--seed", "7", "--n", "6", "--m", "3", "--d", "2"]
+    # the subprocess imports the same package as this test, installed or not
+    src = str(Path(hyperbetti.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for hashseed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
         proc = subprocess.run(args, capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)

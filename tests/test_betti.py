@@ -1,19 +1,22 @@
 import random
 from functools import partial
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperbetti import betti
 from hyperbetti.betti import (BettiTable, bound_applicability, graded_betti,
                               integer_rank, reduced_boundary, survivor_face_sets,
                               validate_characteristic)
 from hyperbetti.complexes import faridi_complex, taylor_complex
-from hyperbetti.errors import DomainError, InvariantError
+from hyperbetti.errors import DomainError, InvariantError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
+from hyperbetti.matchings import invariants
 from hyperbetti.monomials import power_generators
 from hyperbetti.verify import builtin_corpus, random_hypergraph
-from helpers import fraction_rank, gf_rank, hochster_betti
+from helpers import fraction_rank, gf_rank, hochster_betti, survivor_oracle
 
 
 def random_sign_matrix(rng, rows, cols):
@@ -320,3 +323,46 @@ class TestSurvivorBounds:
                             assert table.betti(i, j) <= len(possible)
                         if applies.lower:
                             assert table.betti(i, j) >= len(certain)
+
+    def test_matches_extension_search(self):
+        rng = random.Random(29)
+        cases = 0
+        for seed in range(40):
+            h = random_hypergraph(rng.randint(4, 6), rng.randint(2, 4),
+                                  rng.choice((2, 3)), seed)
+            ideal = edge_ideal(h)
+            for t in (1, 2, 3):
+                try:
+                    # the extension search scans every vertex per face; keep it small
+                    cx = faridi_complex(ideal, t, max_faces=1 << 12)
+                except ResourceCapError:
+                    continue
+                for i in range(cx.dim + 2):
+                    for j in set(cx.degree_slices(i - 1)) | set(cx.degree_slices(i)):
+                        assert survivor_face_sets(cx, i, j) == survivor_oracle(cx, i, j)
+                        cases += 1
+        assert cases > 1000
+
+
+@st.composite
+def relabelled_pair(draw):
+    """A small uniform hypergraph and a copy with vertices renamed and edges shuffled."""
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(d, 6))
+    pool = list(combinations(range(1, n + 1), d))
+    edges = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    rename = draw(st.permutations(range(1, n + 1)))
+    order = draw(st.permutations(range(len(edges))))
+    moved = [[rename[v - 1] for v in edges[k]] for k in order]
+    return Hypergraph(n, edges), Hypergraph(n, moved)
+
+
+class TestRelabelling:
+    @settings(max_examples=200, deadline=None)
+    @given(relabelled_pair())
+    def test_tables_and_invariants_unchanged(self, pair):
+        h, moved = pair
+        for t in (1, 2):
+            assert (graded_betti(faridi_complex(edge_ideal(h), t))
+                    == graded_betti(faridi_complex(edge_ideal(moved), t)))
+        assert invariants(h) == invariants(moved)

@@ -1,6 +1,7 @@
 import json
 import time
 
+import hyperbetti.matchings as matchings
 from hyperbetti.cli import main
 
 
@@ -110,6 +111,23 @@ class TestMatchingsCommand:
         code, out, _ = run_cli(capsys, "matchings", "--size-cap", "3", str(path40))
         assert code == 0 and "lower bounds only" in out
 
+    def test_listing_walks_the_families_once(self, capsys, tmp_path, monkeypatch):
+        path40 = tmp_path / "path40.json"
+        path40.write_text(json.dumps({"n": 41, "edges": [[k, k + 1] for k in range(1, 41)]}))
+        calls = []
+        classify_indices = matchings._classify_indices
+
+        def counted(hypergraph, idx):
+            calls.append(idx)
+            return classify_indices(hypergraph, idx)
+
+        monkeypatch.setattr(matchings, "_classify_indices", counted)
+        code, out, _ = run_cli(capsys, "matchings", "--list", "matching", "--size-cap", "3",
+                               str(path40))
+        assert code == 0 and "[1, 3, 5] type (3, 6)" in out
+        # 40 + 780 + 9880 subsets of at most three edges, each classified once
+        assert len(calls) == 10700
+
     def test_family_listing(self, capsys, data_dir):
         code, out, _ = run_cli(capsys, "matchings", "--list", "self_semi_induced",
                                "--size", "2", str(data_dir / "path5.json"))
@@ -147,6 +165,17 @@ class TestVerifyCommand:
         summary = json.loads(lines[-1])["summary"]
         assert summary["failed"] == 0
         assert all(json.loads(line) for line in lines[:-1])
+
+    def test_family_walk_over_budget_keeps_the_reports(self, capsys):
+        # 21 edges: the family walk is over its budget and every complex over the face cap
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--random", "1", "--n", "22", "--m", "21",
+                               "--d", "2")
+        elapsed = time.perf_counter() - start
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0 and elapsed < 5.0
+        assert lines[-1]["summary"] == {"passed": 0, "gated": 16, "failed": 0}
+        assert all(r["witness"]["reason"].startswith("resource cap:") for r in lines[:-1])
 
     def test_random_requires_parameters(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--random", "3")

@@ -200,11 +200,6 @@ class TestLabelledComplex:
         edge = cx.faces_of_dim(1)[0]
         assert Monomial(cx.label_exps(edge)) == Monomial((1, 1, 1, 1, 1))
 
-    def test_extensions(self, path5):
-        cx = faridi_complex(edge_ideal(path5), 3)
-        assert cx.extensions((1,)) == [(0, 1), (1, 2)]
-        assert cx.extensions((0, 1)) == []
-
     def test_empty_face_present(self, path5):
         cx = faridi_complex(edge_ideal(path5), 2)
         assert cx.faces_of_dim(-1) == ((),)

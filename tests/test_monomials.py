@@ -148,6 +148,10 @@ class TestMonomialIdeal:
         with pytest.raises(DomainError):
             MonomialIdeal(3, [mono(1, 0, 0), mono(1, 1, 0)])
 
+    def test_names_first_redundant_generator(self):
+        with pytest.raises(DomainError, match=r"x1\*x2\*x3 is redundant"):
+            MonomialIdeal(3, [mono(0, 1, 1), mono(1, 1, 1), mono(1, 1, 0), mono(2, 1, 1)])
+
     def test_rejects_wrong_ring(self):
         with pytest.raises(DimensionError):
             MonomialIdeal(3, [mono(1, 0)])
@@ -194,6 +198,21 @@ class TestPowerGenerators:
             for b, m in power_generators(ideal, t):
                 assert b.total == t
                 assert tuple_product(ideal.generators, b) == m
+
+    def test_uniform_power_needs_no_divisibility_test(self, monkeypatch):
+        # products of t generators of one degree all share a degree, so none divides another
+        calls = []
+        divides = Monomial.divides
+
+        def counted(self, other):
+            calls.append(1)
+            return divides(self, other)
+
+        monkeypatch.setattr(Monomial, "divides", counted)
+        ideal = MonomialIdeal(6, [Monomial.from_support(6, e)
+                                  for e in ([1, 2], [2, 3], [3, 4], [4, 5], [5, 6])])
+        assert len(power_generators(ideal, 3)) == 35
+        assert calls == []
 
     def test_matches_brute_force(self):
         rng = random.Random(7)

@@ -5,7 +5,7 @@ import pytest
 import hyperbetti.matchings as matchings
 import hyperbetti.verify as verify
 from hyperbetti.betti import BettiTable
-from hyperbetti.errors import DomainError, ResourceCapError
+from hyperbetti.errors import DomainError
 from hyperbetti.hypergraph import Hypergraph
 from hyperbetti.verify import (CheckReport, ComputeCache, builtin_corpus,
                                check_first_power_simplex, check_lower_bounds,
@@ -136,9 +136,15 @@ class TestIndividualChecks:
         assert report.witness["reason"].startswith("resource cap:")
         assert "edge families" in report.witness["reason"]
         # the vanishing windows are keyed by the family types, so run_checks
-        # cannot enumerate them for a uniform instance
-        with pytest.raises(ResourceCapError):
-            run_checks(path, t_max=1, min_gen_powers=())
+        # cannot enumerate them; it returns the other reports instead of raising
+        reports = run_checks(path, t_max=1, min_gen_powers=(2,))
+        assert [r.check for r in reports] == [
+            "first_power_complex_is_simplex", "taylor_faridi_agreement",
+            "power_betti_lower_bounds", "survivor_bound_sandwich",
+            "regularity_upper_bounds", "second_power_sandwich",
+            "ssim_products_are_minimal_generators"]
+        assert all(r.gated and r.witness["reason"].startswith("resource cap:")
+                   for r in reports)
 
 
 class TestHarness:
