@@ -6,18 +6,19 @@ keeps the face's lcm label, so every boundary matrix is block-diagonal
 by lcm label (the lcm-lattice view of Gasharov-Peeva-Welker, 1999).
 `graded_betti` assembles each label block directly as sparse signed
 columns and sums the block ranks into the graded table.  All ranks come
-from one exact sparse eliminator over Z that takes the characteristic
-as a parameter: entries are reduced mod p for a prime characteristic,
-and the rationals are never replaced by a modular shortcut.  It pivots
+from one exact sparse eliminator that takes the characteristic as a
+parameter: entries are reduced mod p for a prime characteristic,
+and the rationals are never replaced by a modular shortcut.  Every step
+divides by the pivot entry, in one code path for both fields.  It pivots
 on units first, which on these +-1 blocks is the multidegree-preserving
-cancellation of Batzies-Welker (2002), and falls back to fraction-free
-steps when only non-unit entries remain.
+cancellation of Batzies-Welker (2002); a column with no unit entry
+pivots on an exact rational inverse.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantError
@@ -68,36 +69,23 @@ def _pivot_rows(columns, char):
     Columns are reduced one at a time against the pivots found so far, in
     the order those were found: a pivot column is zero on every earlier
     pivot row, so one pass in that order clears all pivot rows, and a
-    column left nonzero is independent and becomes the next pivot.  Over
-    GF(char) every nonzero entry is a unit and entries are reduced mod char
-    as they are computed.  Over Z the units are +-1; a column with no unit
-    entry waits until every other column is placed, and a step against a
-    non-unit pivot a is the fraction-free v <- (a/g) v - (b/g) P with
-    g = gcd(a, b), after which v is divided by the gcd of its entries.
-    Scaling a column by a nonzero integer never changes its rank over Q,
-    so the result is exact.
+    column left nonzero is independent and becomes the next pivot.  Each
+    pivot keeps the inverse of its entry, so every step is v <- v - (b/a) P,
+    with entries reduced mod char as they are computed.  Over Q a column
+    pivots on a +-1 entry when it has one, which keeps integer columns
+    integer; only a column with no unit entry brings in exact Fractions.
     """
-    pivots = {}  # row -> (order found, pivot column, pivot entry, its inverse or None)
-    queue = list(columns)
-    first_pass = len(queue)
-    for n, v in enumerate(queue):
+    pivots = {}  # row -> (order found, pivot column, inverse of its pivot entry)
+    for v in columns:
         heap = [(pivots[r][0], r) for r in v if r in pivots]
         heapify(heap)
-        scaled = False
         while heap:
             r = heappop(heap)[1]
             b = v.get(r)
             if not b:
                 continue
-            _, col, a, inv = pivots[r]
-            if inv is None:
-                g = gcd(a, b)
-                for key in v:
-                    v[key] *= a // g
-                b //= g
-                scaled = True
-            else:
-                b *= inv
+            _, col, inv = pivots[r]
+            b *= inv
             for key, x in col.items():
                 y = v.get(key, 0) - b * x
                 if char:
@@ -110,26 +98,15 @@ def _pivot_rows(columns, char):
                     v.pop(key, None)
         if not v:
             continue
-        if scaled:
-            g = 0
-            for x in v.values():
-                g = gcd(g, x)
-            for key in v:
-                v[key] //= g
         r = next(iter(v))
         if not char and abs(v[r]) != 1:
             r = min(v, key=lambda key: abs(v[key]))
         a = v[r]
         if char:
             inv = pow(a, -1, char)
-        elif a == 1 or a == -1:
-            inv = a
-        elif n < first_pass:
-            queue.append(v)  # no unit entry: retry once every other column is placed
-            continue
         else:
-            inv = None
-        pivots[r] = (len(pivots), v, a, inv)
+            inv = a if a == 1 or a == -1 else Fraction(1, a)
+        pivots[r] = (len(pivots), v, inv)
     return set(pivots)
 
 

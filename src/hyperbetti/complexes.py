@@ -17,6 +17,18 @@ from .monomials import power_generators
 DEFAULT_MAX_FACES = 1 << 20
 
 
+def _simplex_faces(k):
+    """The face count 2^k of a k-vertex simplex, for an error message.
+
+    It is written in decimal unless the decimal has more digits than
+    Python will print (4300 by default); then it is written as 2^k.
+    """
+    try:
+        return str(1 << k)
+    except ValueError:
+        return f"2^{k}"
+
+
 class LabelledComplex:
     """Simplicial complex on labelled vertices, closed under subsets.
 
@@ -39,7 +51,8 @@ class LabelledComplex:
             for f in canonical:
                 if len(f) >= max_faces.bit_length():
                     raise ResourceCapError(
-                        f"facet with {len(f)} vertices yields {1 << len(f)} faces, over the cap of {max_faces}")
+                        f"facet with {len(f)} vertices yields {_simplex_faces(len(f))} faces, "
+                        f"over the cap of {max_faces}")
         labels = [mono.exps for _, mono in self.vertices]
         exps = {(): (0,) * nvars}
         by_dim = {-1: [()]}
@@ -106,7 +119,7 @@ def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
     m = len(gens)
     if max_faces is not None and m >= max_faces.bit_length():
         raise ResourceCapError(
-            f"simplex on {m} vertices has {1 << m} faces, over the cap of {max_faces}")
+            f"simplex on {m} vertices has {_simplex_faces(m)} faces, over the cap of {max_faces}")
     return LabelledComplex(gens, [tuple(range(m))], max_faces)
 
 
@@ -117,16 +130,22 @@ def _support_facets(tuples, t):
     tuples: the spread faces (entry i at most t-1, every other entry at most
     ceil(t/2)) and the concentrated faces (entry i at least t-1).  Empty and
     repeated facets are left for LabelledComplex to drop.
+
+    Membership in spread facet i depends only on entry i and on the set
+    of entries above ceil(t/2), so one pass places every tuple.
     """
     m = len(tuples[0].entries)
     s = (t + 1) // 2
-    spread = [tuple(idx for idx, b in enumerate(tuples)
-                    if b.entries[i] <= t - 1
-                    and all(e <= s for k, e in enumerate(b.entries) if k != i))
-              for i in range(m)]
-    concentrated = [tuple(idx for idx, b in enumerate(tuples) if b.entries[i] >= t - 1)
-                    for i in range(m)]
-    return spread + concentrated
+    spread = [[] for _ in range(m)]
+    concentrated = [[] for _ in range(m)]
+    for idx, b in enumerate(tuples):
+        big = [k for k, e in enumerate(b.entries) if e > s]
+        for i, e in enumerate(b.entries):
+            if e <= t - 1 and (not big or big == [i]):
+                spread[i].append(idx)
+            if e >= t - 1:
+                concentrated[i].append(idx)
+    return [tuple(f) for f in spread + concentrated]
 
 
 def faridi_complex(ideal, t, max_faces=DEFAULT_MAX_FACES):

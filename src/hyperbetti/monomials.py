@@ -196,10 +196,6 @@ class MonomialIdeal:
         self.n = n
         self.generators = gens
 
-    @property
-    def num_generators(self):
-        return len(self.generators)
-
     def truncate(self, k):
         """The subideal generated by the first k generators."""
         if not 0 <= k <= len(self.generators):

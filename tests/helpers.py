@@ -107,6 +107,24 @@ def survivor_oracle(cx, i, j):
     return certain, possible
 
 
+def support_facets_oracle(tuples, t):
+    """Facets of the support complex by testing every tuple at every position.
+
+    Spread facet i holds the tuples with entry i at most t-1 and every
+    other entry at most ceil(t/2); concentrated facet i those with entry i
+    at least t-1.  Costs O(m^2) per tuple.
+    """
+    m = len(tuples[0].entries)
+    s = (t + 1) // 2
+    spread = [tuple(idx for idx, b in enumerate(tuples)
+                    if b.entries[i] <= t - 1
+                    and all(e <= s for k, e in enumerate(b.entries) if k != i))
+              for i in range(m)]
+    concentrated = [tuple(idx for idx, b in enumerate(tuples) if b.entries[i] >= t - 1)
+                    for i in range(m)]
+    return spread + concentrated
+
+
 def brute_power_products(ideal, t):
     """Every product of exactly t generators, as a list with repetitions."""
     out = []

@@ -10,11 +10,11 @@ from hyperbetti import betti
 from hyperbetti.betti import (BettiTable, bound_applicability, graded_betti,
                               integer_rank, reduced_boundary, survivor_face_sets,
                               validate_characteristic)
-from hyperbetti.complexes import faridi_complex, taylor_complex
+from hyperbetti.complexes import LabelledComplex, faridi_complex, taylor_complex
 from hyperbetti.errors import DomainError, InvariantError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.matchings import invariants
-from hyperbetti.monomials import power_generators
+from hyperbetti.monomials import Monomial, power_generators
 from hyperbetti.verify import builtin_corpus, random_hypergraph
 from helpers import fraction_rank, gf_rank, hochster_betti, survivor_oracle
 
@@ -53,8 +53,8 @@ class TestIntegerRank:
 
     @pytest.mark.parametrize("values", [range(-3, 4), (-3, -2, 0, 0, 2, 3)])
     def test_non_unit_entries_over_q(self, values):
-        # the second pool has no unit entries at all, so every pivot starts
-        # on the fraction-free path
+        # the second pool has no unit entries at all, so every pivot is a
+        # non-unit and the reduction runs on Fractions
         rng = random.Random(14)
         for _ in range(80):
             m = [[rng.choice(values) for _ in range(rng.randint(1, 9))]]
@@ -228,6 +228,17 @@ class TestGradedBetti:
         cx = faridi_complex(edge_ideal(example39), 1)
         with pytest.raises(InvariantError, match=r"beta\[\d+, \d+\] = -\d+"):
             graded_betti(cx)
+
+    @pytest.mark.parametrize("char, torsion", [(0, {}), (3, {}),
+                                               (2, {(2, 1): 1, (3, 1): 1})])
+    def test_projective_plane_torsion(self, char, torsion):
+        # the 6-vertex RP^2 with every vertex labelled x1: the one label block
+        # is its unreduced chain complex, with H_1 = Z/2 and H_2 = 0, so only
+        # GF(2) sees rows 2 and 3; over Q one column has no unit entry left
+        triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                     (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+        cx = LabelledComplex([((v,), Monomial((1,))) for v in range(6)], triangles)
+        assert graded_betti(cx, char=char).entries == {(0, 0): 1, (1, 1): 1, **torsion}
 
     @pytest.mark.parametrize("char", [0, 2, 3, 5])
     @pytest.mark.parametrize("name", ["example39", "path5", "four_cycle"])

@@ -81,6 +81,15 @@ class TestBettiCommand:
                                str(data_dir / "path5.json"))
         assert code == 3 and "resource cap" in err
 
+    def test_cap_past_printable_face_counts(self, capsys, tmp_path):
+        # a spread facet of the cube of a 50-edge path has over 14284 vertices,
+        # so its face count has more decimal digits than Python prints
+        path50 = tmp_path / "path50.json"
+        path50.write_text(json.dumps({"n": 51, "edges": [[k, k + 1] for k in range(1, 51)]}))
+        code, out, err = run_cli(capsys, "betti", "-t", "3", str(path50))
+        assert code == 3 and out == ""
+        assert "resource cap:" in err and "2^" in err
+
     def test_force_overrides_cap(self, capsys, data_dir):
         code, out, _ = run_cli(capsys, "betti", "-t", "3", "--max-faces", "4", "--force",
                                "--json", str(data_dir / "path5.json"))
@@ -174,6 +183,16 @@ class TestVerifyCommand:
         elapsed = time.perf_counter() - start
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert code == 0 and elapsed < 5.0
+        assert lines[-1]["summary"] == {"passed": 0, "gated": 16, "failed": 0}
+        assert all(r["witness"]["reason"].startswith("resource cap:") for r in lines[:-1])
+
+    def test_fifty_edges_gate_on_the_cap(self, capsys):
+        # at t = 2 and 3 the support complexes have facets too large to print
+        # their face counts in decimal; the reports are gated all the same
+        code, out, err = run_cli(capsys, "verify", "--random", "1", "--n", "30", "--m", "50",
+                                 "--d", "2")
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0 and "Traceback" not in err
         assert lines[-1]["summary"] == {"passed": 0, "gated": 16, "failed": 0}
         assert all(r["witness"]["reason"].startswith("resource cap:") for r in lines[:-1])
 

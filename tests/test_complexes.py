@@ -3,13 +3,13 @@ from math import comb
 
 import pytest
 
-from hyperbetti.complexes import faridi_complex, taylor_complex
+from hyperbetti.complexes import _support_facets, faridi_complex, taylor_complex
 from hyperbetti.errors import DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
-from hyperbetti.monomials import Monomial, power_generators
+from hyperbetti.monomials import Monomial, enumerate_tuples, power_generators
 from hyperbetti.verify import random_hypergraph
 from helpers import (MatrixNN, brute_minimal_power_generators, generator_matrix,
-                     incidence_matrix, max_vector, tuple_matrix)
+                     incidence_matrix, max_vector, support_facets_oracle, tuple_matrix)
 
 
 class TestMatrices:
@@ -85,6 +85,14 @@ class TestTaylor:
         with pytest.raises(DomainError):
             taylor_complex([])
 
+    def test_cap_message_past_printable_decimals(self):
+        # 2^14284 has 4300 decimal digits, the most Python prints by default
+        gens = [((k,), Monomial((k,))) for k in range(1, 14286)]
+        with pytest.raises(ResourceCapError, match=f"has {1 << 14284} faces"):
+            taylor_complex(gens[:-1])
+        with pytest.raises(ResourceCapError, match=r"has 2\^14285 faces"):
+            taylor_complex(gens)
+
 
 def tuple_complex(m, t):
     """The support complex on every length-m tuple summing to t.
@@ -97,6 +105,15 @@ def tuple_complex(m, t):
 
 
 class TestTupleComplex:
+    def test_support_facets_match_oracle(self):
+        rng = random.Random(3)
+        for m in range(1, 7):
+            for t in range(1, 6):
+                pool = enumerate_tuples(m, t)
+                for _ in range(10):
+                    tuples = sorted(rng.sample(pool, rng.randint(1, len(pool))))
+                    assert _support_facets(tuples, t) == support_facets_oracle(tuples, t)
+
     def test_m2_t2_is_path_on_three(self):
         tc = tuple_complex(2, 2)
         assert [b.entries for b, _ in tc.vertices] == [(2, 0), (1, 1), (0, 2)]
