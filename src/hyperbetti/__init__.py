@@ -8,8 +8,8 @@ from .errors import (DimensionError, DomainError, InvariantError, ResourceCapErr
 from .hypergraph import Hypergraph, edge_ideal
 from .matchings import (FamilyClassification, InvariantReport, classify, count_families,
                         families, invariants)
-from .monomials import (ExponentTuple, Monomial, MonomialIdeal, enumerate_tuples,
-                        minimal_generators, power_generators, tuple_product)
+from .monomials import (Monomial, MonomialIdeal, enumerate_tuples, minimal_generators,
+                        power_generators, tuple_product)
 from .verify import (CheckReport, ComputeCache, builtin_corpus, random_hypergraph,
                      run_checks, run_corpus)
 

@@ -129,7 +129,7 @@ def cmd_complex(args):
     dump = {
         "complex": args.complex_kind,
         "t": args.power,
-        "vertices": [{"tuple": list(b.entries), "monomial": list(mono.exps),
+        "vertices": [{"tuple": list(b), "monomial": list(mono.exps),
                       "degree": mono.degree}
                      for b, mono in cx.vertices],
         "faces": {str(d): [{"vertices": list(f), "degree": cx.degree(f)}
@@ -214,6 +214,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("max_faces", "t_max", "random", "size_cap"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise DomainError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
         return args.func(args)
     except ResourceCapError as e:
         print(f"resource cap: {e}", file=sys.stderr)

@@ -134,13 +134,13 @@ def _support_facets(tuples, t):
     Membership in spread facet i depends only on entry i and on the set
     of entries above ceil(t/2), so one pass places every tuple.
     """
-    m = len(tuples[0].entries)
+    m = len(tuples[0])
     s = (t + 1) // 2
     spread = [[] for _ in range(m)]
     concentrated = [[] for _ in range(m)]
     for idx, b in enumerate(tuples):
-        big = [k for k, e in enumerate(b.entries) if e > s]
-        for i, e in enumerate(b.entries):
+        big = [k for k, e in enumerate(b) if e > s]
+        for i, e in enumerate(b):
             if e <= t - 1 and (not big or big == [i]):
                 spread[i].append(idx)
             if e >= t - 1:

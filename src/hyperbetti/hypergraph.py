@@ -138,7 +138,12 @@ class Hypergraph:
             raise ValidationError("hypergraph data must be a JSON object")
         if "n" not in data or "edges" not in data:
             raise ValidationError('hypergraph data needs "n" and "edges" keys')
-        return cls(data["n"], data["edges"], data.get("labels"))
+        edges, labels = data["edges"], data.get("labels")
+        if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+            raise ValidationError('"edges" must be an array of vertex arrays')
+        if not isinstance(labels, (list, type(None))):
+            raise ValidationError('"labels" must be an array')
+        return cls(data["n"], edges, labels)
 
     @classmethod
     def load(cls, path):

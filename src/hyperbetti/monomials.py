@@ -2,8 +2,9 @@
 
 Monomials are dense exponent vectors over a fixed polynomial ring
 K[x1..xn].  Ideals are presented by minimal generating sets, and the
-generators of a power I^t are derived from factorization tuples: each
-tuple records how a degree-t product splits over the base generators.
+generators of a power I^t are derived from factorization tuples: plain
+tuples of ints that record how a degree-t product splits over the base
+generators.
 """
 
 from __future__ import annotations
@@ -85,42 +86,10 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-class ExponentTuple:
-    """How a degree-t product factors over m base generators.
-
-    Entry k is the multiplicity of generator k; the total is the power t.
-    Tuples are ordered so that larger leading entries come first:
-    (2,0) < (1,1) < (0,2).
-    """
-
-    __slots__ = ("entries", "total")
-
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-        if any(e < 0 for e in self.entries):
-            raise DomainError(f"negative multiplicity in {self.entries}")
-        self.total = sum(self.entries)
-
-    def sort_key(self):
-        return tuple(-e for e in self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, ExponentTuple) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __repr__(self):
-        return f"ExponentTuple({self.entries})"
-
-
 def enumerate_tuples(m, t):
     """All length-m tuples of nonnegative integers summing to t, in order.
 
-    The order puts larger leading entries first, so for m = 3 and t = 1 the
+    The order is descending lexicographic, so for m = 3 and t = 1 the
     result is the standard basis (1,0,0), (0,1,0), (0,0,1).
     """
     if m < 1:
@@ -134,18 +103,17 @@ def enumerate_tuples(m, t):
         entries = [0] * m
         for k in combo:
             entries[k] += 1
-        out.append(ExponentTuple(entries))
+        out.append(tuple(entries))
     return out
 
 
 def tuple_product(generators, tup):
     """The monomial prod_k generators[k]^tup[k]."""
     gens = list(generators)
-    if len(gens) != len(tup.entries):
-        raise DimensionError(
-            f"{len(gens)} generators vs tuple of length {len(tup.entries)}")
+    if len(gens) != len(tup):
+        raise DimensionError(f"{len(gens)} generators vs tuple of length {len(tup)}")
     exps = [0] * len(gens[0].exps)
-    for g, mult in zip(gens, tup.entries):
+    for g, mult in zip(gens, tup):
         if mult:
             for i, e in enumerate(g.exps):
                 exps[i] += e * mult
@@ -220,7 +188,8 @@ def power_generators(ideal, t):
     generators can strictly divide another; both effects are eliminated.
     One representative tuple is kept per surviving monomial: the earliest
     balanced tuple (no multiplicity above ceil(t/2)) if the class has one,
-    else the earliest overall.  Pairs come back ordered by their tuple.
+    else the earliest overall.  Pairs come back in descending order of their
+    tuple, the order of enumerate_tuples.
     """
     if t < 1:
         raise DomainError(f"power must be >= 1, got t={t}")
@@ -231,9 +200,9 @@ def power_generators(ideal, t):
     reps = {}
     for b in enumerate_tuples(len(gens), t):
         mono = tuple_product(gens, b)
-        balanced = max(b.entries) <= bound
+        balanced = max(b) <= bound
         if mono not in reps or (balanced and not reps[mono][1]):
             reps[mono] = (b, balanced)
     survivors = [(reps[mono][0], mono) for mono in minimal_generators(reps)]
-    survivors.sort(key=lambda pair: pair[0].sort_key())
+    survivors.sort(key=lambda pair: pair[0], reverse=True)
     return survivors

@@ -114,13 +114,13 @@ def support_facets_oracle(tuples, t):
     other entry at most ceil(t/2); concentrated facet i those with entry i
     at least t-1.  Costs O(m^2) per tuple.
     """
-    m = len(tuples[0].entries)
+    m = len(tuples[0])
     s = (t + 1) // 2
     spread = [tuple(idx for idx, b in enumerate(tuples)
-                    if b.entries[i] <= t - 1
-                    and all(e <= s for k, e in enumerate(b.entries) if k != i))
+                    if b[i] <= t - 1
+                    and all(e <= s for k, e in enumerate(b) if k != i))
               for i in range(m)]
-    concentrated = [tuple(idx for idx, b in enumerate(tuples) if b.entries[i] >= t - 1)
+    concentrated = [tuple(idx for idx, b in enumerate(tuples) if b[i] >= t - 1)
                     for i in range(m)]
     return spread + concentrated
 
@@ -206,8 +206,8 @@ def tuple_matrix(tuples):
     tups = list(tuples)
     if not tups:
         raise DomainError("no tuples")
-    m = len(tups[0].entries)
-    return MatrixNN([[b.entries[r] for b in tups] for r in range(m)])
+    m = len(tups[0])
+    return MatrixNN([[b[r] for b in tups] for r in range(m)])
 
 
 def max_vector(matrix, columns):

@@ -10,12 +10,14 @@ from hyperbetti import betti
 from hyperbetti.betti import (BettiTable, bound_applicability, graded_betti,
                               integer_rank, reduced_boundary, survivor_face_sets,
                               validate_characteristic)
-from hyperbetti.complexes import LabelledComplex, faridi_complex, taylor_complex
+from hyperbetti.complexes import (DEFAULT_MAX_FACES, LabelledComplex, faridi_complex,
+                                  taylor_complex)
 from hyperbetti.errors import DomainError, InvariantError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.matchings import invariants
 from hyperbetti.monomials import Monomial, power_generators
-from hyperbetti.verify import builtin_corpus, random_hypergraph
+from hyperbetti.verify import (ComputeCache, builtin_corpus, check_taylor_agreement,
+                               random_hypergraph)
 from helpers import fraction_rank, gf_rank, hochster_betti, survivor_oracle
 
 
@@ -259,6 +261,27 @@ class TestGradedBetti:
         for name, h in small:
             table = graded_betti(faridi_complex(edge_ideal(h), 1))
             assert table.entries == hochster_betti(h), name
+
+
+class TestBoundarySigns:
+    # the square of this 5-edge graph is a support-complex table that changes
+    # when every boundary sign is +1 (it gains (2, 7) and loses one at (4, 7));
+    # no builtin corpus instance has more than 4 edges, and none sees signs
+    graph = Hypergraph(5, [[1, 4], [2, 4], [2, 5], [3, 5], [4, 5]])
+
+    @pytest.mark.parametrize("char", [0, 3])
+    def test_faridi_table_at_second_power(self, char):
+        cx = faridi_complex(edge_ideal(self.graph), 2)
+        assert cx.face_count == 1104
+        assert graded_betti(cx, char=char, power=2).entries == {
+            (0, 0): 1, (1, 4): 15, (2, 5): 28, (3, 6): 19, (4, 7): 6, (5, 8): 1}
+
+    def test_taylor_agreement_at_second_power(self):
+        # the Taylor simplex has 2^15 faces, over the corpus cap
+        report = check_taylor_agreement(self.graph, 2,
+                                        cache=ComputeCache(max_faces=DEFAULT_MAX_FACES))
+        assert report.witness == {"t": 2, "faces_taylor": 32768}
+        assert report.hypothesis_satisfied and report.conclusion_holds
 
 
 class TestBettiTable:

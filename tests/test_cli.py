@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 import hyperbetti.matchings as matchings
 from hyperbetti.cli import main
 
@@ -9,6 +11,21 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["betti", "--max-faces", "-1", "PATH5"], "--max-faces"),
+    (["verify", "--random", "1", "--n", "5", "--m", "3", "--d", "2", "--max-faces", "-1"],
+     "--max-faces"),
+    (["verify", "--random", "-2", "--n", "5", "--m", "3", "--d", "2"], "--random"),
+    (["verify", "--random", "1", "--n", "5", "--m", "3", "--d", "2", "--t-max", "0"],
+     "--t-max"),
+    (["matchings", "--size-cap", "-2", "PATH5"], "--size-cap"),
+])
+def test_count_flag_below_one_is_input_error(capsys, data_dir, args, flag):
+    args = [str(data_dir / "path5.json") if a == "PATH5" else a for a in args]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == "" and f"{flag} must be >= 1" in err
 
 
 class TestBettiCommand:
@@ -48,6 +65,16 @@ class TestBettiCommand:
         bad.write_text('{"n": 3, "edges": [[1, 2], [1, 2, 3]]}')
         code, _, err = run_cli(capsys, "betti", str(bad))
         assert code == 2 and "contained" in err
+
+    @pytest.mark.parametrize("text", ['{"n": 3, "edges": 5}', '{"n": 3, "edges": [5]}',
+                                      '{"n": 3, "edges": [[1, 2]], "labels": 5}'])
+    def test_malformed_json_shape_is_input_error(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for command in ("betti", "matchings"):
+            code, out, err = run_cli(capsys, command, str(bad))
+            assert code == 2 and out == "" and err.startswith("error:")
+            assert "Traceback" not in err
 
     def test_zero_power_is_input_error(self, capsys, data_dir):
         code, _, _ = run_cli(capsys, "betti", "-t", "0", str(data_dir / "path5.json"))
@@ -151,6 +178,7 @@ class TestComplexCommand:
         data = json.loads(out)
         assert len(data["vertices"]) == 4
         assert all(v["degree"] == 9 for v in data["vertices"])
+        assert [v["tuple"] for v in data["vertices"]] == [[3, 0], [2, 1], [1, 2], [0, 3]]
         assert [f["degree"] for f in data["faces"]["1"]] == [11, 11, 11]
         assert "2" not in data["faces"]
 

@@ -116,7 +116,7 @@ class TestTupleComplex:
 
     def test_m2_t2_is_path_on_three(self):
         tc = tuple_complex(2, 2)
-        assert [b.entries for b, _ in tc.vertices] == [(2, 0), (1, 1), (0, 2)]
+        assert [b for b, _ in tc.vertices] == [(2, 0), (1, 1), (0, 2)]
         assert tc.faces[0] == ((0,), (1,), (2,))
         assert tc.faces[1] == ((0, 1), (1, 2))
         assert 2 not in tc.faces
@@ -167,7 +167,7 @@ class TestFaridi:
     def test_four_cycle_squared_vertices(self, four_cycle):
         cx = faridi_complex(edge_ideal(four_cycle), 2)
         assert len(cx.vertices) == 9
-        tuples = {b.entries for b, _ in cx.vertices}
+        tuples = {b for b, _ in cx.vertices}
         assert (1, 0, 1, 0) in tuples and (0, 1, 0, 1) not in tuples
 
     def test_vertices_are_minimal_generators(self):

@@ -131,3 +131,14 @@ class TestJson:
     def test_missing_keys(self):
         with pytest.raises(ValidationError, match="needs"):
             Hypergraph.from_dict({"n": 3})
+
+    @pytest.mark.parametrize("data, key", [({"n": 3, "edges": 5}, "edges"),
+                                           ({"n": 3, "edges": [5]}, "edges"),
+                                           ({"n": 3, "edges": [[1, 2]], "labels": 5}, "labels")])
+    def test_malformed_shape(self, data, key):
+        with pytest.raises(ValidationError, match=f'"{key}" must be an array'):
+            Hypergraph.from_dict(data)
+
+    def test_null_labels_allowed(self):
+        h = Hypergraph.from_dict({"n": 3, "edges": [[1, 2]], "labels": None})
+        assert h.labels is None

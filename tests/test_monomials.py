@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperbetti.errors import DimensionError, DomainError
-from hyperbetti.monomials import (ExponentTuple, Monomial, MonomialIdeal,
-                                  enumerate_tuples, minimal_generators,
-                                  power_generators, tuple_product)
+from hyperbetti.monomials import (Monomial, MonomialIdeal, enumerate_tuples,
+                                  minimal_generators, power_generators, tuple_product)
 from helpers import brute_minimal_power_generators
 
 
@@ -74,14 +73,13 @@ class TestMonomial:
 
 class TestEnumerateTuples:
     def test_m2_t2_order(self):
-        assert [b.entries for b in enumerate_tuples(2, 2)] == [(2, 0), (1, 1), (0, 2)]
+        assert enumerate_tuples(2, 2) == [(2, 0), (1, 1), (0, 2)]
 
     def test_m1(self):
-        assert [b.entries for b in enumerate_tuples(1, 3)] == [(3,)]
+        assert enumerate_tuples(1, 3) == [(3,)]
 
     def test_standard_basis_at_t1(self):
-        assert [b.entries for b in enumerate_tuples(3, 1)] == [
-            (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert enumerate_tuples(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -93,16 +91,9 @@ class TestEnumerateTuples:
     def test_count_and_order(self, m, t):
         tuples = enumerate_tuples(m, t)
         assert len(tuples) == comb(t + m - 1, m - 1)
-        assert all(b.total == t for b in tuples)
-        assert all(len(b.entries) == m for b in tuples)
-        keys = [b.sort_key() for b in tuples]
-        assert all(a < b for a, b in zip(keys, keys[1:]))
-
-    def test_order_is_total(self):
-        tuples = enumerate_tuples(3, 3)
-        for a in tuples:
-            for b in tuples:
-                assert (a < b) + (b < a) + (a == b) == 1
+        assert all(sum(b) == t and len(b) == m for b in tuples)
+        assert all(type(e) is int for b in tuples for e in b)
+        assert all(a > b for a, b in zip(tuples, tuples[1:]))
 
 
 class TestMinimalGenerators:
@@ -165,13 +156,13 @@ class TestMonomialIdeal:
 class TestPowerGenerators:
     def test_principal(self):
         ideal = MonomialIdeal(2, [mono(1, 1)])
-        assert power_generators(ideal, 3) == [(ExponentTuple((3,)), mono(3, 3))]
+        assert power_generators(ideal, 3) == [((3,), mono(3, 3))]
 
     def test_two_triples_cubed(self):
         # (abc, cde)^3 has four generators, all of degree nine
         ideal = MonomialIdeal(5, [mono(1, 1, 1, 0, 0), mono(0, 0, 1, 1, 1)])
         pairs = power_generators(ideal, 3)
-        assert [b.entries for b, _ in pairs] == [(3, 0), (2, 1), (1, 2), (0, 3)]
+        assert [b for b, _ in pairs] == [(3, 0), (2, 1), (1, 2), (0, 3)]
         assert [m for _, m in pairs] == [
             mono(3, 3, 3, 0, 0), mono(2, 2, 3, 1, 1), mono(1, 1, 3, 2, 2), mono(0, 0, 3, 3, 3)]
         assert all(m.degree == 9 for _, m in pairs)
@@ -181,7 +172,7 @@ class TestPowerGenerators:
         ideal = MonomialIdeal(4, edges)
         pairs = power_generators(ideal, 2)
         assert len(pairs) == 9
-        tuples = {b.entries for b, _ in pairs}
+        tuples = {b for b, _ in pairs}
         # the collided square x1x2x3x4 keeps the earliest balanced tuple
         assert (1, 0, 1, 0) in tuples
         assert (0, 1, 0, 1) not in tuples
@@ -196,7 +187,7 @@ class TestPowerGenerators:
                                   mono(0, 0, 0, 1, 1)])
         for t in (1, 2, 3):
             for b, m in power_generators(ideal, t):
-                assert b.total == t
+                assert sum(b) == t
                 assert tuple_product(ideal.generators, b) == m
 
     def test_uniform_power_needs_no_divisibility_test(self, monkeypatch):
