@@ -1,7 +1,6 @@
 """Exact graded Betti numbers and regularity of powers of hypergraph edge ideals."""
 
-from .betti import (BettiTable, BoundaryMatrix, bound_applicability, graded_betti,
-                    integer_rank, reduced_boundary, survivor_face_sets)
+from .betti import BettiTable, bound_applicability, graded_betti, survivor_face_sets
 from .complexes import DEFAULT_MAX_FACES, LabelledComplex, faridi_complex, taylor_complex
 from .errors import (DimensionError, DomainError, InvariantError, ResourceCapError,
                      ValidationError)

@@ -1,9 +1,9 @@
 """Graded Betti numbers, regularity, and homology-survivor bounds.
 
-The reduced boundary map keeps only the label-preserving terms of the
-simplicial boundary.  A subface keeps its face's degree exactly when it
-keeps the face's lcm label, so every boundary matrix is block-diagonal
-by lcm label (the lcm-lattice view of Gasharov-Peeva-Welker, 1999).
+The reduced boundary map keeps only the terms of the simplicial boundary
+whose subface has the face's own lcm label, so every boundary matrix is
+block-diagonal by lcm label (the lcm-lattice view of Gasharov-Peeva-Welker,
+1999); the label's degree only grades the result.
 `graded_betti` assembles each label block directly as sparse signed
 columns and sums the block ranks into the graded table.  All ranks come
 from one exact sparse eliminator that takes the characteristic as a
@@ -187,17 +187,17 @@ class BoundaryMatrix(NamedTuple):
         return integer_rank(self.entries, char)
 
 
-def _boundary_column(degree, face, j):
-    """Label-keeping boundary terms of a face at degree j, as {subface: sign}.
+def _boundary_column(cx, face):
+    """Boundary terms of a face whose subface keeps its label, as {subface: sign}.
 
     Removing the k-th vertex (1-based, in sorted order) has sign (-1)^k.
-    A subface's label divides the face's, so keeping the degree is the
-    same as keeping the label.  `degree` is the complex's face-degree lookup.
     """
+    label_of = cx.label_exps
+    label = label_of(face)
     column = {}
     for k in range(len(face)):
         sub = face[:k] + face[k + 1:]
-        if degree(sub) == j:
+        if label_of(sub) == label:
             column[sub] = -1 if k % 2 == 0 else 1
     return column
 
@@ -217,7 +217,7 @@ def reduced_boundary(cx, i, j):
     entries = [[0] * len(cols) for _ in rows]
     row_pos = {face: r for r, face in enumerate(rows)}
     for c, face in enumerate(cols):
-        for sub, sign in _boundary_column(cx.degree, face, j).items():
+        for sub, sign in _boundary_column(cx, face).items():
             entries[row_pos[sub]][c] = sign
     return BoundaryMatrix(i, j, rows, cols, tuple(tuple(r) for r in entries))
 
@@ -240,7 +240,6 @@ def graded_betti(cx, char=0, power=None):
     """
     validate_characteristic(char)
     entries = {(0, 0): 1}
-    degree = cx.degree
     cleared = {}  # label -> pivot rows of its block one dimension up
     for d in range(cx.dim, -1, -1):
         groups = {}
@@ -249,10 +248,10 @@ def graded_betti(cx, char=0, power=None):
         below = {}
         totals = {}
         for label, faces in groups.items():
-            j = degree(faces[0])
+            j = sum(label)
             skip = cleared.get(label, ())
-            rows = _pivot_rows([_boundary_column(degree, face, j)
-                                for face in faces if face not in skip], char)
+            columns = [_boundary_column(cx, face) for face in faces if face not in skip]
+            rows = _pivot_rows(columns, char)
             if rows:
                 below[label] = rows
             totals[j] = totals.get(j, 0) + len(faces) - len(rows) - len(skip)
@@ -278,11 +277,11 @@ def survivor_face_sets(cx, i, j):
     whose label-keeping boundary column holds F, and such an extension is
     recoverable exactly when its column holds a second face.
     """
-    columns = [_boundary_column(cx.degree, ext, j) for ext in cx.degree_slices(i).get(j, ())]
+    columns = [_boundary_column(cx, ext) for ext in cx.degree_slices(i).get(j, ())]
     extended = {face for column in columns for face in column}
     stuck = {face for column in columns if len(column) == 1 for face in column}
     candidates = [face for face in cx.degree_slices(i - 1).get(j, ())
-                  if not _boundary_column(cx.degree, face, j)]
+                  if not _boundary_column(cx, face)]
     return ({face for face in candidates if face not in extended},
             {face for face in candidates if face not in stuck})
 
@@ -303,8 +302,7 @@ def bound_applicability(cx, i, j):
     codimension one, so the Betti number is at least the number of certain
     survivors.
     """
-    upper = not any(_boundary_column(cx.degree, face, j)
-                    for face in cx.degree_slices(i - 1).get(j, ()))
-    lower = all(len(_boundary_column(cx.degree, ext, j)) <= 1
+    upper = not any(_boundary_column(cx, face) for face in cx.degree_slices(i - 1).get(j, ()))
+    lower = all(len(_boundary_column(cx, ext)) <= 1
                 for ext in cx.degree_slices(i).get(j, ()))
     return BoundApplicability(upper, lower)

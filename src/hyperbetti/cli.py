@@ -17,7 +17,7 @@ from .errors import DimensionError, DomainError, ResourceCapError, ValidationErr
 from .hypergraph import Hypergraph, edge_ideal
 from .matchings import KINDS, families, invariants_of
 from .monomials import power_generators
-from .verify import CORPUS_MAX_FACES, builtin_corpus, random_hypergraph, run_corpus
+from .verify import CORPUS_MAX_FACES, builtin_corpus, random_entries, run_corpus
 
 
 def _add_common(parser):
@@ -145,11 +145,7 @@ def cmd_verify(args):
     if args.random is not None:
         if args.n is None or args.m is None or args.d is None:
             raise DomainError("--random needs --n, --m and --d")
-        entries = []
-        for k in range(args.random):
-            seed = args.seed + k
-            name = f"random-n{args.n}-d{args.d}-m{args.m}-s{seed}"
-            entries.append((name, random_hypergraph(args.n, args.m, args.d, seed)))
+        entries = random_entries(args.n, args.d, args.m, range(args.seed, args.seed + args.random))
     else:
         entries = builtin_corpus()
     reports, summary = run_corpus(entries, t_max=args.t_max, char=args.char,

@@ -3,8 +3,9 @@
 Two constructions: the full simplex on the minimal generators of I^t
 (Taylor), and a much smaller support complex whose facets either
 concentrate the power on one generator or spread it in a balanced way
-(`faridi` on the command line).  Faces carry lcm labels, and the label
-degrees drive all homological computations downstream.
+(`faridi` on the command line).  Faces carry lcm labels: downstream, a
+label decides which boundary terms a face keeps, and its degree only
+grades the result.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ class LabelledComplex:
     """Simplicial complex on labelled vertices, closed under subsets.
 
     vertices[k] is a (factorization tuple, monomial) pair; a face is a
-    sorted tuple of vertex indices.  Every face stores the exponent vector
-    of the lcm of its vertex labels, whose degree is the face degree.
+    sorted tuple of vertex indices.  Every face stores one key, the
+    exponent vector of the lcm of its vertex labels; the face degree is
+    its sum, computed on demand.
     """
 
-    __slots__ = ("vertices", "faces", "_exps", "_degrees", "_slices")
+    __slots__ = ("vertices", "faces", "_exps", "_slices")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
         self.vertices = tuple(vertices)
@@ -70,7 +72,6 @@ class LabelledComplex:
                                 f"complex exceeds the cap of {max_faces} faces")
         self.faces = {d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())}
         self._exps = exps
-        self._degrees = {face: sum(e) for face, e in exps.items()}
         self._slices = {}
 
     @property
@@ -88,14 +89,14 @@ class LabelledComplex:
         return self._exps[face]
 
     def degree(self, face):
-        return self._degrees[face]
+        return sum(self._exps[face])
 
     def degree_slices(self, d):
         """Faces of dimension d grouped by degree: {degree: (faces...)}."""
         if d not in self._slices:
             groups = {}
             for face in self.faces_of_dim(d):
-                groups.setdefault(self._degrees[face], []).append(face)
+                groups.setdefault(self.degree(face), []).append(face)
             self._slices[d] = {j: tuple(fs) for j, fs in sorted(groups.items())}
         return self._slices[d]
 

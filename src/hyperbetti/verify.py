@@ -56,34 +56,37 @@ def describe(hypergraph):
 
 
 class ComputeCache:
-    """Memoizes support complexes and Betti tables per (ideal, power), and
-    the edge-family walk per hypergraph."""
+    """One memo of the edge ideal and family walk per hypergraph and of the
+    support complex and Betti table per (ideal, power).  A build over a
+    resource cap is kept as its ResourceCapError, raised again on each lookup.
+    The complex's labels decide its boundary terms; degrees only grade them."""
 
     def __init__(self, char=0, max_faces=CORPUS_MAX_FACES):
         self.char = char
         self.max_faces = max_faces
-        self._complexes = {}
-        self._tables = {}
-        self._walks = {}
+        self._memo = {}
 
-    def complex_for(self, ideal, t):
-        key = (ideal, t)
-        if key not in self._complexes:
+    def _get(self, key, build):
+        if key not in self._memo:
             try:
-                self._complexes[key] = faridi_complex(ideal, t, max_faces=self.max_faces)
+                self._memo[key] = build()
             except ResourceCapError as e:
-                self._complexes[key] = e
-        found = self._complexes[key]
+                self._memo[key] = e
+        found = self._memo[key]
         if isinstance(found, ResourceCapError):
-            raise found
+            raise found.with_traceback(None)
         return found
 
+    def ideal_for(self, hypergraph):
+        return self._get(("ideal", hypergraph), lambda: edge_ideal(hypergraph))
+
+    def complex_for(self, ideal, t):
+        return self._get(("complex", ideal, t),
+                         lambda: faridi_complex(ideal, t, max_faces=self.max_faces))
+
     def table_for(self, ideal, t):
-        key = (ideal, t)
-        if key not in self._tables:
-            cx = self.complex_for(ideal, t)
-            self._tables[key] = graded_betti(cx, char=self.char, power=t)
-        return self._tables[key]
+        return self._get(("table", ideal, t), lambda: graded_betti(
+            self.complex_for(ideal, t), char=self.char, power=t))
 
     def ideal_regularity(self, ideal, t):
         """Regularity of the t-th power in the ideal convention; power 0 is R itself."""
@@ -92,14 +95,8 @@ class ComputeCache:
         return self.table_for(ideal, t).regularity() + 1
 
     def families(self, hypergraph):
-        """Every (indices, classification) pair of the hypergraph, walked once.
-
-        A walk over the family budget raises ResourceCapError before any
-        subset is classified, so it is cheap to raise again on each lookup.
-        """
-        if hypergraph not in self._walks:
-            self._walks[hypergraph] = list(families(hypergraph))
-        return self._walks[hypergraph]
+        """Every (indices, classification) pair of the hypergraph, walked once."""
+        return self._get(("families", hypergraph), lambda: list(families(hypergraph)))
 
 
 class _Unmet(Exception):
@@ -130,7 +127,7 @@ def _check(name, needs):
                 witness = {"reason": "not uniform"}
             else:
                 try:
-                    holds, witness = body(hypergraph, edge_ideal(hypergraph), cache, *args)
+                    holds, witness = body(hypergraph, cache.ideal_for(hypergraph), cache, *args)
                     satisfied = True
                 except ResourceCapError as e:
                     witness = {"reason": f"resource cap: {e}"}
@@ -144,6 +141,17 @@ def _check(name, needs):
     return decorate
 
 
+def _survivor_case(cx, table, i, j, applies):
+    """The Betti number at (i, j) against its certain and possible survivor
+    counts; "ok" says it lies between them wherever `applies` holds."""
+    certain, possible = survivor_face_sets(cx, i, j)
+    beta = table.betti(i, j)
+    return {"i": i, "j": j, "beta": beta, "certain": len(certain), "possible": len(possible),
+            "upper_applies": applies.upper, "lower_applies": applies.lower,
+            "ok": ((not applies.upper or beta <= len(possible))
+                   and (not applies.lower or beta >= len(certain)))}
+
+
 @_check("second_power_sandwich", needs="uniform")
 def check_second_power(hypergraph, ideal, cache):
     """Both-sided survivor bounds at degree 2di for the square of the ideal,
@@ -155,19 +163,14 @@ def check_second_power(hypergraph, ideal, cache):
     walk = cache.families(hypergraph)
     cases = []
     for i in range(2, cx.dim + 2):
-        j = 2 * d * i
-        beta = table.betti(i, j)
-        certain, possible = survivor_face_sets(cx, i, j)
-        applies = bound_applicability(cx, i, j)
+        applies = bound_applicability(cx, i, 2 * d * i)
+        case = _survivor_case(cx, table, i, 2 * d * i, applies)
         n_matchings = sum(1 for idx, cls in walk if len(idx) == i and cls.is_matching)
-        ok = (applies.upper and applies.lower
-              and len(certain) <= beta <= len(possible))
+        ok = applies.upper and applies.lower and case["ok"]
         if n_matchings < 2 ** i:
-            ok = ok and beta == 0
-        cases.append({"i": i, "j": j, "beta": beta,
-                      "certain": len(certain), "possible": len(possible),
-                      "upper_applies": applies.upper, "lower_applies": applies.lower,
-                      "matchings": n_matchings, "ok": ok})
+            ok = ok and case["beta"] == 0
+        case.update(matchings=n_matchings, ok=ok)
+        cases.append(case)
     return all(case["ok"] for case in cases), {"d": d, "cases": cases}
 
 
@@ -327,17 +330,10 @@ def check_survivor_sandwich(hypergraph, ideal, cache, t):
     for i in range(1, cx.dim + 2):
         for j in cx.degree_slices(i - 1):
             applies = bound_applicability(cx, i, j)
-            if not (applies.upper or applies.lower):
-                continue
-            certain, possible = survivor_face_sets(cx, i, j)
-            beta = table.betti(i, j)
-            ok = ((not applies.upper or beta <= len(possible))
-                  and (not applies.lower or beta >= len(certain)))
-            if not ok or beta:
-                cases.append({"i": i, "j": j, "beta": beta,
-                              "certain": len(certain), "possible": len(possible),
-                              "upper_applies": applies.upper,
-                              "lower_applies": applies.lower, "ok": ok})
+            if applies.upper or applies.lower:
+                case = _survivor_case(cx, table, i, j, applies)
+                if not case["ok"] or case["beta"]:
+                    cases.append(case)
     return all(case["ok"] for case in cases), {"t": t, "cases": cases}
 
 
@@ -403,19 +399,24 @@ _RANDOM_CONFIGS = (
     (5, 2, 4), (6, 2, 4), (7, 2, 4),
     (6, 3, 3), (6, 3, 4), (7, 3, 3), (7, 3, 4),
 )
+_RANDOM_PER_CONFIG = 3
+_MASTER_SEED = 1187
 
 
-def builtin_corpus(random_per_config=3, master_seed=1187):
+def random_entries(n, d, m, seeds):
+    """(name, hypergraph) pairs of seeded random samples, one per seed."""
+    return [(f"random-n{n}-d{d}-m{m}-s{seed}", random_hypergraph(n, m, d, seed))
+            for seed in seeds]
+
+
+def builtin_corpus():
     """Named instances, an exhaustive small grid, and seeded random samples."""
     out = [(name, Hypergraph(n, edges)) for name, n, edges in _NAMED]
     for n, d, m in _GRID:
         for idx, h in enumerate(enumerate_hypergraphs(n, d, m)):
             out.append((f"grid-n{n}-d{d}-m{m}-{idx:04d}", h))
     for n, d, m in _RANDOM_CONFIGS:
-        for k in range(random_per_config):
-            seed = master_seed + 97 * k
-            name = f"random-n{n}-d{d}-m{m}-s{seed}"
-            out.append((name, random_hypergraph(n, m, d, seed)))
+        out += random_entries(n, d, m, (_MASTER_SEED + 97 * k for k in range(_RANDOM_PER_CONFIG)))
     return out
 
 

@@ -113,11 +113,20 @@ class TestIndividualChecks:
             report = check_taylor_agreement(path5, t)
             assert report.hypothesis_satisfied and report.conclusion_holds
 
-    def test_taylor_agreement_gated_by_cap(self, path5):
+    def test_taylor_agreement_gated_by_cap(self, path5, monkeypatch):
         cache = ComputeCache(max_faces=8)
         report = check_taylor_agreement(path5, 3, cache=cache)
         assert report.gated
         assert "resource cap" in report.witness["reason"]
+        # at 4 faces the support complex itself is over the cap; a second
+        # check on the same cache gates on the memoized error, built once
+        cache = ComputeCache(max_faces=4)
+        report = check_taylor_agreement(path5, 3, cache=cache)
+        assert report.witness["reason"] == "resource cap: complex exceeds the cap of 4 faces"
+        monkeypatch.setattr(verify, "faridi_complex", None)
+        again = check_taylor_agreement(path5, 3, cache=cache)
+        assert again.gated
+        assert again.witness["reason"] == report.witness["reason"]
 
     def test_first_power_simplex(self, four_cycle):
         report = check_first_power_simplex(four_cycle)
@@ -169,6 +178,20 @@ class TestHarness:
             classified.clear()
             run_checks(h, t_max=3)
             assert len(classified) == 2 ** h.num_edges - 1
+
+    def test_one_edge_ideal_per_instance(self, example39, path5, monkeypatch):
+        built = []
+        edge_ideal = verify.edge_ideal
+
+        def counted(hypergraph):
+            built.append(hypergraph)
+            return edge_ideal(hypergraph)
+
+        monkeypatch.setattr(verify, "edge_ideal", counted)
+        for h in (example39, path5):
+            built.clear()
+            run_checks(h, t_max=3)
+            assert built == [h]
 
     def test_summary_counts(self, path5):
         reports = run_checks(path5, t_max=2)
