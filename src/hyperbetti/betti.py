@@ -21,6 +21,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
+from .complexes import _mask_of, _vertices_of
 from .errors import DomainError, InvariantError
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -188,17 +189,24 @@ class BoundaryMatrix(NamedTuple):
 
 
 def _boundary_column(cx, face):
-    """Boundary terms of a face whose subface keeps its label, as {subface: sign}.
+    """Boundary terms of a face mask whose subface keeps its label, as {subface mask: sign}.
 
-    Removing the k-th vertex (1-based, in sorted order) has sign (-1)^k.
+    The subfaces are face ^ bit for the set bits of the mask, lowest first;
+    removing the k-th vertex (0-based, in sorted order) has sign (-1)^(k+1).
+    A subface keeps its term exactly when it has the face's label id, that
+    is, when both sit at the same element of the lcm lattice.
     """
-    label_of = cx.label_exps
-    label = label_of(face)
+    label_id = cx._label_id
+    own = label_id[face]
     column = {}
-    for k in range(len(face)):
-        sub = face[:k] + face[k + 1:]
-        if label_of(sub) == label:
-            column[sub] = -1 if k % 2 == 0 else 1
+    sign = -1
+    rest = face
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if label_id[face ^ bit] == own:
+            column[face ^ bit] = sign
+        sign = -sign
     return column
 
 
@@ -215,9 +223,9 @@ def reduced_boundary(cx, i, j):
     cols = cx.degree_slices(i - 1).get(j, ())
     rows = cx.degree_slices(i - 2).get(j, ())
     entries = [[0] * len(cols) for _ in rows]
-    row_pos = {face: r for r, face in enumerate(rows)}
+    row_pos = {_mask_of(face): r for r, face in enumerate(rows)}
     for c, face in enumerate(cols):
-        for sub, sign in _boundary_column(cx, face).items():
+        for sub, sign in _boundary_column(cx, _mask_of(face)).items():
             entries[row_pos[sub]][c] = sign
     return BoundaryMatrix(i, j, rows, cols, tuple(tuple(r) for r in entries))
 
@@ -239,16 +247,17 @@ def graded_betti(cx, char=0, power=None):
     and the pivot rows of the one above are kept at a time.
     """
     validate_characteristic(char)
+    label_id = cx._label_id
     entries = {(0, 0): 1}
-    cleared = {}  # label -> pivot rows of its block one dimension up
+    cleared = {}  # label id -> pivot rows of its block one dimension up
     for d in range(cx.dim, -1, -1):
         groups = {}
-        for face in cx.faces_of_dim(d):
-            groups.setdefault(cx.label_exps(face), []).append(face)
+        for face in cx._masks[d]:
+            groups.setdefault(label_id[face], []).append(face)
         below = {}
         totals = {}
         for label, faces in groups.items():
-            j = sum(label)
+            j = sum(cx._labels[label])
             skip = cleared.get(label, ())
             columns = [_boundary_column(cx, face) for face in faces if face not in skip]
             rows = _pivot_rows(columns, char)
@@ -277,13 +286,13 @@ def survivor_face_sets(cx, i, j):
     whose label-keeping boundary column holds F, and such an extension is
     recoverable exactly when its column holds a second face.
     """
-    columns = [_boundary_column(cx, ext) for ext in cx.degree_slices(i).get(j, ())]
+    columns = [_boundary_column(cx, ext) for ext in cx._degree_masks(i).get(j, ())]
     extended = {face for column in columns for face in column}
     stuck = {face for column in columns if len(column) == 1 for face in column}
-    candidates = [face for face in cx.degree_slices(i - 1).get(j, ())
+    candidates = [face for face in cx._degree_masks(i - 1).get(j, ())
                   if not _boundary_column(cx, face)]
-    return ({face for face in candidates if face not in extended},
-            {face for face in candidates if face not in stuck})
+    return ({_vertices_of(face) for face in candidates if face not in extended},
+            {_vertices_of(face) for face in candidates if face not in stuck})
 
 
 class BoundApplicability(NamedTuple):
@@ -302,7 +311,7 @@ def bound_applicability(cx, i, j):
     codimension one, so the Betti number is at least the number of certain
     survivors.
     """
-    upper = not any(_boundary_column(cx, face) for face in cx.degree_slices(i - 1).get(j, ()))
+    upper = not any(_boundary_column(cx, face) for face in cx._degree_masks(i - 1).get(j, ()))
     lower = all(len(_boundary_column(cx, ext)) <= 1
-                for ext in cx.degree_slices(i).get(j, ()))
+                for ext in cx._degree_masks(i).get(j, ()))
     return BoundApplicability(upper, lower)

@@ -132,9 +132,8 @@ def cmd_complex(args):
         "vertices": [{"tuple": list(b), "monomial": list(mono.exps),
                       "degree": mono.degree}
                      for b, mono in cx.vertices],
-        "faces": {str(d): [{"vertices": list(f), "degree": cx.degree(f)}
-                           for f in cx.faces_of_dim(d)]
-                  for d in sorted(cx.faces)},
+        "faces": {str(d): [{"vertices": list(f), "degree": cx.degree(f)} for f in faces]
+                  for d, faces in cx.faces.items()},
     }
     print(json.dumps(dump, sort_keys=True, separators=(",", ":")))
     return 0

@@ -6,11 +6,14 @@ concentrate the power on one generator or spread it in a balanced way
 (`faridi` on the command line).  Faces carry lcm labels: downstream, a
 label decides which boundary terms a face keeps, and its degree only
 grades the result.
+
+Inside a complex a face is the int bitmask of its vertex indices and its
+label is the small int id of an interned lcm exponent vector, so the
+Betti kernel in `betti` works on ints alone.  At the public API a face
+is a sorted tuple of vertex indices, built from its mask on each call.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .errors import DimensionError, DomainError, ResourceCapError
 from .monomials import power_generators
@@ -30,16 +33,35 @@ def _simplex_faces(k):
         return f"2^{k}"
 
 
+def _mask_of(face):
+    """The bitmask of a collection of vertex indices, repeats allowed."""
+    mask = 0
+    for v in face:
+        mask |= 1 << v
+    return mask
+
+
+def _vertices_of(mask):
+    """The sorted vertex tuple of a face mask."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 class LabelledComplex:
     """Simplicial complex on labelled vertices, closed under subsets.
 
-    vertices[k] is a (factorization tuple, monomial) pair; a face is a
-    sorted tuple of vertex indices.  Every face stores one key, the
-    exponent vector of the lcm of its vertex labels; the face degree is
-    its sum, computed on demand.
+    vertices[k] is a (factorization tuple, monomial) pair.  A face is kept
+    as the bitmask with bit k set for each vertex k: `_label_id` maps every
+    face mask to the id of its label, the exponent vector of the lcm of its
+    vertex labels, `_labels` lists the distinct labels by id, and `_masks`
+    buckets the masks by dimension.  Two faces have the same label exactly
+    when they have the same id.
+
+    At the API (`faces`, `faces_of_dim`, `degree_slices`, `label_exps`,
+    `degree`) a face is a sorted tuple of vertex indices; these tuples are
+    built from the masks when asked for and are not kept.
     """
 
-    __slots__ = ("vertices", "faces", "_exps", "_slices")
+    __slots__ = ("vertices", "_label_id", "_labels", "_masks", "_slices")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
         self.vertices = tuple(vertices)
@@ -48,65 +70,91 @@ class LabelledComplex:
             if len(mono.exps) != nvars:
                 raise DimensionError("vertex labels in different rings")
         # empty and repeated facets are dropped, first occurrence order kept
-        canonical = [f for f in dict.fromkeys(tuple(sorted(set(facet))) for facet in facets) if f]
+        canonical = [f for f in dict.fromkeys(map(_mask_of, facets)) if f]
         if max_faces is not None:
-            for f in canonical:
-                if len(f) >= max_faces.bit_length():
+            for size in map(int.bit_count, canonical):
+                if size >= max_faces.bit_length():
                     raise ResourceCapError(
-                        f"facet with {len(f)} vertices yields {_simplex_faces(len(f))} faces, "
+                        f"facet with {size} vertices yields {_simplex_faces(size)} faces, "
                         f"over the cap of {max_faces}")
-        labels = [mono.exps for _, mono in self.vertices]
-        exps = {(): (0,) * nvars}
-        by_dim = {-1: [()]}
+        vertex_labels = [mono.exps for _, mono in self.vertices]
+        labels = [(0,) * nvars]
+        ids = {labels[0]: 0}  # label -> id
+        join = {}  # (label id, vertex) -> id of the lcm of that label and the vertex's
+        label_id = {0: 0}
+        masks = {-1: [0]}
         for facet in canonical:
-            for size in range(1, len(facet) + 1):
-                bucket = by_dim.setdefault(size - 1, [])
-                for face in combinations(facet, size):
-                    if face not in exps:
-                        # the prefix face[:-1] is a subset of this facet one vertex
-                        # smaller, so the size loop has already labelled it
-                        exps[face] = tuple(map(max, exps[face[:-1]], labels[face[-1]]))
-                        bucket.append(face)
-                        if max_faces is not None and len(exps) > max_faces:
-                            raise ResourceCapError(
-                                f"complex exceeds the cap of {max_faces} faces")
-        self.faces = {d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())}
-        self._exps = exps
+            sub = 0
+            while True:
+                # submasks in increasing order: the mask without its lowest
+                # bit is a smaller submask, so it is already labelled
+                sub = (sub - facet) & facet
+                if not sub:
+                    break
+                if sub in label_id:
+                    continue
+                low = sub & -sub
+                key = (label_id[sub ^ low], low.bit_length() - 1)
+                lid = join.get(key)
+                if lid is None:
+                    exps = tuple(map(max, labels[key[0]], vertex_labels[key[1]]))
+                    lid = join[key] = ids.setdefault(exps, len(labels))
+                    if lid == len(labels):
+                        labels.append(exps)
+                label_id[sub] = lid
+                masks.setdefault(sub.bit_count() - 1, []).append(sub)
+                if max_faces is not None and len(label_id) > max_faces:
+                    raise ResourceCapError(
+                        f"complex exceeds the cap of {max_faces} faces")
+        self._label_id = label_id
+        self._labels = labels
+        self._masks = masks
         self._slices = {}
 
     @property
     def dim(self):
-        return max(self.faces)
+        return max(self._masks)
 
     @property
     def face_count(self):
-        return len(self._exps)
+        return len(self._label_id)
+
+    @property
+    def faces(self):
+        """{dimension: faces of that dimension}, in increasing dimension."""
+        return {d: self.faces_of_dim(d) for d in sorted(self._masks)}
 
     def faces_of_dim(self, d):
-        return self.faces.get(d, ())
+        return tuple(sorted(map(_vertices_of, self._masks.get(d, ()))))
 
     def label_exps(self, face):
-        return self._exps[face]
+        return self._labels[self._label_id[_mask_of(face)]]
 
     def degree(self, face):
-        return sum(self._exps[face])
+        return sum(self.label_exps(face))
+
+    def _degree_masks(self, d):
+        """Face masks of dimension d grouped by degree, in increasing degree."""
+        if d not in self._slices:
+            degrees = [sum(exps) for exps in self._labels]
+            groups = {}
+            for mask in self._masks.get(d, ()):
+                groups.setdefault(degrees[self._label_id[mask]], []).append(mask)
+            self._slices[d] = dict(sorted(groups.items()))
+        return self._slices[d]
 
     def degree_slices(self, d):
         """Faces of dimension d grouped by degree: {degree: (faces...)}."""
-        if d not in self._slices:
-            groups = {}
-            for face in self.faces_of_dim(d):
-                groups.setdefault(self.degree(face), []).append(face)
-            self._slices[d] = {j: tuple(fs) for j, fs in sorted(groups.items())}
-        return self._slices[d]
+        return {j: tuple(sorted(map(_vertices_of, masks)))
+                for j, masks in self._degree_masks(d).items()}
 
     def __eq__(self, other):
         return (isinstance(other, LabelledComplex)
                 and self.vertices == other.vertices
-                and self.faces == other.faces)
+                and self._label_id.keys() == other._label_id.keys())
 
     def __repr__(self):
-        sizes = {d: len(fs) for d, fs in self.faces.items()}
+        sizes = {d: len(ms) for d, ms in sorted(self._masks.items())}
         return f"LabelledComplex({len(self.vertices)} vertices, faces by dim {sizes})"
 
 

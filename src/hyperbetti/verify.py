@@ -56,10 +56,10 @@ def describe(hypergraph):
 
 
 class ComputeCache:
-    """One memo of the edge ideal and family walk per hypergraph and of the
-    support complex and Betti table per (ideal, power).  A build over a
-    resource cap is kept as its ResourceCapError, raised again on each lookup.
-    The complex's labels decide its boundary terms; degrees only grade them."""
+    """One memo of the edge ideal and family walk per hypergraph, of the
+    support complex and Betti table per (ideal, power), and of subideals.
+    A build over a resource cap is kept as its ResourceCapError, raised
+    again on each lookup.  Labels decide boundary terms; degrees grade them."""
 
     def __init__(self, char=0, max_faces=CORPUS_MAX_FACES):
         self.char = char
@@ -259,13 +259,17 @@ def check_reg_upper(hypergraph, ideal, cache, t):
     cases.append({"kind": "edge_count", "reg": reg_quotient,
                   "bound": edge_bound, "ok": ok})
     reg_ideal = reg_quotient + 1
+
+    def truncation(k):
+        return cache._get(("truncate", ideal, k), lambda: ideal.truncate(k))
+
     if m >= 2:
-        split = max(cache.ideal_regularity(ideal.truncate(m - 1), t) + d - 1,
+        split = max(cache.ideal_regularity(truncation(m - 1), t) + d - 1,
                     cache.ideal_regularity(ideal, t - 1) + d)
         ok = reg_ideal <= split
         cases.append({"kind": "one_step_split", "reg_ideal": reg_ideal,
                       "bound": split, "ok": ok})
-    parts = [cache.ideal_regularity(ideal.truncate(k), 1) + (m - k) * (d - 1)
+    parts = [cache.ideal_regularity(truncation(k), 1) + (m - k) * (d - 1)
              for k in range(1, m + 1)]
     first_power_bound = d * (t - 1) + max(parts)
     ok = reg_ideal <= first_power_bound
@@ -282,7 +286,7 @@ def check_vanishing(hypergraph, ideal, cache, t, r, s):
     d = hypergraph.uniform_size()
     cx = cache.complex_for(ideal, t)
     table = cache.table_for(ideal, t)
-    window_clear = r not in cx.degree_slices(s - 1) and r not in cx.degree_slices(s + 1)
+    window_clear = r not in cx._degree_masks(s - 1) and r not in cx._degree_masks(s + 1)
     target_type = (s + 1, r - d * (t - 1))
     family_exists = any(cls.is_self_semi_induced and cls.family_type == target_type
                         for _, cls in cache.families(hypergraph))
@@ -328,7 +332,7 @@ def check_survivor_sandwich(hypergraph, ideal, cache, t):
     table = cache.table_for(ideal, t)
     cases = []  # every failing case is kept, so the verdict reads them alone
     for i in range(1, cx.dim + 2):
-        for j in cx.degree_slices(i - 1):
+        for j in cx._degree_masks(i - 1):
             applies = bound_applicability(cx, i, j)
             if applies.upper or applies.lower:
                 case = _survivor_case(cx, table, i, j, applies)

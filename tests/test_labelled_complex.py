@@ -1,0 +1,103 @@
+"""LabelledComplex keeps faces as vertex bitmasks with interned label ids;
+these tests pin its public tuple view, its equality and its face cap, and
+check that the Betti kernel never asks for tuple faces."""
+
+from itertools import combinations
+
+import pytest
+
+from hyperbetti import betti, complexes
+from hyperbetti.betti import graded_betti
+from hyperbetti.complexes import (LabelledComplex, _support_facets, faridi_complex,
+                                  taylor_complex)
+from hyperbetti.errors import ResourceCapError
+from hyperbetti.hypergraph import Hypergraph, edge_ideal
+from hyperbetti.monomials import power_generators
+
+
+def support_inputs(hypergraph, t):
+    gens = power_generators(edge_ideal(hypergraph), t)
+    return gens, [f for f in _support_facets([b for b, _ in gens], t) if f]
+
+
+def closure(facets):
+    """Every face of the given facets as sorted vertex tuples, by dimension."""
+    faces = {()}
+    for facet in facets:
+        vs = sorted(set(facet))
+        faces.update(c for k in range(1, len(vs) + 1) for c in combinations(vs, k))
+    by_dim = {}
+    for face in faces:
+        by_dim.setdefault(len(face) - 1, []).append(face)
+    return {d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())}
+
+
+class TestFaceCap:
+    def test_exact_cap_on_a_support_complex(self, four_cycle):
+        # five facets of at most 5 vertices and 56 faces with the empty one, so
+        # a cap of 55 (bit length 6) passes the facet-size pre-check
+        gens, facets = support_inputs(four_cycle, 2)
+        assert len(set(facets)) > 1 and max(map(len, facets)) == 5
+        cx = LabelledComplex(gens, facets, max_faces=56)
+        assert cx.face_count == 56 == sum(map(len, closure(facets).values()))
+        with pytest.raises(ResourceCapError) as caught:
+            LabelledComplex(gens, facets, max_faces=55)
+        assert str(caught.value) == "complex exceeds the cap of 55 faces"
+
+
+class TestTupleView:
+    # check_first_power_simplex relies on == between complexes whose facet
+    # lists differ; == compares the face masks
+    def test_facet_order_redundancy_and_repeats(self, four_cycle):
+        gens, facets = support_inputs(four_cycle, 2)
+        base = LabelledComplex(gens, facets)
+        variants = [
+            facets[::-1],
+            facets + [facets[0][:2]],  # a redundant sub-facet
+            [tuple(f) + f[:1] for f in facets],  # a repeated vertex in each facet
+            [tuple(reversed(f)) for f in facets],
+        ]
+        for variant in variants:
+            cx = LabelledComplex(gens, variant)
+            assert cx == base
+            assert cx.faces == base.faces == closure(facets)
+            for d, faces in cx.faces.items():
+                assert cx.faces_of_dim(d) == faces
+                assert list(faces) == sorted(faces)
+
+    def test_missing_face_compares_unequal(self, four_cycle):
+        gens, facets = support_inputs(four_cycle, 2)
+        top = max(facets, key=len)
+        rest = [f for f in facets if f != top]
+        full = LabelledComplex(gens, facets)
+        # the boundary of the largest facet in its place: exactly that face is gone
+        hollow = LabelledComplex(gens, rest + list(combinations(top, len(top) - 1)))
+        assert hollow.face_count == full.face_count - 1
+        assert hollow != full
+        assert top not in hollow.faces_of_dim(len(top) - 1)
+
+
+class TestKernelStaysOnMasks:
+    # the 5-edge graph of test_betti.TestBoundarySigns: a 1104-face support
+    # complex at t = 2; example39's square has a 10-vertex Taylor simplex
+    graph = Hypergraph(5, [[1, 4], [2, 4], [2, 5], [3, 5], [4, 5]])
+    example39 = Hypergraph(9, [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 4, 7]])
+    support_table = {(0, 0): 1, (1, 4): 15, (2, 5): 28, (3, 6): 19, (4, 7): 6, (5, 8): 1}
+    taylor_table = {(0, 0): 1, (1, 6): 10, (2, 8): 12, (2, 9): 8, (3, 10): 12, (4, 12): 1}
+
+    @pytest.mark.parametrize("char", [0, 3])
+    def test_graded_betti_builds_no_tuple_faces(self, monkeypatch, char):
+        support = faridi_complex(edge_ideal(self.graph), 2)
+        simplex = taylor_complex(power_generators(edge_ideal(self.example39), 2))
+        assert (support.face_count, simplex.face_count) == (1104, 1024)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tuple faces built inside graded_betti")
+
+        for name in ("faces_of_dim", "degree_slices", "label_exps", "degree"):
+            monkeypatch.setattr(LabelledComplex, name, refuse)
+        monkeypatch.setattr(LabelledComplex, "faces", property(refuse))
+        monkeypatch.setattr(complexes, "_vertices_of", refuse)
+        monkeypatch.setattr(betti, "_vertices_of", refuse)
+        assert graded_betti(support, char=char).entries == self.support_table
+        assert graded_betti(simplex, char=char).entries == self.taylor_table

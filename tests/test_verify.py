@@ -7,6 +7,7 @@ import hyperbetti.verify as verify
 from hyperbetti.betti import BettiTable
 from hyperbetti.errors import DomainError
 from hyperbetti.hypergraph import Hypergraph
+from hyperbetti.monomials import MonomialIdeal
 from hyperbetti.verify import (CheckReport, ComputeCache, builtin_corpus,
                                check_first_power_simplex, check_lower_bounds,
                                check_min_gens, check_reg_upper, check_second_power,
@@ -192,6 +193,22 @@ class TestHarness:
             built.clear()
             run_checks(h, t_max=3)
             assert built == [h]
+
+    def test_one_truncation_per_subideal(self, example39, path5, four_cycle, monkeypatch):
+        kept = []
+        truncate = MonomialIdeal.truncate
+
+        def counted(ideal, k):
+            kept.append(k)
+            return truncate(ideal, k)
+
+        monkeypatch.setattr(MonomialIdeal, "truncate", counted)
+        # the regularity bounds read the subideals of the first k edges,
+        # k = 1..m, at every power; each is built once per instance
+        for h in (example39, path5, four_cycle):
+            kept.clear()
+            run_checks(h, t_max=3)
+            assert sorted(kept) == list(range(1, h.num_edges + 1))
 
     def test_summary_counts(self, path5):
         reports = run_checks(path5, t_max=2)
