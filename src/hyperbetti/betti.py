@@ -4,21 +4,19 @@ The reduced boundary map keeps only the terms of the simplicial boundary
 whose subface has the face's own lcm label, so every boundary matrix is
 block-diagonal by lcm label (the lcm-lattice view of Gasharov-Peeva-Welker,
 1999); the label's degree only grades the result.
-`graded_betti` assembles each label block directly as sparse signed
-columns and sums the block ranks into the graded table.  All ranks come
-from one exact sparse eliminator that takes the characteristic as a
-parameter: entries are reduced mod p for a prime characteristic,
-and the rationals are never replaced by a modular shortcut.  Every step
-divides by the pivot entry, in one code path for both fields.  It pivots
-on units first, which on these +-1 blocks is the multidegree-preserving
-cancellation of Batzies-Welker (2002); a column with no unit entry
-pivots on an exact rational inverse.
+`graded_betti` assembles each dimension's boundary as sparse signed
+columns and reduces it in one pass; since no step mixes labels, each
+pivot row counts toward its own label's degree.  All ranks come from one
+exact sparse eliminator, the lowest-row column reduction with clearing
+(Chen-Kerber, 2011), that takes the characteristic as a parameter:
+entries are reduced mod p for a prime characteristic, and the rationals
+are never replaced by a modular shortcut.  Every step divides by the
+pivot entry, in one code path for both fields.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .complexes import _mask_of, _vertices_of
@@ -64,50 +62,37 @@ def _pivot_rows(columns, char):
     """Pivot rows of an exact elimination over Q (char 0) or GF(char).
 
     Their number is the rank of the matrix with the given sparse columns.
-    Each column is a dict from row keys to integers that are nonzero
+    Each column is a dict from int row keys to integers that are nonzero
     (mod char), and is consumed; char must already be validated.
 
-    Columns are reduced one at a time against the pivots found so far, in
-    the order those were found: a pivot column is zero on every earlier
-    pivot row, so one pass in that order clears all pivot rows, and a
-    column left nonzero is independent and becomes the next pivot.  Each
-    pivot keeps the inverse of its entry, so every step is v <- v - (b/a) P,
-    with entries reduced mod char as they are computed.  Over Q a column
-    pivots on a +-1 entry when it has one, which keeps integer columns
-    integer; only a column with no unit entry brings in exact Fractions.
+    Lowest-row reduction: while a column's largest row key r is already
+    a pivot row, the pivot column at r times b/a is subtracted from it,
+    where b is the column's entry at r and a the pivot's, so its largest
+    key drops.  A column left nonzero becomes the pivot at its largest
+    key.  Each pivot keeps the inverse of its entry (itself for +-1 over
+    Q, else an exact Fraction), and entries are reduced mod char as they
+    are computed.
     """
-    pivots = {}  # row -> (order found, pivot column, inverse of its pivot entry)
+    pivots = {}  # row -> (pivot column, inverse of its entry in that row)
     for v in columns:
-        heap = [(pivots[r][0], r) for r in v if r in pivots]
-        heapify(heap)
-        while heap:
-            r = heappop(heap)[1]
-            b = v.get(r)
-            if not b:
-                continue
-            _, col, inv = pivots[r]
-            b *= inv
+        while v and (r := max(v)) in pivots:
+            col, inv = pivots[r]
+            b = v[r] * inv
             for key, x in col.items():
                 y = v.get(key, 0) - b * x
                 if char:
                     y %= char
                 if y:
-                    if key not in v and key in pivots:
-                        heappush(heap, (pivots[key][0], key))
                     v[key] = y
                 else:
                     v.pop(key, None)
-        if not v:
-            continue
-        r = next(iter(v))
-        if not char and abs(v[r]) != 1:
-            r = min(v, key=lambda key: abs(v[key]))
-        a = v[r]
-        if char:
-            inv = pow(a, -1, char)
-        else:
-            inv = a if a == 1 or a == -1 else Fraction(1, a)
-        pivots[r] = (len(pivots), v, inv)
+        if v:
+            a = v[r]
+            if char:
+                inv = pow(a, -1, char)
+            else:
+                inv = a if a == 1 or a == -1 else Fraction(1, a)
+            pivots[r] = (v, inv)
     return set(pivots)
 
 
@@ -233,43 +218,39 @@ def reduced_boundary(cx, i, j):
 def graded_betti(cx, char=0, power=None):
     """Betti table of the quotient supported on the given complex.
 
-    The faces of each dimension d are grouped by lcm label.  A label L
-    with n faces of dimension d contributes n - rank(d, L) - rank(d + 1, L)
-    to the Betti number at i = d + 1, j = deg L, where rank(d, L) is the
-    rank of the boundary block from the d-faces labelled L to the
-    (d-1)-faces labelled L.
+    With n(d, j) the d-faces of degree j and rank(d, j) the rank of the
+    boundary from them to the (d-1)-faces, the Betti number at i = d + 1
+    is n(d, j) - rank(d, j) - rank(d + 1, j).  The boundary of each
+    dimension is reduced in one pass; a pivot row has its column's label,
+    so rank(d, j) counts the pivot rows of degree j.
 
-    Dimensions run from the top down so that each block can skip the
-    columns that are pivot rows of the block above it ("clearing"): the
-    reduced pivot columns of rank(d + 1, L) are boundaries, triangular on
-    those rows, so the cleared columns lie in the span of the others and
-    rank(d, L) is unchanged without them.  Only the faces of one dimension
-    and the pivot rows of the one above are kept at a time.
+    Dimensions run from the top down so that each pass can skip the
+    columns that are pivot rows one dimension up ("clearing"): the reduced
+    pivot column of such a row is a cycle whose largest row is that row,
+    so the cleared column lies in the span of the columns with smaller
+    masks and rank(d, j) is unchanged without it.  Only the faces of one
+    dimension and the pivot rows of the one above are kept at a time.
     """
     validate_characteristic(char)
     label_id = cx._label_id
+    degrees = [sum(exps) for exps in cx._labels]
     entries = {(0, 0): 1}
-    cleared = {}  # label id -> pivot rows of its block one dimension up
+    cleared = set()  # pivot rows one dimension up, all d-faces
     for d in range(cx.dim, -1, -1):
-        groups = {}
-        for face in cx._masks[d]:
-            groups.setdefault(label_id[face], []).append(face)
-        below = {}
+        faces = cx._masks[d]
+        rows = _pivot_rows([_boundary_column(cx, face) for face in faces
+                            if face not in cleared], char)
         totals = {}
-        for label, faces in groups.items():
-            j = sum(cx._labels[label])
-            skip = cleared.get(label, ())
-            columns = [_boundary_column(cx, face) for face in faces if face not in skip]
-            rows = _pivot_rows(columns, char)
-            if rows:
-                below[label] = rows
-            totals[j] = totals.get(j, 0) + len(faces) - len(rows) - len(skip)
+        for masks, step in ((faces, 1), (rows, -1), (cleared, -1)):
+            for face in masks:
+                j = degrees[label_id[face]]
+                totals[j] = totals.get(j, 0) + step
         for j, value in totals.items():
             if value < 0:
                 raise InvariantError(f"negative Betti number beta[{d + 1}, {j}] = {value}")
             if value:
                 entries[d + 1, j] = value
-        cleared = below
+        cleared = rows
     return BettiTable(dict(sorted(entries.items())), power=power, char=char)
 
 

@@ -25,8 +25,6 @@ def _add_common(parser):
                         help="power of the edge ideal (default 1)")
     parser.add_argument("--complex", dest="complex_kind", choices=("taylor", "faridi"),
                         default="faridi", help="supporting complex (default faridi)")
-    parser.add_argument("--char", type=int, default=0,
-                        help="field characteristic, 0 or a prime (default 0)")
     parser.add_argument("--max-faces", type=int, default=DEFAULT_MAX_FACES,
                         help=f"face budget for built complexes (default {DEFAULT_MAX_FACES})")
     parser.add_argument("--force", action="store_true",
@@ -165,6 +163,8 @@ def _build_parser():
     p_betti = sub.add_parser("betti", help="graded Betti table of R/I^t")
     p_betti.add_argument("file", help="hypergraph JSON file")
     _add_common(p_betti)
+    p_betti.add_argument("--char", type=int, default=0,
+                         help="field characteristic, 0 or a prime (default 0)")
     p_betti.add_argument("--json", action="store_true", help="machine-readable output")
     p_betti.set_defaults(func=cmd_betti)
 

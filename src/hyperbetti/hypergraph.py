@@ -152,6 +152,8 @@ class Hypergraph:
                 data = json.load(f)
             except json.JSONDecodeError as e:
                 raise ValidationError(f"{path}: invalid JSON ({e})") from e
+            except UnicodeDecodeError as e:
+                raise ValidationError(f"{path}: not UTF-8 ({e})") from e
         return cls.from_dict(data)
 
 

@@ -58,24 +58,26 @@ def describe(hypergraph):
 class ComputeCache:
     """One memo of the edge ideal and family walk per hypergraph, of the
     support complex and Betti table per (ideal, power), and of subideals.
-    A build over a resource cap is kept as its ResourceCapError, raised
-    again on each lookup.  Labels decide boundary terms; degrees grade them."""
+    A build over a resource cap is kept as its message, and each lookup
+    raises a fresh ResourceCapError with it: a kept exception would hold
+    the traceback of its build and, through it, the cache.  Labels decide
+    boundary terms; degrees grade them."""
 
     def __init__(self, char=0, max_faces=CORPUS_MAX_FACES):
         self.char = char
         self.max_faces = max_faces
         self._memo = {}
+        self._capped = {}  # key -> message of the build's ResourceCapError
 
     def _get(self, key, build):
-        if key not in self._memo:
+        if key not in self._memo and key not in self._capped:
             try:
                 self._memo[key] = build()
             except ResourceCapError as e:
-                self._memo[key] = e
-        found = self._memo[key]
-        if isinstance(found, ResourceCapError):
-            raise found.with_traceback(None)
-        return found
+                self._capped[key] = str(e)
+        if key in self._capped:
+            raise ResourceCapError(self._capped[key])
+        return self._memo[key]
 
     def ideal_for(self, hypergraph):
         return self._get(("ideal", hypergraph), lambda: edge_ideal(hypergraph))

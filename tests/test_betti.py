@@ -223,20 +223,32 @@ class TestGradedBetti:
                 assert graded_betti(cx, char=char).entries == dense
 
     def test_negative_betti_number_is_an_error(self, monkeypatch, example39):
-        # one phantom pivot per block over-reports every block rank by one
+        # a phantom pivot row, the empty face of degree 0, over-reports a rank
         real = betti._pivot_rows
         monkeypatch.setattr(betti, "_pivot_rows",
-                            lambda columns, char: real(columns, char) | {object()})
+                            lambda columns, char: real(columns, char) | {0})
         cx = faridi_complex(edge_ideal(example39), 1)
         with pytest.raises(InvariantError, match=r"beta\[\d+, \d+\] = -\d+"):
             graded_betti(cx)
+
+    @pytest.mark.parametrize("kind", ["faridi", "taylor"])
+    def test_one_reduction_per_dimension(self, monkeypatch, example39, kind):
+        ideal = edge_ideal(example39)
+        cx = (faridi_complex(ideal, 2) if kind == "faridi"
+              else taylor_complex(power_generators(ideal, 2)))
+        calls = []
+        real = betti._pivot_rows
+        monkeypatch.setattr(betti, "_pivot_rows",
+                            lambda columns, char: calls.append(1) or real(columns, char))
+        graded_betti(cx)
+        assert len(calls) == cx.dim + 1
 
     @pytest.mark.parametrize("char, torsion", [(0, {}), (3, {}),
                                                (2, {(2, 1): 1, (3, 1): 1})])
     def test_projective_plane_torsion(self, char, torsion):
         # the 6-vertex RP^2 with every vertex labelled x1: the one label block
         # is its unreduced chain complex, with H_1 = Z/2 and H_2 = 0, so only
-        # GF(2) sees rows 2 and 3; over Q one column has no unit entry left
+        # GF(2) sees rows 2 and 3; over Q one pivot entry is -2, an exact Fraction
         triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
                      (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
         cx = LabelledComplex([((v,), Monomial((1,))) for v in range(6)], triangles)

@@ -76,6 +76,20 @@ class TestBettiCommand:
             assert code == 2 and out == "" and err.startswith("error:")
             assert "Traceback" not in err
 
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bytes.json"
+        bad.write_bytes(b"\xff\xfe")
+        for command in ("betti", "matchings", "complex"):
+            code, out, err = run_cli(capsys, command, str(bad))
+            assert code == 2 and out == "" and err.startswith("error:")
+            assert "not UTF-8" in err
+
+    def test_complex_has_no_char_flag(self, capsys, data_dir):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["complex", "--char", "3", str(data_dir / "path5.json")])
+        assert exit_info.value.code == 2
+        assert "--char" in capsys.readouterr().err
+
     def test_zero_power_is_input_error(self, capsys, data_dir):
         code, _, _ = run_cli(capsys, "betti", "-t", "0", str(data_dir / "path5.json"))
         assert code == 2

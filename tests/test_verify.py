@@ -1,11 +1,13 @@
+import gc
 import json
+import weakref
 
 import pytest
 
 import hyperbetti.matchings as matchings
 import hyperbetti.verify as verify
 from hyperbetti.betti import BettiTable
-from hyperbetti.errors import DomainError
+from hyperbetti.errors import DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph
 from hyperbetti.monomials import MonomialIdeal
 from hyperbetti.verify import (CheckReport, ComputeCache, builtin_corpus,
@@ -128,6 +130,28 @@ class TestIndividualChecks:
         again = check_taylor_agreement(path5, 3, cache=cache)
         assert again.gated
         assert again.witness["reason"] == report.witness["reason"]
+
+    def test_capped_cache_is_freed_without_gc(self, example39):
+        # the memoized cap keeps only its message, so no traceback ties the
+        # cache to itself and dropping the last reference frees it
+        cache = ComputeCache(max_faces=8)
+        ideal = cache.ideal_for(example39)
+        messages = []
+        for _ in range(2):
+            try:
+                cache.complex_for(ideal, 2)
+            except ResourceCapError as e:
+                messages.append(str(e))
+        assert messages == ["facet with 6 vertices yields 64 faces, over the cap of 8"] * 2
+        ref = weakref.ref(cache)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del cache
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_first_power_simplex(self, four_cycle):
         report = check_first_power_simplex(four_cycle)
