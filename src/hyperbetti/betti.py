@@ -4,19 +4,26 @@ The reduced boundary map keeps only the terms of the simplicial boundary
 whose subface has the face's own lcm label, so every boundary matrix is
 block-diagonal by lcm label (the lcm-lattice view of Gasharov-Peeva-Welker,
 1999); the label's degree only grades the result.
-`graded_betti` assembles each dimension's boundary as sparse signed
-columns and reduces it in one pass; since no step mixes labels, each
-pivot row counts toward its own label's degree.  All ranks come from one
-exact sparse eliminator, the lowest-row column reduction with clearing
-(Chen-Kerber, 2011), that takes the characteristic as a parameter:
-entries are reduced mod p for a prime characteristic, and the rationals
-are never replaced by a modular shortcut.  Every step divides by the
-pivot entry, in one code path for both fields.
+`graded_betti` reduces each dimension's boundary in one pass; since no
+step mixes labels, each pivot row counts toward its own label's degree.
+All ranks come from one exact sparse eliminator, the lowest-row column
+reduction with clearing (Chen-Kerber, 2011), that takes the
+characteristic as a parameter: entries are reduced mod p for a prime
+characteristic, and the rationals are never replaced by a modular
+shortcut.  Every step divides by the pivot entry, in one code path for
+both fields.
+
+A column enters the eliminator as its largest row key and the entry
+there, found by scanning the face's vertex removals only up to the
+first label-keeping one; the whole sparse column is built only when a
+reduction needs it (as Ripser does, Bauer 2021).  Most columns land on
+a fresh pivot row and are never built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .complexes import _mask_of, _vertices_of
@@ -61,38 +68,54 @@ def validate_characteristic(char):
 def _pivot_rows(columns, char):
     """Pivot rows of an exact elimination over Q (char 0) or GF(char).
 
-    Their number is the rank of the matrix with the given sparse columns.
-    Each column is a dict from int row keys to integers that are nonzero
-    (mod char), and is consumed; char must already be validated.
+    Their number is the rank of the matrix with the given columns.  Each
+    nonzero column arrives as (row, entry, key, build): row is its largest
+    row key and entry the integer there, nonzero (mod char), and build(key)
+    returns the whole column as a fresh dict from int row keys to such
+    integers.  char must already be validated.
 
-    Lowest-row reduction: while a column's largest row key r is already
-    a pivot row, the pivot column at r times b/a is subtracted from it,
-    where b is the column's entry at r and a the pivot's, so its largest
-    key drops.  A column left nonzero becomes the pivot at its largest
-    key.  Each pivot keeps the inverse of its entry (itself for +-1 over
-    Q, else an exact Fraction), and entries are reduced mod char as they
-    are computed.
+    Lowest-row reduction: a column whose row is not yet a pivot row becomes
+    the pivot there as it is, and is not built until a later reduction
+    uses it.  Only a column whose row is already a pivot row is built;
+    while its largest row key r is a pivot row, the pivot column at r
+    times b/a is subtracted from it, where b is its entry at r and a the
+    pivot's, so its largest key drops.  A column left nonzero becomes the
+    pivot at its largest key.  Each pivot keeps the inverse of its entry
+    (itself for +-1, in every field; else pow mod char or an exact
+    Fraction), and entries are reduced mod char as they are computed.
+    The pivot rows are those of reducing every column built: a column
+    whose row is fresh becomes the pivot there unreduced either way, and
+    over GF(char) the inverse -1 of an entry -1 equals char - 1 once
+    entries are reduced mod char.
     """
-    pivots = {}  # row -> (pivot column, inverse of its entry in that row)
-    for v in columns:
-        while v and (r := max(v)) in pivots:
-            col, inv = pivots[r]
-            b = v[r] * inv
-            for key, x in col.items():
-                y = v.get(key, 0) - b * x
-                if char:
-                    y %= char
-                if y:
-                    v[key] = y
-                else:
-                    v.pop(key, None)
-        if v:
+    pivots = {}  # row -> (key, build, inverse of the pivot's entry in that row)
+    built = {}  # row -> pivot column, once built (a reduced pivot always is)
+    for r, a, key, build in columns:
+        if r in pivots:
+            v = build(key)
+            while v and (r := max(v)) in pivots:
+                k, make, inv = pivots[r]
+                col = built.get(r)
+                if col is None:
+                    col = built[r] = make(k)
+                b = v[r] * inv
+                for row, x in col.items():
+                    y = v.get(row, 0) - b * x
+                    if char:
+                        y %= char
+                    if y:
+                        v[row] = y
+                    else:
+                        v.pop(row, None)
+            if not v:
+                continue
             a = v[r]
-            if char:
-                inv = pow(a, -1, char)
-            else:
-                inv = a if a == 1 or a == -1 else Fraction(1, a)
-            pivots[r] = (v, inv)
+            built[r] = v
+        if a == 1 or a == -1:
+            inv = a
+        else:
+            inv = pow(a, -1, char) if char else Fraction(1, a)
+        pivots[r] = (key, build, inv)
     return set(pivots)
 
 
@@ -103,7 +126,7 @@ def integer_rank(rows, char=0):
     width = len(rows[0]) if rows else 0
     columns = [{r: row[c] for r, row in enumerate(rows) if (row[c] % char if char else row[c])}
                for c in range(width)]
-    return len(_pivot_rows(columns, char))
+    return len(_pivot_rows([(r := max(v), v[r], v, dict) for v in columns if v], char))
 
 
 class BettiTable:
@@ -195,6 +218,25 @@ def _boundary_column(cx, face):
     return column
 
 
+def _lowest_removal(label_id, face):
+    """(row, sign) of the largest row key in a face mask's boundary column, or None.
+
+    It is the first label-keeping removal that `_boundary_column` meets,
+    the lowest bit whose subface keeps the face's label id, so the scan
+    stops there without building the column; None means it is empty.
+    """
+    own = label_id[face]
+    sign = -1
+    rest = face
+    while rest:
+        bit = rest & -rest
+        if label_id[face ^ bit] == own:
+            return face ^ bit, sign
+        rest ^= bit
+        sign = -sign
+    return None
+
+
 def reduced_boundary(cx, i, j):
     """Dense matrix of the reduced boundary map at homological index i, degree j.
 
@@ -236,10 +278,11 @@ def graded_betti(cx, char=0, power=None):
     degrees = [sum(exps) for exps in cx._labels]
     entries = {(0, 0): 1}
     cleared = set()  # pivot rows one dimension up, all d-faces
+    build = partial(_boundary_column, cx)
     for d in range(cx.dim, -1, -1):
         faces = cx._masks[d]
-        rows = _pivot_rows([_boundary_column(cx, face) for face in faces
-                            if face not in cleared], char)
+        rows = _pivot_rows([(*low, face, build) for face in faces if face not in cleared
+                            and (low := _lowest_removal(label_id, face))], char)
         totals = {}
         for masks, step in ((faces, 1), (rows, -1), (cleared, -1)):
             for face in masks:
@@ -271,7 +314,7 @@ def survivor_face_sets(cx, i, j):
     extended = {face for column in columns for face in column}
     stuck = {face for column in columns if len(column) == 1 for face in column}
     candidates = [face for face in cx._degree_masks(i - 1).get(j, ())
-                  if not _boundary_column(cx, face)]
+                  if _lowest_removal(cx._label_id, face) is None]
     return ({_vertices_of(face) for face in candidates if face not in extended},
             {_vertices_of(face) for face in candidates if face not in stuck})
 
@@ -292,7 +335,8 @@ def bound_applicability(cx, i, j):
     codimension one, so the Betti number is at least the number of certain
     survivors.
     """
-    upper = not any(_boundary_column(cx, face) for face in cx._degree_masks(i - 1).get(j, ()))
+    upper = all(_lowest_removal(cx._label_id, face) is None
+                for face in cx._degree_masks(i - 1).get(j, ()))
     lower = all(len(_boundary_column(cx, ext)) <= 1
                 for ext in cx._degree_masks(i).get(j, ()))
     return BoundApplicability(upper, lower)

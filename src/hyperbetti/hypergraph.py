@@ -154,6 +154,8 @@ class Hypergraph:
                 raise ValidationError(f"{path}: invalid JSON ({e})") from e
             except UnicodeDecodeError as e:
                 raise ValidationError(f"{path}: not UTF-8 ({e})") from e
+            except RecursionError as e:
+                raise ValidationError(f"{path}: JSON nested too deeply to parse") from e
         return cls.from_dict(data)
 
 

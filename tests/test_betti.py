@@ -72,6 +72,12 @@ class TestIntegerRank:
             m += [[rng.choice(values) for _ in m[0]] for _ in range(rng.randint(0, 7))]
             assert integer_rank(m, p) == gf_rank(m, p)
 
+    @pytest.mark.parametrize("p, rank", [(0, 2), (3, 2), (32003, 2), (2, 1)])
+    def test_unbuilt_non_unit_pivot(self, p, rank):
+        # the first column pivots unbuilt at row 1 on the non-unit 2; the
+        # second and third reduce against it there, so it is built then
+        assert integer_rank([[0, 1, 0], [2, 2, 4]], p) == rank
+
 
 class TestCharacteristic:
     @pytest.mark.parametrize("p", [2, 3, 5, 41, 43, 32003, (1 << 31) - 1, (1 << 61) - 1])
@@ -202,25 +208,26 @@ class TestGradedBetti:
             assert graded_betti(cx, char=2).entries == graded_betti(cx).entries
             assert graded_betti(cx, char=3).entries == graded_betti(cx).entries
 
-    @pytest.mark.parametrize("char", [0, 2, 3])
+    @pytest.mark.parametrize("char", [0, 2, 3, 32003])
     def test_blocks_match_dense_boundaries(self, char):
         # the blocked table against one rebuilt from the dense per-degree
-        # reduced_boundary matrices
+        # reduced_boundary matrices, on support complexes and Taylor simplices
         rng = random.Random(51)
         for seed in range(6):
             h = random_hypergraph(rng.randint(4, 6), rng.randint(2, 4),
                                   rng.choice((2, 3)), seed)
             ideal = edge_ideal(h)
             for t in (1, 2):
-                cx = faridi_complex(ideal, t)
-                dense = {(0, 0): 1}
-                for i in range(1, cx.dim + 2):
-                    for j, faces in cx.degree_slices(i - 1).items():
-                        value = (len(faces) - reduced_boundary(cx, i, j).rank(char)
-                                 - reduced_boundary(cx, i + 1, j).rank(char))
-                        if value:
-                            dense[i, j] = value
-                assert graded_betti(cx, char=char).entries == dense
+                for cx in (faridi_complex(ideal, t),
+                           taylor_complex(power_generators(ideal, t))):
+                    dense = {(0, 0): 1}
+                    for i in range(1, cx.dim + 2):
+                        for j, faces in cx.degree_slices(i - 1).items():
+                            value = (len(faces) - reduced_boundary(cx, i, j).rank(char)
+                                     - reduced_boundary(cx, i + 1, j).rank(char))
+                            if value:
+                                dense[i, j] = value
+                    assert graded_betti(cx, char=char).entries == dense
 
     def test_negative_betti_number_is_an_error(self, monkeypatch, example39):
         # a phantom pivot row, the empty face of degree 0, over-reports a rank
@@ -242,6 +249,19 @@ class TestGradedBetti:
                             lambda columns, char: calls.append(1) or real(columns, char))
         graded_betti(cx)
         assert len(calls) == cx.dim + 1
+
+    @pytest.mark.parametrize("kind", ["faridi", "taylor"])
+    def test_columns_built_only_to_reduce(self, monkeypatch, example39, kind):
+        # a column whose largest row is not yet a pivot row is never built
+        ideal = edge_ideal(example39)
+        cx = (faridi_complex(ideal, 2) if kind == "faridi"
+              else taylor_complex(power_generators(ideal, 2)))
+        calls = []
+        real = betti._boundary_column
+        monkeypatch.setattr(betti, "_boundary_column",
+                            lambda cx, face: calls.append(face) or real(cx, face))
+        graded_betti(cx)
+        assert len(calls) < cx.face_count / 16
 
     @pytest.mark.parametrize("char, torsion", [(0, {}), (3, {}),
                                                (2, {(2, 1): 1, (3, 1): 1})])

@@ -84,6 +84,14 @@ class TestBettiCommand:
             assert code == 2 and out == "" and err.startswith("error:")
             assert "not UTF-8" in err
 
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"n": 3, "edges": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        for command in ("betti", "matchings", "complex"):
+            code, out, err = run_cli(capsys, command, str(bad))
+            assert code == 2 and out == "" and err.startswith("error:")
+            assert "nested too deeply" in err
+
     def test_complex_has_no_char_flag(self, capsys, data_dir):
         with pytest.raises(SystemExit) as exit_info:
             main(["complex", "--char", "3", str(data_dir / "path5.json")])
