@@ -15,22 +15,9 @@ is a sorted tuple of vertex indices, built from its mask on each call.
 
 from __future__ import annotations
 
-from .errors import DimensionError, DomainError, ResourceCapError
+from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCapError,
+                     format_count)
 from .monomials import power_generators
-
-DEFAULT_MAX_FACES = 1 << 20
-
-
-def _simplex_faces(k):
-    """The face count 2^k of a k-vertex simplex, for an error message.
-
-    It is written in decimal unless the decimal has more digits than
-    Python will print (4300 by default); then it is written as 2^k.
-    """
-    try:
-        return str(1 << k)
-    except ValueError:
-        return f"2^{k}"
 
 
 def _mask_of(face):
@@ -75,7 +62,7 @@ class LabelledComplex:
             for size in map(int.bit_count, canonical):
                 if size >= max_faces.bit_length():
                     raise ResourceCapError(
-                        f"facet with {size} vertices yields {_simplex_faces(size)} faces, "
+                        f"facet with {size} vertices yields {format_count(1 << size)} faces, "
                         f"over the cap of {max_faces}")
         vertex_labels = [mono.exps for _, mono in self.vertices]
         labels = [(0,) * nvars]
@@ -168,7 +155,8 @@ def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
     m = len(gens)
     if max_faces is not None and m >= max_faces.bit_length():
         raise ResourceCapError(
-            f"simplex on {m} vertices has {_simplex_faces(m)} faces, over the cap of {max_faces}")
+            f"simplex on {m} vertices has {format_count(1 << m)} faces, "
+            f"over the cap of {max_faces}")
     return LabelledComplex(gens, [tuple(range(m))], max_faces)
 
 

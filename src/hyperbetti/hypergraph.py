@@ -24,21 +24,14 @@ def _mask_vertices(mask):
     return tuple(out)
 
 
-# Vertex numbers and counts must be exactly `int`: JSON true/false arrive as
-# bool, which isinstance() would accept as 1 and 0.
-
-def _reject_vertex(v, n):
-    if type(v) is not int:
-        raise ValidationError(f"vertex {v!r} is not an integer")
-    raise ValidationError(f"vertex {v!r} out of range 1..{n}")
-
-
 class Hypergraph:
     """A simple hypergraph: edges are incomparable vertex sets of size >= 2."""
 
     __slots__ = ("n", "edges", "labels")
 
     def __init__(self, n, edges, labels=None):
+        # vertex numbers and counts must be exactly `int`: JSON true/false
+        # arrive as bool, which isinstance() would accept as 1 and 0
         if type(n) is not int or n < 0:
             raise ValidationError(f"vertex count must be a nonnegative integer, got {n!r}")
         masks = []
@@ -46,8 +39,10 @@ class Hypergraph:
             vertices = list(edge)
             mask = 0
             for v in vertices:
-                if type(v) is not int or not 1 <= v <= n:
-                    _reject_vertex(v, n)
+                if type(v) is not int:
+                    raise ValidationError(f"vertex {v!r} is not an integer")
+                if not 1 <= v <= n:
+                    raise ValidationError(f"vertex {v!r} out of range 1..{n}")
                 bit = 1 << (v - 1)
                 if mask & bit:
                     raise ValidationError(f"duplicate vertex {v} in edge {sorted(vertices)}")
@@ -94,26 +89,6 @@ class Hypergraph:
             return sizes.pop()
         return None
 
-    def union_mask(self, indices):
-        mask = 0
-        for k in indices:
-            mask |= self.edges[k]
-        return mask
-
-    def induced(self, vertices):
-        """The subhypergraph on the given vertices, keeping original indices.
-
-        Edges are exactly those contained in the vertex set; vertices keep
-        their numbering, so vertices outside the set simply occur in no edge.
-        """
-        wmask = 0
-        for v in vertices:
-            if type(v) is not int or not 1 <= v <= self.n:
-                _reject_vertex(v, self.n)
-            wmask |= 1 << (v - 1)
-        kept = [_mask_vertices(mask) for mask in self.edges if mask | wmask == wmask]
-        return Hypergraph(self.n, kept, self.labels)
-
     def __eq__(self, other):
         return (isinstance(other, Hypergraph)
                 and self.n == other.n
@@ -125,12 +100,6 @@ class Hypergraph:
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, edges={[list(e) for e in self.edge_sets()]})"
-
-    def to_dict(self):
-        data = {"n": self.n, "edges": [list(e) for e in self.edge_sets()]}
-        if self.labels is not None:
-            data["labels"] = list(self.labels)
-        return data
 
     @classmethod
     def from_dict(cls, data):

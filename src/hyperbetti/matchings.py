@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .complexes import DEFAULT_MAX_FACES
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, check_budget
 
 KINDS = ("matching", "self_matching", "semi_induced", "self_semi_induced", "induced")
 
@@ -29,8 +28,7 @@ class FamilyClassification:
     family_type: tuple[int, int]
 
     def has_kind(self, kind):
-        if kind not in KINDS:
-            raise DomainError(f"unknown family kind {kind!r}; choose one of {KINDS}")
+        """The flag of one of KINDS."""
         return getattr(self, "is_" + kind)
 
 
@@ -57,25 +55,6 @@ def _classify_indices(hypergraph, idx):
     )
 
 
-def classify(hypergraph, indices):
-    """Classify the edge family given by 0-based edge indices."""
-    idx = tuple(sorted(set(indices)))
-    if not idx:
-        raise DomainError("empty edge family")
-    for k in idx:
-        if not 0 <= k < hypergraph.num_edges:
-            raise DomainError(f"edge index {k} out of range 0..{hypergraph.num_edges - 1}")
-    return _classify_indices(hypergraph, idx)
-
-
-def _check_budget(m, sizes):
-    """Refuse a walk over more than DEFAULT_MAX_FACES edge subsets."""
-    subsets = sum(comb(m, size) for size in sizes)
-    if subsets > DEFAULT_MAX_FACES:
-        raise ResourceCapError(
-            f"{subsets} edge families to classify, over the cap of {DEFAULT_MAX_FACES}")
-
-
 def families(hypergraph, kind=None, size_cap=None):
     """Yield (indices, classification) for every nonempty family up to size_cap.
 
@@ -89,7 +68,8 @@ def families(hypergraph, kind=None, size_cap=None):
         raise DomainError(f"unknown family kind {kind!r}; choose one of {KINDS}")
     m = hypergraph.num_edges
     cap = m if size_cap is None else min(size_cap, m)
-    _check_budget(m, range(1, cap + 1))
+    check_budget(sum(comb(m, size) for size in range(1, cap + 1)),
+                 "edge families to classify")
     for size in range(1, cap + 1):
         for idx in combinations(range(m), size):
             cls = _classify_indices(hypergraph, idx)
@@ -98,19 +78,16 @@ def families(hypergraph, kind=None, size_cap=None):
 
 
 def count_families(hypergraph, kind, size, union_size=None):
-    """Exact number of families of the given kind and size (and union size)."""
+    """Exact number of families of the given kind and size (and union size).
+
+    It filters the families() walk up to that size, so the walk's budget
+    covers every size from 1 up.
+    """
     if size < 1:
         raise DomainError(f"family size must be >= 1, got {size}")
-    _check_budget(hypergraph.num_edges, [size])
-    count = 0
-    for idx in combinations(range(hypergraph.num_edges), size):
-        cls = _classify_indices(hypergraph, idx)
-        if not cls.has_kind(kind):
-            continue
-        if union_size is not None and cls.family_type[1] != union_size:
-            continue
-        count += 1
-    return count
+    return sum(1 for idx, cls in families(hypergraph, kind, size_cap=size)
+               if len(idx) == size
+               and (union_size is None or cls.family_type[1] == union_size))
 
 
 @dataclass(frozen=True)

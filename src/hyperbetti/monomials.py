@@ -10,8 +10,9 @@ generators.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, check_budget
 
 
 class Monomial:
@@ -24,10 +25,6 @@ class Monomial:
         if any(e < 0 for e in self.exps):
             raise DomainError(f"negative exponent in {self.exps}")
         self.degree = sum(self.exps)
-
-    @classmethod
-    def one(cls, n):
-        return cls((0,) * n)
 
     @classmethod
     def from_support(cls, n, vertices):
@@ -46,11 +43,6 @@ class Monomial:
             raise DimensionError(
                 f"monomials in {len(self.exps)} and {len(other.exps)} variables")
 
-    def lcm(self, other):
-        """Componentwise maximum of the exponent vectors."""
-        self._check_ring(other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
     def divides(self, other):
         self._check_ring(other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
@@ -59,19 +51,11 @@ class Monomial:
         self._check_ring(other)
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
-    def __pow__(self, k):
-        if k < 0:
-            raise DomainError(f"negative power {k}")
-        return Monomial(tuple(e * k for e in self.exps))
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
 
     def __hash__(self):
         return hash(self.exps)
-
-    def __lt__(self, other):
-        return self.exps < other.exps
 
     def __repr__(self):
         return f"Monomial({self.exps})"
@@ -90,12 +74,14 @@ def enumerate_tuples(m, t):
     """All length-m tuples of nonnegative integers summing to t, in order.
 
     The order is descending lexicographic, so for m = 3 and t = 1 the
-    result is the standard basis (1,0,0), (0,1,0), (0,0,1).
+    result is the standard basis (1,0,0), (0,1,0), (0,0,1).  More than
+    DEFAULT_MAX_FACES tuples raise ResourceCapError before any is built.
     """
     if m < 1:
         raise DomainError(f"need at least one generator, got m={m}")
     if t < 1:
         raise DomainError(f"power must be >= 1, got t={t}")
+    check_budget(comb(m + t - 1, t), f"factorization tuples of {m} generators at power {t}")
     # sorted index multisets in lexicographic order give the count vectors
     # with larger leading entries first
     out = []

@@ -12,8 +12,10 @@ import functools
 import json
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .betti import bound_applicability, graded_betti, survivor_face_sets
 from .complexes import faridi_complex, taylor_complex
@@ -343,19 +345,40 @@ def check_survivor_sandwich(hypergraph, ideal, cache, t):
     return all(case["ok"] for case in cases), {"t": t, "cases": cases}
 
 
+def _subset_of_rank(n, d, rank):
+    """The d-subset of 1..n at 0-based position `rank` in combinations() order."""
+    out = []
+    v = 1
+    while len(out) < d:
+        taking_v = comb(n - v, d - len(out) - 1)  # subsets that take v next
+        if rank < taking_v:
+            out.append(v)
+        else:
+            rank -= taking_v
+        v += 1
+    return tuple(out)
+
+
 def random_hypergraph(n, m, d, seed):
-    """Deterministic uniform sample of m distinct d-edges on vertices 1..n."""
+    """Deterministic uniform sample of m distinct d-edges on vertices 1..n.
+
+    Sampling positions among the C(n, d) subsets draws what sampling their
+    list would, without building it.
+    """
     if n < 1:
         raise DomainError(f"need at least one vertex, got n={n}")
     if m < 1:
         raise DomainError(f"need at least one edge, got m={m}")
     if d < 2 or d > n:
         raise DomainError(f"edge size {d} not in 2..{n}")
-    pool = list(combinations(range(1, n + 1), d))
-    if m > len(pool):
+    pool = comb(n, d)
+    if m > pool:
         raise DomainError(f"cannot pick {m} distinct {d}-subsets of {n} vertices")
+    if pool > sys.maxsize:
+        raise ResourceCapError(
+            f"{d}-subsets of {n} vertices number more than {sys.maxsize}, too many to sample")
     rng = random.Random(seed)
-    return Hypergraph(n, sorted(rng.sample(pool, m)))
+    return Hypergraph(n, sorted(_subset_of_rank(n, d, r) for r in rng.sample(range(pool), m)))
 
 
 def enumerate_hypergraphs(n, d, m):

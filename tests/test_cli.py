@@ -139,6 +139,17 @@ class TestBettiCommand:
         assert code == 3 and out == ""
         assert "resource cap:" in err and "2^" in err
 
+    @pytest.mark.parametrize("command", ["betti", "complex"])
+    def test_power_walk_over_budget_exits_quickly(self, capsys, data_dir, command):
+        # C(203, 3) factorization tuples of the four edges at t = 200 are over
+        # the fixed 2^20 budget, which --force does not lift
+        for force in ([], ["--force"]):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, command, "-t", "200", *force,
+                                     str(data_dir / "four-cycle.json"))
+            assert code == 3 and out == "" and "factorization tuples" in err
+            assert time.perf_counter() - start < 1.0
+
     def test_force_overrides_cap(self, capsys, data_dir):
         code, out, _ = run_cli(capsys, "betti", "-t", "3", "--max-faces", "4", "--force",
                                "--json", str(data_dir / "path5.json"))
@@ -245,6 +256,20 @@ class TestVerifyCommand:
         assert code == 0 and "Traceback" not in err
         assert lines[-1]["summary"] == {"passed": 0, "gated": 16, "failed": 0}
         assert all(r["witness"]["reason"].startswith("resource cap:") for r in lines[:-1])
+
+    def test_random_edges_from_a_large_pool(self, capsys):
+        # C(2000, 3) = 1331334000 candidate edges: sampled without listing them
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--random", "1", "--n", "2000", "--m", "3",
+                               "--d", "3", "--t-max", "1")
+        assert code == 0 and json.loads(out.splitlines()[-1])["summary"]["failed"] == 0
+        assert time.perf_counter() - start < 1.0
+
+    def test_random_pool_past_sampling_range_is_capped(self, capsys):
+        # C(200, 20) > sys.maxsize: random.sample cannot index that many
+        code, out, err = run_cli(capsys, "verify", "--random", "1", "--n", "200", "--m", "3",
+                                 "--d", "20")
+        assert code == 3 and out == "" and "too many to sample" in err
 
     def test_random_requires_parameters(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--random", "3")

@@ -38,8 +38,6 @@ class TestValidation:
             Hypergraph(2, [[True, 2]])
         with pytest.raises(ValidationError, match="nonnegative integer"):
             Hypergraph(True, [])
-        with pytest.raises(ValidationError, match="not an integer"):
-            Hypergraph(3, [[1, 2]]).induced([False, 1])
 
     def test_duplicate_vertex_in_edge(self):
         with pytest.raises(ValidationError, match="duplicate vertex"):
@@ -87,29 +85,11 @@ class TestEdgeIdeal:
                 assert a is b or not a.divides(b)
 
 
-class TestInduced:
-    def test_four_cycle_prefix(self, four_cycle):
-        sub = four_cycle.induced([1, 2, 3])
-        assert sub.edge_sets() == ((1, 2), (2, 3))
-
-    def test_identity(self, path5, four_cycle, example39):
-        for h in (path5, four_cycle, example39):
-            assert h.induced(range(1, h.n + 1)) == h
-
-    def test_example39_union_of_three(self, example39):
-        # union of the first, second and transversal edges: seven vertices
-        sub = example39.induced([1, 2, 3, 4, 5, 6, 7])
-        assert sub.edge_sets() == ((1, 2, 3), (4, 5, 6), (1, 4, 7))
-
-    def test_out_of_range(self, path5):
-        with pytest.raises(ValidationError):
-            path5.induced([0, 1])
-
-
 class TestJson:
     def test_round_trip(self, path5, tmp_path):
         path = tmp_path / "h.json"
-        path.write_text(json.dumps(path5.to_dict()))
+        path.write_text(json.dumps({"n": 5, "edges": [[1, 2, 3], [3, 4, 5]],
+                                    "labels": list("abcde")}))
         assert Hypergraph.load(path) == path5
 
     def test_load_golden(self, data_dir):

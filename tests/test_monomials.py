@@ -1,10 +1,11 @@
 import random
+import time
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperbetti.errors import DimensionError, DomainError
+from hyperbetti.errors import DimensionError, DomainError, ResourceCapError, check_budget
 from hyperbetti.monomials import (Monomial, MonomialIdeal, enumerate_tuples,
                                   minimal_generators, power_generators, tuple_product)
 from helpers import brute_minimal_power_generators
@@ -22,18 +23,6 @@ def monomial_triple(draw):
 
 
 class TestMonomial:
-    def test_lcm_componentwise_max(self):
-        assert mono(1, 1, 0).lcm(mono(0, 1, 1)) == mono(1, 1, 1)
-        assert mono(2, 1).lcm(mono(0, 3)) == mono(2, 3)
-
-    def test_lcm_idempotent(self):
-        m = mono(3, 0, 2)
-        assert m.lcm(m) == m
-
-    def test_lcm_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            mono(1, 0).lcm(mono(1, 0, 0))
-
     def test_divides(self):
         assert mono(1, 1, 0).divides(mono(1, 1, 1))
         assert not mono(2, 0).divides(mono(1, 1))
@@ -45,7 +34,7 @@ class TestMonomial:
 
     def test_degree_is_exponent_sum(self):
         assert mono(2, 0, 3).degree == 5
-        assert Monomial.one(4).degree == 0
+        assert Monomial((0,) * 4).degree == 0
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(DomainError):
@@ -53,21 +42,18 @@ class TestMonomial:
 
     def test_mul_and_pow(self):
         assert mono(1, 2) * mono(0, 1) == mono(1, 3)
-        assert mono(1, 2) ** 3 == mono(3, 6)
+        assert mono(1, 2) * mono(1, 2) * mono(1, 2) == mono(3, 6)
 
     def test_from_support(self):
         assert Monomial.from_support(5, [1, 2, 3]) == mono(1, 1, 1, 0, 0)
 
     def test_str(self):
         assert str(mono(2, 0, 1)) == "x1^2*x3"
-        assert str(Monomial.one(3)) == "1"
+        assert str(Monomial((0,) * 3)) == "1"
 
     @given(monomial_triple())
     def test_lcm_algebra(self, triple):
-        a, b, c = triple
-        assert a.lcm(b) == b.lcm(a)
-        assert a.lcm(b).lcm(c) == a.lcm(b.lcm(c))
-        assert a.lcm(a) == a
+        a, b, _ = triple
         assert a.divides(a * b)
 
 
@@ -86,6 +72,25 @@ class TestEnumerateTuples:
             enumerate_tuples(0, 2)
         with pytest.raises(DomainError):
             enumerate_tuples(2, 0)
+
+    def test_walk_within_budget_enumerates(self):
+        # C(103, 3) = 176851 tuples of 4 generators at t = 100: under 2^20
+        assert len(enumerate_tuples(4, 100)) == comb(103, 3)
+
+    def test_walk_over_budget_refused_before_enumerating(self):
+        # C(203, 3) = 1373701 tuples at t = 200: over 2^20, refused at once
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="^1373701 factorization tuples of 4 "
+                                                   "generators at power 200, over the cap"):
+            enumerate_tuples(4, 200)
+        assert time.perf_counter() - start < 0.1
+
+    def test_budget_message_past_printable_decimals(self):
+        # 2^20000 has 6021 decimal digits, more than Python prints by default
+        with pytest.raises(ResourceCapError, match=r"^2\^20000 tuples, over the cap"):
+            check_budget(1 << 20000, "tuples")
+        with pytest.raises(ResourceCapError, match=r"^more than 2\^20000 tuples, over the cap"):
+            check_budget((1 << 20000) + 1, "tuples")
 
     @given(st.integers(1, 5), st.integers(1, 6))
     def test_count_and_order(self, m, t):
@@ -176,6 +181,12 @@ class TestPowerGenerators:
         # the collided square x1x2x3x4 keeps the earliest balanced tuple
         assert (1, 0, 1, 0) in tuples
         assert (0, 1, 0, 1) not in tuples
+
+    def test_tuple_walk_over_budget_refused(self):
+        ideal = MonomialIdeal(4, [mono(1, 1, 0, 0), mono(0, 1, 1, 0), mono(0, 0, 1, 1),
+                                  mono(1, 0, 0, 1)])
+        with pytest.raises(ResourceCapError, match="factorization tuples"):
+            power_generators(ideal, 200)
 
     def test_zero_power_rejected(self):
         ideal = MonomialIdeal(2, [mono(1, 1)])

@@ -1,6 +1,10 @@
+import functools
 import gc
 import json
+import operator
+import random
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -32,6 +36,16 @@ class TestRandomHypergraph:
         h = random_hypergraph(5, 10, 2, seed=0)
         assert h.num_edges == 10
 
+    def test_matches_sampling_the_listed_subsets(self):
+        # sampling positions draws what sampling the list of all d-subsets drew
+        for n in range(2, 10):
+            for d in range(2, n + 1):
+                pool = list(combinations(range(1, n + 1), d))
+                for m in range(1, min(12, len(pool)) + 1):
+                    for seed in range(30):
+                        expected = sorted(random.Random(seed).sample(pool, m))
+                        assert random_hypergraph(n, m, d, seed).edge_sets() == tuple(expected)
+
     def test_infeasible(self):
         with pytest.raises(DomainError):
             random_hypergraph(4, 7, 2, seed=0)
@@ -42,7 +56,7 @@ class TestRandomHypergraph:
 class TestEnumeration:
     def test_union_covers_all_vertices(self):
         for h in enumerate_hypergraphs(4, 2, 3):
-            assert h.union_mask(range(h.num_edges)) == (1 << 4) - 1
+            assert functools.reduce(operator.or_, h.edges) == (1 << 4) - 1
 
     def test_disjoint_pair_count(self):
         assert sum(1 for _ in enumerate_hypergraphs(4, 2, 2)) == 3
