@@ -65,14 +65,14 @@ def validate_characteristic(char):
         raise DomainError(f"characteristic must be 0 or a prime, got {char}")
 
 
-def _pivot_rows(columns, char):
+def _pivot_rows(columns, build, char):
     """Pivot rows of an exact elimination over Q (char 0) or GF(char).
 
     Their number is the rank of the matrix with the given columns.  Each
-    nonzero column arrives as (row, entry, key, build): row is its largest
-    row key and entry the integer there, nonzero (mod char), and build(key)
-    returns the whole column as a fresh dict from int row keys to such
-    integers.  char must already be validated.
+    nonzero column arrives as (row, entry, key): row is its largest row key
+    and entry the integer there, nonzero (mod char), and build(key) returns
+    the whole column as a fresh dict from int row keys to such integers.
+    char must already be validated.
 
     Lowest-row reduction: a column whose row is not yet a pivot row becomes
     the pivot there as it is, and is not built until a later reduction
@@ -88,16 +88,16 @@ def _pivot_rows(columns, char):
     over GF(char) the inverse -1 of an entry -1 equals char - 1 once
     entries are reduced mod char.
     """
-    pivots = {}  # row -> (key, build, inverse of the pivot's entry in that row)
+    pivots = {}  # row -> (key, inverse of the pivot's entry in that row)
     built = {}  # row -> pivot column, once built (a reduced pivot always is)
-    for r, a, key, build in columns:
+    for r, a, key in columns:
         if r in pivots:
             v = build(key)
             while v and (r := max(v)) in pivots:
-                k, make, inv = pivots[r]
+                k, inv = pivots[r]
                 col = built.get(r)
                 if col is None:
-                    col = built[r] = make(k)
+                    col = built[r] = build(k)
                 b = v[r] * inv
                 for row, x in col.items():
                     y = v.get(row, 0) - b * x
@@ -115,7 +115,7 @@ def _pivot_rows(columns, char):
             inv = a
         else:
             inv = pow(a, -1, char) if char else Fraction(1, a)
-        pivots[r] = (key, build, inv)
+        pivots[r] = (key, inv)
     return set(pivots)
 
 
@@ -126,7 +126,7 @@ def integer_rank(rows, char=0):
     width = len(rows[0]) if rows else 0
     columns = [{r: row[c] for r, row in enumerate(rows) if (row[c] % char if char else row[c])}
                for c in range(width)]
-    return len(_pivot_rows([(r := max(v), v[r], v, dict) for v in columns if v], char))
+    return len(_pivot_rows([(r := max(v), v[r], v) for v in columns if v], dict, char))
 
 
 class BettiTable:
@@ -191,9 +191,6 @@ class BoundaryMatrix(NamedTuple):
     rows: tuple
     cols: tuple
     entries: tuple
-
-    def rank(self, char=0):
-        return integer_rank(self.entries, char)
 
 
 def _boundary_column(cx, face):
@@ -281,8 +278,8 @@ def graded_betti(cx, char=0, power=None):
     build = partial(_boundary_column, cx)
     for d in range(cx.dim, -1, -1):
         faces = cx._masks[d]
-        rows = _pivot_rows([(*low, face, build) for face in faces if face not in cleared
-                            and (low := _lowest_removal(label_id, face))], char)
+        rows = _pivot_rows([(*low, face) for face in faces if face not in cleared
+                            and (low := _lowest_removal(label_id, face))], build, char)
         totals = {}
         for masks, step in ((faces, 1), (rows, -1), (cleared, -1)):
             for face in masks:

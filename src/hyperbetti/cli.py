@@ -27,15 +27,12 @@ def _add_common(parser):
                         default="faridi", help="supporting complex (default faridi)")
     parser.add_argument("--max-faces", type=int, default=DEFAULT_MAX_FACES,
                         help=f"face budget for built complexes (default {DEFAULT_MAX_FACES})")
-    parser.add_argument("--force", action="store_true",
-                        help="ignore the face budget")
 
 
 def _build_complex(args, ideal):
-    cap = None if args.force else args.max_faces
     if args.complex_kind == "taylor":
-        return taylor_complex(power_generators(ideal, args.power), max_faces=cap)
-    return faridi_complex(ideal, args.power, max_faces=cap)
+        return taylor_complex(power_generators(ideal, args.power), max_faces=args.max_faces)
+    return faridi_complex(ideal, args.power, max_faces=args.max_faces)
 
 
 def _load(args):

@@ -58,12 +58,11 @@ class LabelledComplex:
                 raise DimensionError("vertex labels in different rings")
         # empty and repeated facets are dropped, first occurrence order kept
         canonical = [f for f in dict.fromkeys(map(_mask_of, facets)) if f]
-        if max_faces is not None:
-            for size in map(int.bit_count, canonical):
-                if size >= max_faces.bit_length():
-                    raise ResourceCapError(
-                        f"facet with {size} vertices yields {format_count(1 << size)} faces, "
-                        f"over the cap of {max_faces}")
+        for size in map(int.bit_count, canonical):
+            if size >= max_faces.bit_length():
+                raise ResourceCapError(
+                    f"facet with {size} vertices yields {format_count(1 << size)} faces, "
+                    f"over the cap of {max_faces}")
         vertex_labels = [mono.exps for _, mono in self.vertices]
         labels = [(0,) * nvars]
         ids = {labels[0]: 0}  # label -> id
@@ -90,7 +89,7 @@ class LabelledComplex:
                         labels.append(exps)
                 label_id[sub] = lid
                 masks.setdefault(sub.bit_count() - 1, []).append(sub)
-                if max_faces is not None and len(label_id) > max_faces:
+                if len(label_id) > max_faces:
                     raise ResourceCapError(
                         f"complex exceeds the cap of {max_faces} faces")
         self._label_id = label_id
@@ -153,7 +152,7 @@ def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
     if len({mono for _, mono in gens}) != len(gens):
         raise DomainError("generators must be distinct")
     m = len(gens)
-    if max_faces is not None and m >= max_faces.bit_length():
+    if m >= max_faces.bit_length():
         raise ResourceCapError(
             f"simplex on {m} vertices has {format_count(1 << m)} faces, "
             f"over the cap of {max_faces}")

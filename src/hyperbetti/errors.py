@@ -34,7 +34,7 @@ def format_count(count):
 
 
 def check_budget(count, what):
-    """Refuse a walk over more than DEFAULT_MAX_FACES items before it starts."""
+    """Refuse a walk or build of more than DEFAULT_MAX_FACES items before it starts."""
     if count > DEFAULT_MAX_FACES:
         raise ResourceCapError(
             f"{format_count(count)} {what}, over the cap of {DEFAULT_MAX_FACES}")

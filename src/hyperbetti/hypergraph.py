@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ValidationError
+from .errors import ValidationError, check_budget
 from .monomials import Monomial, MonomialIdeal
 
 
@@ -73,9 +73,6 @@ class Hypergraph:
     def num_edges(self):
         return len(self.edges)
 
-    def edge_vertices(self, k):
-        return _mask_vertices(self.edges[k])
-
     def edge_sets(self):
         return tuple(_mask_vertices(mask) for mask in self.edges)
 
@@ -129,7 +126,15 @@ class Hypergraph:
 
 
 def edge_ideal(hypergraph):
-    """The squarefree monomial ideal with one generator per edge, in edge order."""
-    gens = [Monomial.from_support(hypergraph.n, hypergraph.edge_vertices(k))
-            for k in range(hypergraph.num_edges)]
-    return MonomialIdeal(hypergraph.n, gens)
+    """The squarefree monomial ideal with one generator per edge, in edge order.
+
+    A generator's exponent vector is its edge mask read bit by bit, vertex 1
+    first.  More than DEFAULT_MAX_FACES exponent entries in all raise
+    ResourceCapError before any vector is built.
+    """
+    n, masks = hypergraph.n, hypergraph.edges
+    check_budget(n * len(masks), f"exponent entries for the edge ideal in {n} variables")
+    # one pass over the binary digits; shifting the mask once per vertex
+    # would cost time quadratic in n
+    gens = [Monomial(map(int, reversed(format(mask, f"0{n}b")))) for mask in masks]
+    return MonomialIdeal(n, gens)

@@ -2,9 +2,9 @@
 
 Monomials are dense exponent vectors over a fixed polynomial ring
 K[x1..xn].  Ideals are presented by minimal generating sets, and the
-generators of a power I^t are derived from factorization tuples: plain
-tuples of ints that record how a degree-t product splits over the base
-generators.
+generators of a power I^t come from one walk over its factorization
+tuples: plain tuples of ints that record how a degree-t product splits
+over the base generators.
 """
 
 from __future__ import annotations
@@ -25,14 +25,6 @@ class Monomial:
         if any(e < 0 for e in self.exps):
             raise DomainError(f"negative exponent in {self.exps}")
         self.degree = sum(self.exps)
-
-    @classmethod
-    def from_support(cls, n, vertices):
-        """Squarefree monomial with exponent one at each 1-based vertex."""
-        exps = [0] * n
-        for v in vertices:
-            exps[v - 1] = 1
-        return cls(exps)
 
     @property
     def n(self):
@@ -68,42 +60,6 @@ class Monomial:
             elif e > 1:
                 parts.append(f"x{i + 1}^{e}")
         return "*".join(parts) if parts else "1"
-
-
-def enumerate_tuples(m, t):
-    """All length-m tuples of nonnegative integers summing to t, in order.
-
-    The order is descending lexicographic, so for m = 3 and t = 1 the
-    result is the standard basis (1,0,0), (0,1,0), (0,0,1).  More than
-    DEFAULT_MAX_FACES tuples raise ResourceCapError before any is built.
-    """
-    if m < 1:
-        raise DomainError(f"need at least one generator, got m={m}")
-    if t < 1:
-        raise DomainError(f"power must be >= 1, got t={t}")
-    check_budget(comb(m + t - 1, t), f"factorization tuples of {m} generators at power {t}")
-    # sorted index multisets in lexicographic order give the count vectors
-    # with larger leading entries first
-    out = []
-    for combo in combinations_with_replacement(range(m), t):
-        entries = [0] * m
-        for k in combo:
-            entries[k] += 1
-        out.append(tuple(entries))
-    return out
-
-
-def tuple_product(generators, tup):
-    """The monomial prod_k generators[k]^tup[k]."""
-    gens = list(generators)
-    if len(gens) != len(tup):
-        raise DimensionError(f"{len(gens)} generators vs tuple of length {len(tup)}")
-    exps = [0] * len(gens[0].exps)
-    for g, mult in zip(gens, tup):
-        if mult:
-            for i, e in enumerate(g.exps):
-                exps[i] += e * mult
-    return Monomial(exps)
 
 
 def minimal_generators(monomials):
@@ -170,25 +126,44 @@ class MonomialIdeal:
 def power_generators(ideal, t):
     """Minimal generators of the t-th power, with their factorization tuples.
 
+    One walk lists the factorization tuples as the sorted multisets of t
+    generator indices: in lexicographic order their count vectors come in
+    descending order.  More than DEFAULT_MAX_FACES of them, C(m+t-1, t) for
+    m generators, raise ResourceCapError before any is built.  Each count
+    vector gives its product's exponent vector, and a Monomial is built
+    only once per distinct product.
+
     Distinct tuples can collide on the same monomial, and one product of t
     generators can strictly divide another; both effects are eliminated.
     One representative tuple is kept per surviving monomial: the earliest
     balanced tuple (no multiplicity above ceil(t/2)) if the class has one,
     else the earliest overall.  Pairs come back in descending order of their
-    tuple, the order of enumerate_tuples.
+    tuple.
     """
     if t < 1:
         raise DomainError(f"power must be >= 1, got t={t}")
     gens = ideal.generators
     if not gens:
         raise DomainError("ideal has no generators")
+    m = len(gens)
+    check_budget(comb(m + t - 1, t), f"factorization tuples of {m} generators at power {t}")
     bound = (t + 1) // 2
-    reps = {}
-    for b in enumerate_tuples(len(gens), t):
-        mono = tuple_product(gens, b)
+    reps = {}  # product exponent vector -> (representative tuple, balanced)
+    for combo in combinations_with_replacement(range(m), t):
+        counts = [0] * m
+        for k in combo:
+            counts[k] += 1
+        exps = [0] * ideal.n
+        for g, c in zip(gens, counts):
+            if c:
+                for i, e in enumerate(g.exps):
+                    exps[i] += e * c
+        exps = tuple(exps)
+        b = tuple(counts)
         balanced = max(b) <= bound
-        if mono not in reps or (balanced and not reps[mono][1]):
-            reps[mono] = (b, balanced)
-    survivors = [(reps[mono][0], mono) for mono in minimal_generators(reps)]
+        if exps not in reps or (balanced and not reps[exps][1]):
+            reps[exps] = (b, balanced)
+    tuple_of = {Monomial(exps): b for exps, (b, _) in reps.items()}
+    survivors = [(tuple_of[mono], mono) for mono in minimal_generators(tuple_of)]
     survivors.sort(key=lambda pair: pair[0], reverse=True)
     return survivors

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from hyperbetti.errors import DimensionError, DomainError
+from hyperbetti.monomials import Monomial, MonomialIdeal
 
 
 def fraction_rank(rows):
@@ -134,6 +135,21 @@ def brute_power_products(ideal, t):
             prod = prod * g
         out.append(prod)
     return out
+
+
+def disjoint_ideal(m):
+    """The ideal (x1, ..., xm): no two products of t of its generators
+    collide or divide each other, so every factorization tuple survives."""
+    return MonomialIdeal(m, [Monomial(int(i == k) for i in range(m)) for k in range(m)])
+
+
+def multiply_tuple(generators, tup):
+    """prod_k generators[k]^tup[k], one Monomial multiplication at a time."""
+    prod = Monomial((0,) * generators[0].n)
+    for g, mult in zip(generators, tup, strict=True):
+        for _ in range(mult):
+            prod = prod * g
+    return prod
 
 
 def brute_minimal_power_generators(ideal, t):

@@ -223,8 +223,9 @@ class TestGradedBetti:
                     dense = {(0, 0): 1}
                     for i in range(1, cx.dim + 2):
                         for j, faces in cx.degree_slices(i - 1).items():
-                            value = (len(faces) - reduced_boundary(cx, i, j).rank(char)
-                                     - reduced_boundary(cx, i + 1, j).rank(char))
+                            ranks = [integer_rank(reduced_boundary(cx, k, j).entries, char)
+                                     for k in (i, i + 1)]
+                            value = len(faces) - sum(ranks)
                             if value:
                                 dense[i, j] = value
                     assert graded_betti(cx, char=char).entries == dense
@@ -233,7 +234,7 @@ class TestGradedBetti:
         # a phantom pivot row, the empty face of degree 0, over-reports a rank
         real = betti._pivot_rows
         monkeypatch.setattr(betti, "_pivot_rows",
-                            lambda columns, char: real(columns, char) | {0})
+                            lambda columns, build, char: real(columns, build, char) | {0})
         cx = faridi_complex(edge_ideal(example39), 1)
         with pytest.raises(InvariantError, match=r"beta\[\d+, \d+\] = -\d+"):
             graded_betti(cx)
@@ -245,8 +246,8 @@ class TestGradedBetti:
               else taylor_complex(power_generators(ideal, 2)))
         calls = []
         real = betti._pivot_rows
-        monkeypatch.setattr(betti, "_pivot_rows",
-                            lambda columns, char: calls.append(1) or real(columns, char))
+        monkeypatch.setattr(betti, "_pivot_rows", lambda columns, build, char:
+                            calls.append(1) or real(columns, build, char))
         graded_betti(cx)
         assert len(calls) == cx.dim + 1
 

@@ -142,18 +142,35 @@ class TestBettiCommand:
     @pytest.mark.parametrize("command", ["betti", "complex"])
     def test_power_walk_over_budget_exits_quickly(self, capsys, data_dir, command):
         # C(203, 3) factorization tuples of the four edges at t = 200 are over
-        # the fixed 2^20 budget, which --force does not lift
-        for force in ([], ["--force"]):
-            start = time.perf_counter()
-            code, out, err = run_cli(capsys, command, "-t", "200", *force,
-                                     str(data_dir / "four-cycle.json"))
-            assert code == 3 and out == "" and "factorization tuples" in err
-            assert time.perf_counter() - start < 1.0
+        # the fixed 2^20 budget
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "-t", "200",
+                                 str(data_dir / "four-cycle.json"))
+        assert code == 3 and out == "" and "factorization tuples" in err
+        assert time.perf_counter() - start < 1.0
 
-    def test_force_overrides_cap(self, capsys, data_dir):
-        code, out, _ = run_cli(capsys, "betti", "-t", "3", "--max-faces", "4", "--force",
+    def test_max_faces_at_face_count_answers(self, capsys, data_dir):
+        # the support complex of the cube of path5 has 8 faces, empty face included
+        code, out, _ = run_cli(capsys, "betti", "-t", "3", "--max-faces", "8",
                                "--json", str(data_dir / "path5.json"))
         assert code == 0 and json.loads(out)["reg"] == 9
+
+    def test_force_is_unknown(self, capsys, data_dir):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["betti", "--force", str(data_dir / "path5.json")])
+        assert exit_info.value.code == 2
+        assert "--force" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["betti", "complex"])
+    def test_wide_ring_exits_quickly(self, capsys, tmp_path, command):
+        # 10^8 variables: the edge ideal's exponent vectors are refused unbuilt
+        wide = tmp_path / "wide.json"
+        wide.write_text('{"n": 100000000, "edges": [[1, 2]]}')
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, str(wide))
+        assert code == 3 and out == ""
+        assert "100000000 exponent entries for the edge ideal" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMatchingsCommand:
@@ -196,6 +213,13 @@ class TestMatchingsCommand:
         assert code == 0 and "[1, 3, 5] type (3, 6)" in out
         # 40 + 780 + 9880 subsets of at most three edges, each classified once
         assert len(calls) == 10700
+
+    def test_wide_ring_answers(self, capsys, tmp_path):
+        # the family walk reads edge masks and never builds the edge ideal
+        wide = tmp_path / "wide.json"
+        wide.write_text('{"n": 100000000, "edges": [[1, 2]]}')
+        code, out, _ = run_cli(capsys, "matchings", "--json", str(wide))
+        assert code == 0 and json.loads(out)["matching_number"] == 1
 
     def test_family_listing(self, capsys, data_dir):
         code, out, _ = run_cli(capsys, "matchings", "--list", "self_semi_induced",

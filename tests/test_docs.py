@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from hyperbetti.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +20,15 @@ def test_library_use_block_prints_its_comments():
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
     assert expected == ["[((0, 0), 1), ((1, 9), 4), ((2, 11), 3)]", "9", "1"]
+
+
+def test_command_line_flags_exist():
+    # every --flag the README's command-line section names is an option of some subcommand
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"## Command line\n(.*?)\n## ", text, re.S).group(1)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {flag for sub in subparsers.choices.values()
+               for action in sub._actions for flag in action.option_strings}
+    assert named and named <= options, sorted(named - options)

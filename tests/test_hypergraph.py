@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hyperbetti.errors import ValidationError
+from hyperbetti.errors import ResourceCapError, ValidationError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.monomials import Monomial
 
@@ -83,6 +83,18 @@ class TestEdgeIdeal:
         for a in ideal.generators:
             for b in ideal.generators:
                 assert a is b or not a.divides(b)
+
+    def test_masks_past_one_machine_word(self):
+        ideal = edge_ideal(Hypergraph(100, [[1, 100], [2, 99]]))
+        assert [[v for v, e in enumerate(g.exps) if e] for g in ideal.generators] == [
+            [0, 99], [1, 98]]
+
+    def test_exponent_entries_over_budget_refused(self):
+        # n * m = 2^20 entries are built; one more edge's worth is refused
+        assert len(edge_ideal(Hypergraph(1 << 19, [[1, 2], [3, 4]])).generators) == 2
+        with pytest.raises(ResourceCapError, match="^1572864 exponent entries for the edge "
+                                                   "ideal in 524288 variables, over the cap"):
+            edge_ideal(Hypergraph(1 << 19, [[1, 2], [3, 4], [5, 6]]))
 
 
 class TestJson:

@@ -161,7 +161,7 @@ class TestProperties:
         rng = random.Random(5)
         for seed in range(15):
             h = random_hypergraph(7, rng.randint(2, 4), rng.choice((2, 3)), seed)
-            smaller = Hypergraph(h.n, [h.edge_vertices(k) for k in range(h.num_edges - 1)])
+            smaller = Hypergraph(h.n, h.edge_sets()[:-1])
             inv_small = invariants(smaller)
             inv_full = invariants(h)
             if inv_small.matching_number is not None:

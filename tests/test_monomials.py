@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperbetti.errors import DimensionError, DomainError, ResourceCapError, check_budget
-from hyperbetti.monomials import (Monomial, MonomialIdeal, enumerate_tuples,
-                                  minimal_generators, power_generators, tuple_product)
-from helpers import brute_minimal_power_generators
+from hyperbetti.monomials import Monomial, MonomialIdeal, minimal_generators, power_generators
+from helpers import brute_minimal_power_generators, disjoint_ideal, multiply_tuple
 
 
 def mono(*exps):
     return Monomial(exps)
+
+
+def tuples_of(m, t):
+    return [b for b, _ in power_generators(disjoint_ideal(m), t)]
 
 
 @st.composite
@@ -44,9 +47,6 @@ class TestMonomial:
         assert mono(1, 2) * mono(0, 1) == mono(1, 3)
         assert mono(1, 2) * mono(1, 2) * mono(1, 2) == mono(3, 6)
 
-    def test_from_support(self):
-        assert Monomial.from_support(5, [1, 2, 3]) == mono(1, 1, 1, 0, 0)
-
     def test_str(self):
         assert str(mono(2, 0, 1)) == "x1^2*x3"
         assert str(Monomial((0,) * 3)) == "1"
@@ -58,31 +58,33 @@ class TestMonomial:
 
 
 class TestEnumerateTuples:
+    """The factorization-tuple walk of power_generators, on disjoint_ideal."""
+
     def test_m2_t2_order(self):
-        assert enumerate_tuples(2, 2) == [(2, 0), (1, 1), (0, 2)]
+        assert tuples_of(2, 2) == [(2, 0), (1, 1), (0, 2)]
 
     def test_m1(self):
-        assert enumerate_tuples(1, 3) == [(3,)]
+        assert tuples_of(1, 3) == [(3,)]
 
     def test_standard_basis_at_t1(self):
-        assert enumerate_tuples(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert tuples_of(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            enumerate_tuples(0, 2)
-        with pytest.raises(DomainError):
-            enumerate_tuples(2, 0)
+        with pytest.raises(DomainError, match="no generators"):
+            power_generators(MonomialIdeal(2, []), 2)
+        with pytest.raises(DomainError, match="power must be >= 1"):
+            power_generators(disjoint_ideal(2), 0)
 
     def test_walk_within_budget_enumerates(self):
         # C(103, 3) = 176851 tuples of 4 generators at t = 100: under 2^20
-        assert len(enumerate_tuples(4, 100)) == comb(103, 3)
+        assert len(tuples_of(4, 100)) == comb(103, 3)
 
     def test_walk_over_budget_refused_before_enumerating(self):
         # C(203, 3) = 1373701 tuples at t = 200: over 2^20, refused at once
         start = time.perf_counter()
         with pytest.raises(ResourceCapError, match="^1373701 factorization tuples of 4 "
                                                    "generators at power 200, over the cap"):
-            enumerate_tuples(4, 200)
+            power_generators(disjoint_ideal(4), 200)
         assert time.perf_counter() - start < 0.1
 
     def test_budget_message_past_printable_decimals(self):
@@ -94,7 +96,7 @@ class TestEnumerateTuples:
 
     @given(st.integers(1, 5), st.integers(1, 6))
     def test_count_and_order(self, m, t):
-        tuples = enumerate_tuples(m, t)
+        tuples = tuples_of(m, t)
         assert len(tuples) == comb(t + m - 1, m - 1)
         assert all(sum(b) == t and len(b) == m for b in tuples)
         assert all(type(e) is int for b in tuples for e in b)
@@ -199,7 +201,7 @@ class TestPowerGenerators:
         for t in (1, 2, 3):
             for b, m in power_generators(ideal, t):
                 assert sum(b) == t
-                assert tuple_product(ideal.generators, b) == m
+                assert multiply_tuple(ideal.generators, b) == m
 
     def test_uniform_power_needs_no_divisibility_test(self, monkeypatch):
         # products of t generators of one degree all share a degree, so none divides another
@@ -211,8 +213,9 @@ class TestPowerGenerators:
             return divides(self, other)
 
         monkeypatch.setattr(Monomial, "divides", counted)
-        ideal = MonomialIdeal(6, [Monomial.from_support(6, e)
-                                  for e in ([1, 2], [2, 3], [3, 4], [4, 5], [5, 6])])
+        ideal = MonomialIdeal(6, [mono(1, 1, 0, 0, 0, 0), mono(0, 1, 1, 0, 0, 0),
+                                  mono(0, 0, 1, 1, 0, 0), mono(0, 0, 0, 1, 1, 0),
+                                  mono(0, 0, 0, 0, 1, 1)])
         assert len(power_generators(ideal, 3)) == 35
         assert calls == []
 
