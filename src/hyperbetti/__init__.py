@@ -7,8 +7,7 @@ reads (with the modules) and the error types; import the rest from its module.
 from . import verify
 from .betti import graded_betti
 from .complexes import faridi_complex
-from .errors import (DimensionError, DomainError, InvariantError, ResourceCapError,
-                     ValidationError)
+from .errors import DimensionError, DomainError, ResourceCapError, ValidationError
 from .hypergraph import Hypergraph, edge_ideal
 from .matchings import invariants
 from .monomials import power_generators

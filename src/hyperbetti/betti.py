@@ -4,8 +4,10 @@ The reduced boundary map keeps only the terms of the simplicial boundary
 whose subface has the face's own lcm label, so every boundary matrix is
 block-diagonal by lcm label (the lcm-lattice view of Gasharov-Peeva-Welker,
 1999); the label's degree only grades the result.
-`graded_betti` reduces each dimension's boundary in one pass; since no
-step mixes labels, each pivot row counts toward its own label's degree.
+`graded_betti` reduces each dimension's boundary in one pass, which pairs
+each pivot column with its pivot row; no step mixes labels, so a pair
+never crosses labels, and each Betti number counts the faces of its
+dimension and degree that no reduction pairs.
 All ranks come from one exact sparse eliminator, the lowest-row column
 reduction with clearing (Chen-Kerber, 2011), that takes the
 characteristic as a parameter: entries are reduced mod p for a prime
@@ -22,12 +24,13 @@ a fresh pivot row and are never built.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
 from .complexes import _mask_of, _vertices_of
-from .errors import DomainError, InvariantError
+from .errors import DomainError
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
 # bound (Sorenson-Webster 2017); larger characteristics are refused.
@@ -66,11 +69,13 @@ def validate_characteristic(char):
 
 
 def _pivot_rows(columns, build, char):
-    """Pivot rows of an exact elimination over Q (char 0) or GF(char).
+    """The pairing of an exact elimination over Q (char 0) or GF(char).
 
-    Their number is the rank of the matrix with the given columns.  Each
-    nonzero column arrives as (row, entry, key): row is its largest row key
-    and entry the integer there, nonzero (mod char), and build(key) returns
+    It maps each pivot row to (key, inverse): the key of the column that
+    pivots there and the inverse of that column's entry in the row.  Its
+    size is the rank of the matrix with the given columns.  Each nonzero
+    column arrives as (row, entry, key): row is its largest row key and
+    entry the integer there, nonzero (mod char), and build(key) returns
     the whole column as a fresh dict from int row keys to such integers.
     char must already be validated.
 
@@ -83,10 +88,10 @@ def _pivot_rows(columns, build, char):
     pivot at its largest key.  Each pivot keeps the inverse of its entry
     (itself for +-1, in every field; else pow mod char or an exact
     Fraction), and entries are reduced mod char as they are computed.
-    The pivot rows are those of reducing every column built: a column
-    whose row is fresh becomes the pivot there unreduced either way, and
-    over GF(char) the inverse -1 of an entry -1 equals char - 1 once
-    entries are reduced mod char.
+    The pairs are those of reducing every column built: a column whose
+    row is fresh becomes the pivot there unreduced either way, and over
+    GF(char) the inverse -1 of an entry -1 equals char - 1 once entries
+    are reduced mod char.
     """
     pivots = {}  # row -> (key, inverse of the pivot's entry in that row)
     built = {}  # row -> pivot column, once built (a reduced pivot always is)
@@ -116,7 +121,7 @@ def _pivot_rows(columns, build, char):
         else:
             inv = pow(a, -1, char) if char else Fraction(1, a)
         pivots[r] = (key, inv)
-    return set(pivots)
+    return pivots
 
 
 def integer_rank(rows, char=0):
@@ -257,40 +262,38 @@ def reduced_boundary(cx, i, j):
 def graded_betti(cx, char=0, power=None):
     """Betti table of the quotient supported on the given complex.
 
-    With n(d, j) the d-faces of degree j and rank(d, j) the rank of the
-    boundary from them to the (d-1)-faces, the Betti number at i = d + 1
-    is n(d, j) - rank(d, j) - rank(d + 1, j).  The boundary of each
-    dimension is reduced in one pass; a pivot row has its column's label,
-    so rank(d, j) counts the pivot rows of degree j.
+    The boundary of each dimension is reduced in one pass, which pairs
+    some of its faces: a pivot column with its pivot row one dimension
+    down.  The Betti number at i = d + 1 and degree j counts the d-faces
+    of degree j left unpaired: n(d, j) faces less rank(d, j), the pivot
+    columns among them (a pivot row has its column's label), less
+    rank(d + 1, j), the pivot rows among them.  This is the persistence
+    pairing (Edelsbrunner-Letscher-Zomorodian 2002).
 
     Dimensions run from the top down so that each pass can skip the
     columns that are pivot rows one dimension up ("clearing"): the reduced
     pivot column of such a row is a cycle whose largest row is that row,
     so the cleared column lies in the span of the columns with smaller
-    masks and rank(d, j) is unchanged without it.  Only the faces of one
-    dimension and the pivot rows of the one above are kept at a time.
+    masks and rank(d, j) is unchanged without it.  A cleared face is never
+    a column, so the pivot columns and the pivot rows are disjoint.  Only
+    the faces of one dimension and the pairs of the one above are kept at
+    a time.
     """
     validate_characteristic(char)
     label_id = cx._label_id
-    degrees = [sum(exps) for exps in cx._labels]
+    degrees = cx._degrees
     entries = {(0, 0): 1}
-    cleared = set()  # pivot rows one dimension up, all d-faces
+    above = {}  # the pairs one dimension up, keyed by their pivot rows: d-faces
     build = partial(_boundary_column, cx)
     for d in range(cx.dim, -1, -1):
-        faces = cx._masks[d]
-        rows = _pivot_rows([(*low, face) for face in faces if face not in cleared
-                            and (low := _lowest_removal(label_id, face))], build, char)
-        totals = {}
-        for masks, step in ((faces, 1), (rows, -1), (cleared, -1)):
-            for face in masks:
-                j = degrees[label_id[face]]
-                totals[j] = totals.get(j, 0) + step
-        for j, value in totals.items():
-            if value < 0:
-                raise InvariantError(f"negative Betti number beta[{d + 1}, {j}] = {value}")
-            if value:
-                entries[d + 1, j] = value
-        cleared = rows
+        faces = [face for face in cx._masks[d] if face not in above]
+        pairs = _pivot_rows([(*low, face) for face in faces
+                             if (low := _lowest_removal(label_id, face))], build, char)
+        paired = {key for key, _ in pairs.values()}
+        unpaired = Counter(degrees[label_id[face]] for face in faces if face not in paired)
+        for j, value in unpaired.items():
+            entries[d + 1, j] = value
+        above = pairs
     return BettiTable(dict(sorted(entries.items())), power=power, char=char)
 
 

@@ -28,9 +28,14 @@ def _mask_of(face):
     return mask
 
 
-def _vertices_of(mask):
-    """The sorted vertex tuple of a face mask."""
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+def _vertices_of(mask, first=0):
+    """The sorted indices of the set bits of a mask, numbering bit 0 as `first`.
+
+    One pass over the binary digits, lowest first: shifting the mask once
+    per bit would cost time quadratic in its length.  The trailing "b"
+    and "0" of the reversed "0b..." prefix are never "1".
+    """
+    return tuple(v for v, digit in enumerate(reversed(bin(mask)), first) if digit == "1")
 
 
 class LabelledComplex:
@@ -39,16 +44,16 @@ class LabelledComplex:
     vertices[k] is a (factorization tuple, monomial) pair.  A face is kept
     as the bitmask with bit k set for each vertex k: `_label_id` maps every
     face mask to the id of its label, the exponent vector of the lcm of its
-    vertex labels, `_labels` lists the distinct labels by id, and `_masks`
-    buckets the masks by dimension.  Two faces have the same label exactly
-    when they have the same id.
+    vertex labels, `_labels` lists the distinct labels by id, `_degrees`
+    their degrees, and `_masks` buckets the masks by dimension.  Two faces
+    have the same label exactly when they have the same id.
 
     At the API (`faces`, `faces_of_dim`, `degree_slices`, `label_exps`,
     `degree`) a face is a sorted tuple of vertex indices; these tuples are
     built from the masks when asked for and are not kept.
     """
 
-    __slots__ = ("vertices", "_label_id", "_labels", "_masks", "_slices")
+    __slots__ = ("vertices", "_label_id", "_labels", "_degrees", "_masks", "_slices")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
         self.vertices = tuple(vertices)
@@ -65,6 +70,7 @@ class LabelledComplex:
                     f"over the cap of {max_faces}")
         vertex_labels = [mono.exps for _, mono in self.vertices]
         labels = [(0,) * nvars]
+        degrees = [0]
         ids = {labels[0]: 0}  # label -> id
         join = {}  # (label id, vertex) -> id of the lcm of that label and the vertex's
         label_id = {0: 0}
@@ -87,6 +93,7 @@ class LabelledComplex:
                     lid = join[key] = ids.setdefault(exps, len(labels))
                     if lid == len(labels):
                         labels.append(exps)
+                        degrees.append(sum(exps))
                 label_id[sub] = lid
                 masks.setdefault(sub.bit_count() - 1, []).append(sub)
                 if len(label_id) > max_faces:
@@ -94,6 +101,7 @@ class LabelledComplex:
                         f"complex exceeds the cap of {max_faces} faces")
         self._label_id = label_id
         self._labels = labels
+        self._degrees = degrees
         self._masks = masks
         self._slices = {}
 
@@ -117,15 +125,14 @@ class LabelledComplex:
         return self._labels[self._label_id[_mask_of(face)]]
 
     def degree(self, face):
-        return sum(self.label_exps(face))
+        return self._degrees[self._label_id[_mask_of(face)]]
 
     def _degree_masks(self, d):
         """Face masks of dimension d grouped by degree, in increasing degree."""
         if d not in self._slices:
-            degrees = [sum(exps) for exps in self._labels]
             groups = {}
             for mask in self._masks.get(d, ()):
-                groups.setdefault(degrees[self._label_id[mask]], []).append(mask)
+                groups.setdefault(self._degrees[self._label_id[mask]], []).append(mask)
             self._slices[d] = dict(sorted(groups.items()))
         return self._slices[d]
 

@@ -19,10 +19,6 @@ class ResourceCapError(RuntimeError):
     """A complex or an edge-family walk would exceed its budget."""
 
 
-class InvariantError(RuntimeError):
-    """An internal consistency check failed: a defect, not bad input."""
-
-
 def format_count(count):
     """A count in decimal, or by a power of 2 when the decimal has more
     digits than Python will print (4300 by default)."""

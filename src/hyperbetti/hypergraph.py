@@ -9,19 +9,9 @@ from __future__ import annotations
 
 import json
 
+from .complexes import _vertices_of
 from .errors import ValidationError, check_budget
 from .monomials import Monomial, MonomialIdeal
-
-
-def _mask_vertices(mask):
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
 
 
 class Hypergraph:
@@ -54,13 +44,13 @@ class Hypergraph:
             for k in range(i + 1, len(masks)):
                 b = masks[k]
                 if a == b:
-                    raise ValidationError(f"duplicate edge {list(_mask_vertices(a))}")
+                    raise ValidationError(f"duplicate edge {list(_vertices_of(a, 1))}")
                 if a | b == b:
                     raise ValidationError(
-                        f"edge {list(_mask_vertices(a))} contained in {list(_mask_vertices(b))}")
+                        f"edge {list(_vertices_of(a, 1))} contained in {list(_vertices_of(b, 1))}")
                 if a | b == a:
                     raise ValidationError(
-                        f"edge {list(_mask_vertices(b))} contained in {list(_mask_vertices(a))}")
+                        f"edge {list(_vertices_of(b, 1))} contained in {list(_vertices_of(a, 1))}")
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -74,7 +64,7 @@ class Hypergraph:
         return len(self.edges)
 
     def edge_sets(self):
-        return tuple(_mask_vertices(mask) for mask in self.edges)
+        return tuple(_vertices_of(mask, 1) for mask in self.edges)
 
     def edge_size(self, k):
         return self.edges[k].bit_count()

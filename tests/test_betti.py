@@ -1,7 +1,9 @@
+import json
 import random
 from functools import partial
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from hyperbetti.betti import (BettiTable, bound_applicability, graded_betti,
                               validate_characteristic)
 from hyperbetti.complexes import (DEFAULT_MAX_FACES, LabelledComplex, faridi_complex,
                                   taylor_complex)
-from hyperbetti.errors import DomainError, InvariantError, ResourceCapError
+from hyperbetti.errors import DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.matchings import invariants
 from hyperbetti.monomials import Monomial, power_generators
@@ -230,14 +232,32 @@ class TestGradedBetti:
                                 dense[i, j] = value
                     assert graded_betti(cx, char=char).entries == dense
 
-    def test_negative_betti_number_is_an_error(self, monkeypatch, example39):
-        # a phantom pivot row, the empty face of degree 0, over-reports a rank
+    @pytest.mark.parametrize("char", [0, 3])
+    def test_pairing_invariants(self, monkeypatch, char):
+        # each pass pairs a pivot column with a pivot row of its own label one
+        # dimension down, never takes a column cleared by the pass above, and
+        # pairs as many faces as the dense boundary's rank
+        passes = []
         real = betti._pivot_rows
-        monkeypatch.setattr(betti, "_pivot_rows",
-                            lambda columns, build, char: real(columns, build, char) | {0})
-        cx = faridi_complex(edge_ideal(example39), 1)
-        with pytest.raises(InvariantError, match=r"beta\[\d+, \d+\] = -\d+"):
-            graded_betti(cx)
+        monkeypatch.setattr(betti, "_pivot_rows", lambda columns, build, char:
+                            passes.append(real(columns, build, char)) or passes[-1])
+        for name, h in builtin_corpus():
+            ideal = edge_ideal(h)
+            for t in (1, 2):
+                for cx in (faridi_complex(ideal, t),
+                           taylor_complex(power_generators(ideal, t))):
+                    passes.clear()
+                    graded_betti(cx, char=char)
+                    above = {}
+                    for d, pairs in zip(range(cx.dim, -1, -1), passes):
+                        for row, (key, _) in pairs.items():
+                            assert row.bit_count() == key.bit_count() - 1 == d, name
+                            assert cx._label_id[row] == cx._label_id[key], name
+                            assert key not in above, name
+                        assert len(pairs) == sum(
+                            integer_rank(reduced_boundary(cx, d + 1, j).entries, char)
+                            for j in cx.degree_slices(d)), name
+                        above = pairs
 
     @pytest.mark.parametrize("kind", ["faridi", "taylor"])
     def test_one_reduction_per_dimension(self, monkeypatch, example39, kind):
@@ -315,6 +335,25 @@ class TestBoundarySigns:
                                         cache=ComputeCache(max_faces=DEFAULT_MAX_FACES))
         assert report.witness == {"t": 2, "faces_taylor": 32768}
         assert report.hypothesis_satisfied and report.conclusion_holds
+
+
+class TestRecordedPools:
+    # the benchmark's query pools, read as recorded: 2400 tables over Q and
+    # GF(32003) at t = 2..4.  The builtin corpus stream does not see boundary
+    # signs; all-+1 signs change 90 of these tables
+    @pytest.mark.parametrize("pool", ["queries-char0.json", "queries-charp.json"])
+    def test_every_recorded_table(self, pool):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / pool
+        recorded = json.loads(path.read_text(encoding="utf-8"))
+        char, max_faces = recorded["char"], recorded["max_faces"]
+        for q in recorded["queries"]:
+            ideal = edge_ideal(Hypergraph(q["n"], q["edges"]))
+            if q["complex"] == "taylor":
+                cx = taylor_complex(power_generators(ideal, q["t"]), max_faces=max_faces)
+            else:
+                cx = faridi_complex(ideal, q["t"], max_faces=max_faces)
+            table = graded_betti(cx, char=char, power=q["t"])
+            assert [[i, j, b] for (i, j), b in table.items_sorted()] == q["table"], q
 
 
 class TestBettiTable:

@@ -187,6 +187,16 @@ class TestMatchingsCommand:
         assert code == 0
         assert "matching_number" in out and " 1" in out
 
+    def test_duplicate_long_edge_exits_quickly(self, capsys, tmp_path):
+        # the message lists the vertices of a 2^20-bit edge mask
+        n = 1 << 20
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"n": n, "edges": [[1, n], [n, 1]]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "matchings", str(wide))
+        assert code == 2 and out == "" and f"duplicate edge [1, {n}]" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_family_walk_over_budget(self, capsys, tmp_path):
         path40 = tmp_path / "path40.json"
         path40.write_text(json.dumps({"n": 41, "edges": [[k, k + 1] for k in range(1, 41)]}))
