@@ -8,15 +8,18 @@ label decides which boundary terms a face keeps, and its degree only
 grades the result.
 
 Inside a complex a face is the int bitmask of its vertex indices and its
-label is the small int id of an interned lcm exponent vector, so the
-Betti kernel in `betti` works on ints alone.  At the public API a face
-is a sorted tuple of vertex indices, built from its mask on each call.
+label is the small int id of an interned lcm label, so the Betti kernel
+in `betti` works on ints alone.  A label is interned as a unary code:
+exponent e is e ones in a fixed-width field per variable, so the lcm of
+two labels is the OR of their codes and a degree is a bit count.  At the
+public API a face is a sorted tuple of vertex indices, built from its
+mask on each call.
 """
 
 from __future__ import annotations
 
 from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCapError,
-                     format_count)
+                     check_budget, format_count)
 from .monomials import power_generators
 
 
@@ -43,17 +46,28 @@ class LabelledComplex:
 
     vertices[k] is a (factorization tuple, monomial) pair.  A face is kept
     as the bitmask with bit k set for each vertex k: `_label_id` maps every
-    face mask to the id of its label, the exponent vector of the lcm of its
-    vertex labels, `_labels` lists the distinct labels by id, `_degrees`
-    their degrees, and `_masks` buckets the masks by dimension.  Two faces
-    have the same label exactly when they have the same id.
+    face mask to the id of its label, the lcm of its vertex labels, and
+    `_masks` buckets the masks by dimension.  `_codes` lists the distinct
+    labels by id as unary codes, `_width` bits per variable (the largest
+    vertex exponent, at least 1), and `_degrees` their bit counts.  Two
+    faces have the same label exactly when they have the same id.  Faces
+    keep ids, not codes: a code has n * `_width` bits, and faces outnumber
+    labels by far.  A code over 2^20 64-bit words is refused before any
+    is built.
+
+    Each facet is built by doubling over its vertices, lowest first: the
+    faces with the new vertex are the faces so far with its bit set, and
+    their ids come from a per-vertex memo {label id: id of the join}, so
+    an OR and an interning happen once per new (label, vertex) pair, not
+    per face.  Each dimension's masks come out in increasing order within
+    a facet, and in facet order across facets.
 
     At the API (`faces`, `faces_of_dim`, `degree_slices`, `label_exps`,
     `degree`) a face is a sorted tuple of vertex indices; these tuples are
     built from the masks when asked for and are not kept.
     """
 
-    __slots__ = ("vertices", "_label_id", "_labels", "_degrees", "_masks", "_slices")
+    __slots__ = ("vertices", "_label_id", "_codes", "_width", "_degrees", "_masks", "_slices")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
         self.vertices = tuple(vertices)
@@ -68,41 +82,51 @@ class LabelledComplex:
                 raise ResourceCapError(
                     f"facet with {size} vertices yields {format_count(1 << size)} faces, "
                     f"over the cap of {max_faces}")
+        # a code holds variable i in bits i * width .. (i + 1) * width - 1,
+        # exponent e as e ones; its binary digits are joined from one field
+        # string per exponent that occurs
         vertex_labels = [mono.exps for _, mono in self.vertices]
-        labels = [(0,) * nvars]
-        degrees = [0]
-        ids = {labels[0]: 0}  # label -> id
-        join = {}  # (label id, vertex) -> id of the lcm of that label and the vertex's
-        label_id = {0: 0}
-        masks = {-1: [0]}
+        exponents = set().union(*vertex_labels)
+        width = max(exponents | {1})
+        # at most as many words as an exponent tuple at the edge ideal's cap
+        check_budget(-(-nvars * width // 64), "64-bit words per label code")
+        fields = {e: "0" * (width - e) + "1" * e for e in exponents}
+        vertex_codes = [int("0" + "".join(map(fields.__getitem__, reversed(exps))), 2)
+                        for exps in vertex_labels]
+        codes = [0]
+        ids = {0: 0}  # label code -> id
+        joins = [{} for _ in vertex_codes]  # per vertex: label id -> id of the joined label
+        by_size = [{0: 0}]  # by_size[k]: {mask: label id} of the faces with k vertices
         for facet in canonical:
-            sub = 0
-            while True:
-                # submasks in increasing order: the mask without its lowest
-                # bit is a smaller submask, so it is already labelled
-                sub = (sub - facet) & facet
-                if not sub:
-                    break
-                if sub in label_id:
-                    continue
-                low = sub & -sub
-                key = (label_id[sub ^ low], low.bit_length() - 1)
-                lid = join.get(key)
-                if lid is None:
-                    exps = tuple(map(max, labels[key[0]], vertex_labels[key[1]]))
-                    lid = join[key] = ids.setdefault(exps, len(labels))
-                    if lid == len(labels):
-                        labels.append(exps)
-                        degrees.append(sum(exps))
-                label_id[sub] = lid
-                masks.setdefault(sub.bit_count() - 1, []).append(sub)
-                if len(label_id) > max_faces:
-                    raise ResourceCapError(
-                        f"complex exceeds the cap of {max_faces} faces")
-        self._label_id = label_id
-        self._labels = labels
-        self._degrees = degrees
-        self._masks = masks
+            # layers[k] holds this facet's k-vertex faces over the vertices so far,
+            # masks in increasing order; a new vertex is above all of them
+            layers = [([0], [0])]
+            seen = {0}  # label ids the layers hold
+            for v in _vertices_of(facet):
+                bit, code, step = 1 << v, vertex_codes[v], joins[v]
+                for lid in seen.difference(step):
+                    joined = codes[lid] | code
+                    new = step[lid] = ids.setdefault(joined, len(codes))
+                    if new == len(codes):
+                        codes.append(joined)
+                seen.update([step[lid] for lid in seen])
+                layers.append(([], []))
+                for k in range(len(layers) - 1, 0, -1):
+                    masks, lids = layers[k - 1]
+                    layers[k][0].extend(map(bit.__or__, masks))
+                    layers[k][1].extend(map(step.__getitem__, lids))
+            by_size += [{} for _ in range(len(layers) - len(by_size))]
+            for faces, (masks, lids) in zip(by_size, layers):
+                faces.update(zip(masks, lids))
+            if sum(map(len, by_size)) > max_faces:
+                raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+        self._label_id = {}
+        for faces in by_size:
+            self._label_id.update(faces)
+        self._codes = codes
+        self._width = width
+        self._degrees = list(map(int.bit_count, codes))
+        self._masks = {k - 1: list(faces) for k, faces in enumerate(by_size)}
         self._slices = {}
 
     @property
@@ -122,7 +146,11 @@ class LabelledComplex:
         return tuple(sorted(map(_vertices_of, self._masks.get(d, ()))))
 
     def label_exps(self, face):
-        return self._labels[self._label_id[_mask_of(face)]]
+        code = self._codes[self._label_id[_mask_of(face)]]
+        nvars = len(self.vertices[0][1].exps) if self.vertices else 0
+        w = self._width
+        digits = format(code | 1 << nvars * w, "b")  # the leading 1 keeps zero fields
+        return tuple(digits.count("1", i - w, i) for i in range(len(digits), 1, -w))
 
     def degree(self, face):
         return self._degrees[self._label_id[_mask_of(face)]]

@@ -14,6 +14,14 @@ from .errors import ValidationError, check_budget
 from .monomials import Monomial, MonomialIdeal
 
 
+def _edges_by_lowest_vertex(masks):
+    """{vertex v: indices of the edge masks whose lowest vertex is v}, vertex 1 at bit 0."""
+    starting = {}
+    for k, mask in enumerate(masks):
+        starting.setdefault((mask & -mask).bit_length(), []).append(k)
+    return starting
+
+
 class Hypergraph:
     """A simple hypergraph: edges are incomparable vertex sets of size >= 2."""
 
@@ -25,6 +33,7 @@ class Hypergraph:
         if type(n) is not int or n < 0:
             raise ValidationError(f"vertex count must be a nonnegative integer, got {n!r}")
         masks = []
+        edge_vertices = []
         for edge in edges:
             vertices = list(edge)
             mask = 0
@@ -40,17 +49,23 @@ class Hypergraph:
             if mask.bit_count() < 2:
                 raise ValidationError(f"edge {sorted(vertices)} has fewer than two vertices")
             masks.append(mask)
-        for i, a in enumerate(masks):
-            for k in range(i + 1, len(masks)):
-                b = masks[k]
-                if a == b:
-                    raise ValidationError(f"duplicate edge {list(_vertices_of(a, 1))}")
-                if a | b == b:
-                    raise ValidationError(
-                        f"edge {list(_vertices_of(a, 1))} contained in {list(_vertices_of(b, 1))}")
-                if a | b == a:
-                    raise ValidationError(
-                        f"edge {list(_vertices_of(b, 1))} contained in {list(_vertices_of(a, 1))}")
+            edge_vertices.append(vertices)
+        # an edge inside another has its lowest vertex there, so each edge is
+        # tested only against the edges that start at one of its vertices;
+        # the first offending pair (i, k), i < k, is the one reported
+        starting = _edges_by_lowest_vertex(masks)
+        first = min(((min(i, k), max(i, k)) for k, vertices in enumerate(edge_vertices)
+                     for v in vertices for i in starting.get(v, ())
+                     if i != k and masks[i] | masks[k] == masks[k]), default=None)
+        if first is not None:
+            a, b = masks[first[0]], masks[first[1]]
+            if a == b:
+                raise ValidationError(f"duplicate edge {list(_vertices_of(a, 1))}")
+            if a | b == b:
+                raise ValidationError(
+                    f"edge {list(_vertices_of(a, 1))} contained in {list(_vertices_of(b, 1))}")
+            raise ValidationError(
+                f"edge {list(_vertices_of(b, 1))} contained in {list(_vertices_of(a, 1))}")
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:

@@ -3,7 +3,8 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from hyperbetti.errors import DimensionError, DomainError
+from hyperbetti.errors import DimensionError, DomainError, ResourceCapError, format_count
+from hyperbetti.matchings import FamilyClassification
 from hyperbetti.monomials import Monomial, MonomialIdeal
 
 
@@ -235,3 +236,93 @@ def max_vector(matrix, columns):
         if not 0 <= c < matrix.cols:
             raise DomainError(f"column {c} out of range 0..{matrix.cols - 1}")
     return tuple(max(row[c] for c in cols) for row in matrix.entries)
+
+
+def labelled_complex_oracle(vertices, facets, max_faces):
+    """The faces of a LabelledComplex by a per-face submask walk over exponent tuples.
+
+    Returns (label_id, labels, degrees, masks): {face mask: label id}, the
+    lcm exponent tuples by id, their sums, and {dimension: masks in build
+    order}.  Each facet's submasks are walked
+    in increasing order; a new one gets the join of its label without the
+    lowest vertex with that vertex's label, memoized by (label id, vertex).
+    Raises ResourceCapError with the library's messages.
+    """
+    vertex_labels = [mono.exps for _, mono in vertices]
+    canonical = []
+    for facet in facets:
+        mask = sum(1 << v for v in set(facet))
+        if mask and mask not in canonical:
+            canonical.append(mask)
+    for size in map(int.bit_count, canonical):
+        if size >= max_faces.bit_length():
+            raise ResourceCapError(
+                f"facet with {size} vertices yields {format_count(1 << size)} faces, "
+                f"over the cap of {max_faces}")
+    labels = [(0,) * (len(vertex_labels[0]) if vertex_labels else 0)]
+    degrees = [0]
+    ids = {labels[0]: 0}
+    join = {}
+    label_id = {0: 0}
+    masks = {-1: [0]}
+    for facet in canonical:
+        sub = 0
+        while True:
+            sub = (sub - facet) & facet
+            if not sub:
+                break
+            if sub in label_id:
+                continue
+            low = sub & -sub
+            key = (label_id[sub ^ low], low.bit_length() - 1)
+            if key not in join:
+                exps = tuple(map(max, labels[key[0]], vertex_labels[key[1]]))
+                if exps not in ids:
+                    ids[exps] = len(labels)
+                    labels.append(exps)
+                    degrees.append(sum(exps))
+                join[key] = ids[exps]
+            label_id[sub] = join[key]
+            masks.setdefault(sub.bit_count() - 1, []).append(sub)
+            if len(label_id) > max_faces:
+                raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+    return label_id, labels, degrees, masks
+
+
+def classify_oracle(hypergraph, idx):
+    """The flags of the edge family idx, testing every outside edge against its union."""
+    def union_of(masks):
+        union = 0
+        for mask in masks:
+            union |= mask
+        return union
+
+    masks = [hypergraph.edges[k] for k in idx]
+    union = union_of(masks)
+    is_matching = sum(mask.bit_count() for mask in masks) == union.bit_count()
+    is_self = all(mask & ~union_of(masks[:k] + masks[k + 1:]) for k, mask in enumerate(masks))
+    is_semi = all(hypergraph.edges[k] & ~union
+                  for k in range(hypergraph.num_edges) if k not in idx)
+    return FamilyClassification(
+        is_matching=is_matching,
+        is_self_matching=is_self,
+        is_semi_induced=is_semi,
+        is_self_semi_induced=is_self and is_semi,
+        is_induced=is_matching and is_semi,
+        family_type=(len(idx), union.bit_count()),
+    )
+
+
+def edge_conflict_oracle(edges):
+    """The constructor's message for the first pair i < k of equal or nested
+    edges (vertex lists), by testing every pair; None when there is none."""
+    sets = [frozenset(e) for e in edges]
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            if a == b:
+                return f"duplicate edge {sorted(a)}"
+            if a < b:
+                return f"edge {sorted(a)} contained in {sorted(b)}"
+            if b < a:
+                return f"edge {sorted(b)} contained in {sorted(a)}"
+    return None

@@ -172,6 +172,20 @@ class TestBettiCommand:
         assert "100000000 exponent entries for the edge ideal" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_cube_on_wide_edges_answers(self, capsys, tmp_path):
+        # 4 disjoint edges of 2^14 vertices: every label of the cube's support
+        # complex has 2^16 variables, interned once as a code, not per face.
+        # A complete intersection of 4 forms of degree k has
+        # reg(R/I^3) = 3k + 3(k - 1) - 1
+        k = 1 << 14
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"n": 4 * k, "edges": [list(range(e * k + 1, (e + 1) * k + 1))
+                                                          for e in range(4)]}))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "betti", "-t", "3", "--json", str(wide))
+        assert code == 0 and json.loads(out)["reg"] == 3 * k + 3 * (k - 1) - 1
+        assert time.perf_counter() - start < 4.0
+
 
 class TestMatchingsCommand:
     def test_example39(self, capsys, data_dir):
@@ -197,6 +211,18 @@ class TestMatchingsCommand:
         assert code == 2 and out == "" and f"duplicate edge [1, {n}]" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_many_disjoint_edges_answer(self, capsys, tmp_path):
+        # one family per edge: each is tested against the edges starting in
+        # its union, not against all 8000
+        m = 8000
+        disjoint = tmp_path / "disjoint.json"
+        disjoint.write_text(json.dumps({"n": 2 * m,
+                                        "edges": [[2 * k + 1, 2 * k + 2] for k in range(m)]}))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "matchings", "--json", "--size-cap", "1", str(disjoint))
+        assert code == 0 and json.loads(out)["induced_matching_number"] == 1
+        assert time.perf_counter() - start < 5.0
+
     def test_family_walk_over_budget(self, capsys, tmp_path):
         path40 = tmp_path / "path40.json"
         path40.write_text(json.dumps({"n": 41, "edges": [[k, k + 1] for k in range(1, 41)]}))
@@ -213,9 +239,9 @@ class TestMatchingsCommand:
         calls = []
         classify_indices = matchings._classify_indices
 
-        def counted(hypergraph, idx):
+        def counted(hypergraph, idx, starting):
             calls.append(idx)
-            return classify_indices(hypergraph, idx)
+            return classify_indices(hypergraph, idx, starting)
 
         monkeypatch.setattr(matchings, "_classify_indices", counted)
         code, out, _ = run_cli(capsys, "matchings", "--list", "matching", "--size-cap", "3",

@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
 from hyperbetti.errors import ResourceCapError, ValidationError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.monomials import Monomial
+
+from helpers import edge_conflict_oracle
 
 
 class TestValidation:
@@ -17,6 +20,25 @@ class TestValidation:
             Hypergraph(3, [[1, 2], [1, 2, 3]])
         with pytest.raises(ValidationError, match="contained"):
             Hypergraph(3, [[1, 2, 3], [1, 2]])
+
+    def test_first_offending_pair_is_reported(self):
+        # edges 0 and 3 are duplicates, but the pair (0, 2) comes first
+        with pytest.raises(ValidationError, match=r"^edge \[2, 3\] contained in \[1, 2, 3\]$"):
+            Hypergraph(5, [[1, 2, 3], [4, 5], [2, 3], [3, 2, 1]])
+
+    def test_nested_edges_found_as_by_every_pair(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            edges = [rng.sample(range(1, n + 1), rng.randint(2, n))
+                     for _ in range(rng.randint(1, 6))]
+            expected = edge_conflict_oracle(edges)
+            if expected is None:
+                assert Hypergraph(n, edges).edge_sets() == tuple(tuple(sorted(e)) for e in edges)
+            else:
+                with pytest.raises(ValidationError) as caught:
+                    Hypergraph(n, edges)
+                assert str(caught.value) == expected
 
     def test_small_edge_rejected(self):
         with pytest.raises(ValidationError, match="fewer than two"):

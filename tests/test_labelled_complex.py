@@ -1,10 +1,12 @@
 """LabelledComplex keeps faces as vertex bitmasks with interned label ids;
-these tests pin its public tuple view, its equality and its face cap, and
-check that the Betti kernel never asks for tuple faces."""
+these tests pin its build against a per-face oracle, its public tuple view,
+its equality and its face cap, and check that the Betti kernel never asks
+for tuple faces."""
 
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperbetti import betti, complexes
 from hyperbetti.betti import graded_betti
@@ -12,7 +14,9 @@ from hyperbetti.complexes import (LabelledComplex, _support_facets, faridi_compl
                                   taylor_complex)
 from hyperbetti.errors import ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
-from hyperbetti.monomials import power_generators
+from hyperbetti.monomials import Monomial, power_generators
+
+from helpers import labelled_complex_oracle
 
 
 def support_inputs(hypergraph, t):
@@ -32,6 +36,45 @@ def closure(facets):
     return {d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())}
 
 
+@st.composite
+def labelled_inputs(draw):
+    """Vertex labels with exponents 0..5 in up to 70 variables, facets with
+    repeated vertices, repeated and empty facets, and a face cap."""
+    nvars = draw(st.integers(1, 70))
+    labels = draw(st.lists(st.lists(st.integers(0, 5), min_size=nvars, max_size=nvars),
+                           max_size=7))
+    vertices = [((k,), Monomial(exps)) for k, exps in enumerate(labels)]
+    facet = st.lists(st.integers(0, len(vertices) - 1), max_size=9) if vertices else st.just([])
+    facets = draw(st.lists(facet, max_size=5).flatmap(
+        lambda fs: st.permutations(fs + fs[:1])))
+    return vertices, facets, draw(st.integers(1, 200))
+
+
+class TestBuildMatchesTheSubmaskWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_inputs())
+    def test_masks_labels_degrees_and_cap(self, inputs):
+        vertices, facets, max_faces = inputs
+        try:
+            expected = labelled_complex_oracle(vertices, facets, max_faces)
+        except ResourceCapError as exc:
+            with pytest.raises(ResourceCapError) as caught:
+                LabelledComplex(vertices, facets, max_faces)
+            assert str(caught.value) == str(exc)
+            return
+        label_id, labels, degrees, masks = expected
+        cx = LabelledComplex(vertices, facets, max_faces)
+        assert cx._masks == masks
+        assert cx._label_id.keys() == label_id.keys()
+        # the same partition of the faces by label: ids correspond one to one
+        pairs = {(cx._label_id[mask], lid) for mask, lid in label_id.items()}
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+        for mask, lid in label_id.items():
+            face = complexes._vertices_of(mask)
+            assert cx.label_exps(face) == labels[lid]
+            assert cx.degree(face) == degrees[lid]
+
+
 class TestFaceCap:
     def test_exact_cap_on_a_support_complex(self, four_cycle):
         # five facets of at most 5 vertices and 56 faces with the empty one, so
@@ -43,6 +86,21 @@ class TestFaceCap:
         with pytest.raises(ResourceCapError) as caught:
             LabelledComplex(gens, facets, max_faces=55)
         assert str(caught.value) == "complex exceeds the cap of 55 faces"
+
+
+    def test_label_codes_within_the_budget(self):
+        # three variables at exponent e take 3e bits; past 2^26 bits (2^20
+        # words) the build is refused before any code is made
+        def square(e):
+            return LabelledComplex([((0,), Monomial((e, e, 0))), ((1,), Monomial((0, e, e)))],
+                                   [(0, 1)])
+
+        e = (1 << 26) // 3  # 3e bits round up to 2^20 words
+        assert square(1000).label_exps((0, 1)) == (1000, 1000, 1000)
+        with pytest.raises(ResourceCapError) as caught:
+            square(e + 1)
+        assert str(caught.value) == ("1048577 64-bit words per label code, "
+                                     "over the cap of 1048576")
 
 
 class TestTupleView:

@@ -7,6 +7,8 @@ from hyperbetti.hypergraph import Hypergraph
 from hyperbetti.matchings import count_families, families, invariants
 from hyperbetti.verify import random_hypergraph
 
+from helpers import classify_oracle
+
 
 def classify(hypergraph, idx):
     """The classification of the family `idx` as the family walk yields it."""
@@ -130,6 +132,22 @@ class TestProperties:
                 assert cls.is_self_semi_induced == (cls.is_self_matching and cls.is_semi_induced)
                 if cls.is_matching:
                     assert cls.is_self_matching
+
+    def test_flags_match_the_full_scan(self):
+        # mixed edge sizes, so a family's union can hold a smaller outside edge
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(3, 9)
+            edges = []
+            for _ in range(rng.randint(1, 7)):
+                edge = set(rng.sample(range(1, n + 1), rng.randint(2, min(4, n))))
+                if not any(edge <= e or e <= edge for e in edges):
+                    edges.append(edge)
+            h = Hypergraph(n, edges)
+            walked = dict(families(h))
+            assert len(walked) == 2 ** h.num_edges - 1
+            for idx, cls in walked.items():
+                assert cls == classify_oracle(h, idx), (edges, idx)
 
     def test_invariants_consistent_with_counts(self, example39):
         inv = invariants(example39)

@@ -207,9 +207,9 @@ class TestHarness:
         classified = []
         classify_indices = matchings._classify_indices
 
-        def counted(hypergraph, idx):
+        def counted(hypergraph, idx, starting):
             classified.append(idx)
-            return classify_indices(hypergraph, idx)
+            return classify_indices(hypergraph, idx, starting)
 
         monkeypatch.setattr(matchings, "_classify_indices", counted)
         # each nonempty edge subset is classified once per instance
