@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from .betti import graded_betti, validate_characteristic
-from .complexes import DEFAULT_MAX_FACES, faridi_complex, taylor_complex
+from .complexes import DEFAULT_MAX_FACES, faridi_complex, lyubeznik_complex, taylor_complex
 from .errors import DimensionError, DomainError, ResourceCapError, ValidationError
 from .hypergraph import Hypergraph, edge_ideal
 from .matchings import KINDS, families, invariants_of
@@ -23,16 +23,18 @@ from .verify import CORPUS_MAX_FACES, builtin_corpus, random_entries, run_corpus
 def _add_common(parser):
     parser.add_argument("-t", "--power", type=int, default=1,
                         help="power of the edge ideal (default 1)")
-    parser.add_argument("--complex", dest="complex_kind", choices=("taylor", "faridi"),
+    parser.add_argument("--complex", dest="complex_kind",
+                        choices=("taylor", "faridi", "lyubeznik"),
                         default="faridi", help="supporting complex (default faridi)")
     parser.add_argument("--max-faces", type=int, default=DEFAULT_MAX_FACES,
                         help=f"face budget for built complexes (default {DEFAULT_MAX_FACES})")
 
 
 def _build_complex(args, ideal):
-    if args.complex_kind == "taylor":
-        return taylor_complex(power_generators(ideal, args.power), max_faces=args.max_faces)
-    return faridi_complex(ideal, args.power, max_faces=args.max_faces)
+    if args.complex_kind == "faridi":
+        return faridi_complex(ideal, args.power, max_faces=args.max_faces)
+    build = taylor_complex if args.complex_kind == "taylor" else lyubeznik_complex
+    return build(power_generators(ideal, args.power), max_faces=args.max_faces)
 
 
 def _load(args):

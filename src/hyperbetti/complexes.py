@@ -1,9 +1,10 @@
 """Labelled simplicial complexes that support resolutions of ideal powers.
 
-Two constructions: the full simplex on the minimal generators of I^t
-(Taylor), and a much smaller support complex whose facets either
-concentrate the power on one generator or spread it in a balanced way
-(`faridi` on the command line).  Faces carry lcm labels: downstream, a
+Three constructions: the full simplex on the minimal generators of I^t
+(Taylor), Lyubeznik's subcomplex of it, and a much smaller support
+complex whose facets either concentrate the power on one generator or
+spread it in a balanced way (`faridi` on the command line).  Faces carry
+lcm labels: downstream, a
 label decides which boundary terms a face keeps, and its degree only
 grades the result.
 
@@ -41,6 +42,29 @@ def _vertices_of(mask, first=0):
     return tuple(v for v, digit in enumerate(reversed(bin(mask)), first) if digit == "1")
 
 
+def _unary_codes(vertices):
+    """(width, codes): the vertex labels as unary codes of `width` bits per variable.
+
+    A code holds variable i in bits i * width .. (i + 1) * width - 1,
+    exponent e as e ones; width is the largest vertex exponent, at least
+    1.  Its binary digits are joined from one field string per exponent
+    that occurs.  A code over 2^20 64-bit words is refused before any is
+    built.
+    """
+    nvars = len(vertices[0][1].exps) if vertices else 0
+    for _, mono in vertices:
+        if len(mono.exps) != nvars:
+            raise DimensionError("vertex labels in different rings")
+    vertex_labels = [mono.exps for _, mono in vertices]
+    exponents = set().union(*vertex_labels)
+    width = max(exponents | {1})
+    # at most as many words as an exponent tuple at the edge ideal's cap
+    check_budget(-(-nvars * width // 64), "64-bit words per label code")
+    fields = {e: "0" * (width - e) + "1" * e for e in exponents}
+    return width, [int("0" + "".join(map(fields.__getitem__, reversed(exps))), 2)
+                   for exps in vertex_labels]
+
+
 class LabelledComplex:
     """Simplicial complex on labelled vertices, closed under subsets.
 
@@ -70,11 +94,7 @@ class LabelledComplex:
     __slots__ = ("vertices", "_label_id", "_codes", "_width", "_degrees", "_masks", "_slices")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
-        self.vertices = tuple(vertices)
-        nvars = len(self.vertices[0][1].exps) if self.vertices else 0
-        for _, mono in self.vertices:
-            if len(mono.exps) != nvars:
-                raise DimensionError("vertex labels in different rings")
+        vertices = tuple(vertices)
         # empty and repeated facets are dropped, first occurrence order kept
         canonical = [f for f in dict.fromkeys(map(_mask_of, facets)) if f]
         for size in map(int.bit_count, canonical):
@@ -82,17 +102,7 @@ class LabelledComplex:
                 raise ResourceCapError(
                     f"facet with {size} vertices yields {format_count(1 << size)} faces, "
                     f"over the cap of {max_faces}")
-        # a code holds variable i in bits i * width .. (i + 1) * width - 1,
-        # exponent e as e ones; its binary digits are joined from one field
-        # string per exponent that occurs
-        vertex_labels = [mono.exps for _, mono in self.vertices]
-        exponents = set().union(*vertex_labels)
-        width = max(exponents | {1})
-        # at most as many words as an exponent tuple at the edge ideal's cap
-        check_budget(-(-nvars * width // 64), "64-bit words per label code")
-        fields = {e: "0" * (width - e) + "1" * e for e in exponents}
-        vertex_codes = [int("0" + "".join(map(fields.__getitem__, reversed(exps))), 2)
-                        for exps in vertex_labels]
+        width, vertex_codes = _unary_codes(vertices)
         codes = [0]
         ids = {0: 0}  # label code -> id
         joins = [{} for _ in vertex_codes]  # per vertex: label id -> id of the joined label
@@ -120,6 +130,12 @@ class LabelledComplex:
                 faces.update(zip(masks, lids))
             if sum(map(len, by_size)) > max_faces:
                 raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+        self._store(vertices, width, codes, by_size)
+
+    def _store(self, vertices, width, codes, by_size):
+        """Keep the faces of by_size[k], {mask: label id} for k vertices,
+        with the label codes by id, `width` bits per variable."""
+        self.vertices = vertices
         self._label_id = {}
         for faces in by_size:
             self._label_id.update(faces)
@@ -186,12 +202,74 @@ def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
         raise DomainError("no generators")
     if len({mono for _, mono in gens}) != len(gens):
         raise DomainError("generators must be distinct")
-    m = len(gens)
+    check_simplex_cap(len(gens), max_faces)
+    return LabelledComplex(gens, [tuple(range(len(gens)))], max_faces)
+
+
+def check_simplex_cap(m, max_faces):
+    """Refuse a simplex on m vertices whose 2^m faces are over max_faces."""
     if m >= max_faces.bit_length():
         raise ResourceCapError(
             f"simplex on {m} vertices has {format_count(1 << m)} faces, "
             f"over the cap of {max_faces}")
-    return LabelledComplex(gens, [tuple(range(m))], max_faces)
+
+
+def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
+    """Lyubeznik's subcomplex of the simplex on the given (tuple, monomial)
+    generator pairs, in the order given.
+
+    A set {i_1 < ... < i_k} is admissible when, for every s, no generator
+    g_q with q < i_s divides lcm(g_{i_s}, ..., g_{i_k}).  With lcm labels
+    the admissible sets support a free resolution of the ideal for any
+    order of the generators (Lyubeznik 1988), so their table is the
+    simplex's.  They are enumerated by front extension, one size at a
+    time: {i} | F with i < min F is admissible exactly when F is and no
+    g_q with q < i divides its lcm.  Each label keeps the index of the
+    first generator that divides it, found once when the label is
+    interned, so the front test is that index being i.
+
+    The front-extension tests of each size, min F for every face F one
+    size down, are counted against the fixed budget before they run, and
+    the face cap is tested as each face is added.
+    """
+    vertices = tuple(gens)
+    width, vertex_codes = _unary_codes(vertices)
+    r = len(vertices)
+
+    def first_divisor(code):
+        return next((q for q, c in enumerate(vertex_codes) if c | code == code), r)
+
+    codes = [0]
+    ids = {0: 0}  # label code -> id
+    first = [first_divisor(0)]  # label id -> index of the first generator dividing it
+    joins = [{} for _ in vertex_codes]  # per generator: label id -> id of the joined label
+    by_size = [{0: 0}]  # by_size[k]: {mask: label id} of the faces with k vertices
+    faces, tests = 1, 0
+    while by_size[-1]:
+        fronts = [(mask, lid, (mask & -mask).bit_length() - 1 if mask else r)
+                  for mask, lid in by_size[-1].items()]
+        tests += sum(low for _, _, low in fronts)
+        check_budget(tests, f"front-extension tests on {r} generators")
+        larger = {}
+        for mask, lid, low in fronts:
+            for i in range(low):
+                step = joins[i]
+                new = step.get(lid)
+                if new is None:
+                    joined = codes[lid] | vertex_codes[i]
+                    new = step[lid] = ids.setdefault(joined, len(codes))
+                    if new == len(codes):
+                        codes.append(joined)
+                        first.append(first_divisor(joined))
+                if first[new] == i:
+                    larger[mask | 1 << i] = new
+                    faces += 1
+                    if faces > max_faces:
+                        raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+        by_size.append(larger)
+    cx = object.__new__(LabelledComplex)
+    cx._store(vertices, width, codes, by_size[:-1])
+    return cx
 
 
 def _support_facets(tuples, t):

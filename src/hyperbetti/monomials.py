@@ -90,7 +90,7 @@ def minimal_generators(monomials):
 class MonomialIdeal:
     """A monomial ideal presented by its minimal generating set."""
 
-    __slots__ = ("n", "generators")
+    __slots__ = ("n", "generators", "_hash")
 
     def __init__(self, n, generators):
         gens = tuple(generators)
@@ -105,6 +105,7 @@ class MonomialIdeal:
                 raise DomainError(f"generating set not minimal: {g} is redundant")
         self.n = n
         self.generators = gens
+        self._hash = None  # computed on first use: every cache lookup hashes the ideal
 
     def truncate(self, k):
         """The subideal generated by the first k generators."""
@@ -117,7 +118,9 @@ class MonomialIdeal:
                 and self.n == other.n and self.generators == other.generators)
 
     def __hash__(self):
-        return hash((self.n, self.generators))
+        if self._hash is None:
+            self._hash = hash((self.n, self.generators))
+        return self._hash
 
     def __repr__(self):
         return f"MonomialIdeal(n={self.n}, generators={list(map(str, self.generators))})"

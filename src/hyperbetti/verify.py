@@ -18,7 +18,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .betti import bound_applicability, graded_betti, survivor_face_sets
-from .complexes import faridi_complex, taylor_complex
+from .complexes import check_simplex_cap, faridi_complex, lyubeznik_complex, taylor_complex
 from .errors import DomainError, ResourceCapError
 from .hypergraph import Hypergraph, edge_ideal
 from .matchings import families, invariants_of
@@ -59,7 +59,8 @@ def describe(hypergraph):
 
 class ComputeCache:
     """One memo of the edge ideal and family walk per hypergraph, of the
-    support complex and Betti table per (ideal, power), and of subideals.
+    support complex and Betti table per (ideal, power), and of subideals;
+    the generators of a power are read off its support complex.
     A build over a resource cap is kept as its message, and each lookup
     raises a fresh ResourceCapError with it: a kept exception would hold
     the traceback of its build and, through it, the cache.  Labels decide
@@ -72,14 +73,17 @@ class ComputeCache:
         self._capped = {}  # key -> message of the build's ResourceCapError
 
     def _get(self, key, build):
-        if key not in self._memo and key not in self._capped:
-            try:
-                self._memo[key] = build()
-            except ResourceCapError as e:
-                self._capped[key] = str(e)
-        if key in self._capped:
-            raise ResourceCapError(self._capped[key])
-        return self._memo[key]
+        value = self._memo.get(key)  # no memoized build is None
+        if value is None:
+            message = self._capped.get(key)
+            if message is None:
+                try:
+                    value = self._memo[key] = build()
+                except ResourceCapError as e:
+                    message = self._capped[key] = str(e)
+            if message is not None:
+                raise ResourceCapError(message)
+        return value
 
     def ideal_for(self, hypergraph):
         return self._get(("ideal", hypergraph), lambda: edge_ideal(hypergraph))
@@ -87,6 +91,12 @@ class ComputeCache:
     def complex_for(self, ideal, t):
         return self._get(("complex", ideal, t),
                          lambda: faridi_complex(ideal, t, max_faces=self.max_faces))
+
+    def generators_for(self, ideal, t):
+        """The minimal generators of the t-th power: the vertices of the
+        memoized support complex, walked afresh only when there is none."""
+        cx = self._memo.get(("complex", ideal, t))
+        return power_generators(ideal, t) if cx is None else cx.vertices
 
     def table_for(self, ideal, t):
         return self._get(("table", ideal, t), lambda: graded_betti(
@@ -233,7 +243,7 @@ def check_min_gens(hypergraph, ideal, cache, k):
     among the minimal generators of the k-th power."""
     if k < 1:
         raise DomainError(f"power must be >= 1, got {k}")
-    generators = {mono for _, mono in power_generators(ideal, k)}
+    generators = {mono for _, mono in cache.generators_for(ideal, k)}
     edge_monos = list(ideal.generators)
     holds = True
     checked = 0
@@ -308,12 +318,22 @@ def check_vanishing(hypergraph, ideal, cache, t, r, s):
 @_check("taylor_faridi_agreement", needs="edges")
 def check_taylor_agreement(hypergraph, ideal, cache, t):
     """The Betti tables supported on the full simplex and on the support
-    complex must coincide."""
+    complex must coincide.
+
+    The simplex's table is computed on Lyubeznik's subcomplex of it, in
+    the support complex's vertex order.  An acyclic matching on the
+    simplex collapses it onto that subcomplex and keeps every label
+    (Batzies-Welker 2002), so the two have the same label-keeping
+    homology, the simplex's table, over every field.  The simplex's own
+    cap still gates the check.
+    """
     table = cache.table_for(ideal, t)
-    simplex = taylor_complex(cache.complex_for(ideal, t).vertices, max_faces=cache.max_faces)
-    taylor_table = graded_betti(simplex, char=cache.char, power=t)
+    gens = cache.complex_for(ideal, t).vertices
+    check_simplex_cap(len(gens), cache.max_faces)
+    taylor_table = graded_betti(lyubeznik_complex(gens, cache.max_faces),
+                                char=cache.char, power=t)
     holds = taylor_table.entries == table.entries
-    witness = {"t": t, "faces_taylor": simplex.face_count}
+    witness = {"t": t, "faces_taylor": 1 << len(gens)}
     if not holds:
         witness["taylor"] = [[i, j, b] for (i, j), b in taylor_table.items_sorted()]
         witness["faridi"] = [[i, j, b] for (i, j), b in table.items_sorted()]

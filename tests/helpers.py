@@ -1,7 +1,7 @@
 """Independent oracles used by the tests, kept apart from the library code."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from hyperbetti.errors import DimensionError, DomainError, ResourceCapError, format_count
 from hyperbetti.matchings import FamilyClassification
@@ -107,6 +107,29 @@ def survivor_oracle(cx, i, j):
                for ext in flat):
             possible.add(face)
     return certain, possible
+
+
+def lyubeznik_oracle(monomials):
+    """The admissible sets of Lyubeznik's complex on the monomials, in their
+    order, as sorted index tuples, by testing the definition on every subset.
+
+    {i_1 < ... < i_k} is admissible when, for every s, no monomial with an
+    index q < i_s divides the lcm of i_s, ..., i_k.  Exponent vectors only;
+    at most 10 monomials, so at most 1024 subsets.
+    """
+    exps = [mono.exps for mono in monomials]
+    if len(exps) > 10:
+        raise DomainError(f"{len(exps)} monomials, more than the oracle's 10")
+
+    def admissible(face):
+        for s, i in enumerate(face):
+            lcm = tuple(map(max, zip(*(exps[k] for k in face[s:]))))
+            if any(all(a <= b for a, b in zip(exps[q], lcm)) for q in range(i)):
+                return False
+        return True
+
+    return {face for k in range(len(exps) + 1)
+            for face in combinations(range(len(exps)), k) if admissible(face)}
 
 
 def support_facets_oracle(tuples, t):

@@ -56,6 +56,13 @@ class TestBettiCommand:
                                str(data_dir / "four-cycle.json"))
         assert json.loads(ours) == json.loads(taylor)
 
+    @pytest.mark.parametrize("char", ["0", "2"])
+    def test_lyubeznik_matches_taylor(self, capsys, data_dir, char):
+        for path in sorted(data_dir.glob("*.json")):
+            outs = [run_cli(capsys, "betti", "--json", "-t", "2", "--char", char,
+                            "--complex", kind, str(path)) for kind in ("lyubeznik", "taylor")]
+            assert outs[0] == outs[1] and outs[0][0] == 0, path.name
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "betti", str(tmp_path / "absent.json"))
         assert code == 2 and "error:" in err

@@ -159,6 +159,16 @@ class TestMonomialIdeal:
         assert ideal.truncate(1).generators == (mono(1, 1, 0, 0),)
         assert ideal.truncate(2) == ideal
 
+    def test_hash_computed_once(self, monkeypatch):
+        # every ComputeCache lookup hashes its ideal; the generators are hashed
+        # on the first lookup only, and equal ideals hash alike
+        ideal = MonomialIdeal(4, [mono(1, 1, 0, 0), mono(0, 0, 1, 1)])
+        same = ideal.truncate(2)
+        calls = []
+        monkeypatch.setattr(Monomial, "__hash__", lambda m: calls.append(m) or hash(m.exps))
+        assert hash(ideal) == hash(ideal) == hash(same) == hash(same)
+        assert len(calls) == 4
+
 
 class TestPowerGenerators:
     def test_principal(self):

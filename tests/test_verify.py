@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+import hyperbetti.complexes as complexes
 import hyperbetti.matchings as matchings
 import hyperbetti.verify as verify
 from hyperbetti.betti import BettiTable
@@ -231,6 +232,26 @@ class TestHarness:
             built.clear()
             run_checks(h, t_max=3)
             assert built == [h]
+
+    def test_one_generator_walk_per_power(self, example39, path5, monkeypatch):
+        walked = []
+        power_generators = complexes.power_generators
+
+        def counted(ideal, t):
+            walked.append((ideal, t))
+            return power_generators(ideal, t)
+
+        monkeypatch.setattr(complexes, "power_generators", counted)
+        monkeypatch.setattr(verify, "power_generators", counted)
+        # check_min_gens reads the generators off the memoized support
+        # complex, so each (ideal, t) whose complex is built is walked once
+        for h in (example39, path5):
+            walked.clear()
+            cache = ComputeCache()
+            run_checks(h, t_max=3, cache=cache)
+            built = {(key[1], key[2]) for key in cache._memo if key[0] == "complex"}
+            counts = {key: walked.count(key) for key in walked}
+            assert built and all(counts[key] == 1 for key in built)
 
     def test_one_truncation_per_subideal(self, example39, path5, four_cycle, monkeypatch):
         kept = []
