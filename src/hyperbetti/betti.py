@@ -15,16 +15,17 @@ characteristic, and the rationals are never replaced by a modular
 shortcut.  Every step divides by the pivot entry, in one code path for
 both fields.
 
-A column enters the eliminator as its largest row key and the entry
-there, found by scanning the face's vertex removals only up to the
-first label-keeping one; the whole sparse column is built only when a
-reduction needs it (as Ripser does, Bauer 2021).  Most columns land on
-a fresh pivot row and are never built.
+Each dimension is one loop over its faces.  A face cleared by the pass
+above is skipped; the others scan their vertex removals up to the first
+label-keeping one, the column's largest row, and a fresh row is claimed
+with no entry carried along.  A column is built, and its pivot entry
+inverted, only when a reduction first needs it (as Ripser does, Bauer
+2021), and a face whose column is empty or reduces to zero is counted
+as unpaired on the spot.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
@@ -68,60 +69,48 @@ def validate_characteristic(char):
         raise DomainError(f"characteristic must be 0 or a prime, got {char}")
 
 
-def _pivot_rows(columns, build, char):
-    """The pairing of an exact elimination over Q (char 0) or GF(char).
+def _reduce(v, key, pivots, built, build, char):
+    """One column through the exact eliminator, over Q (char 0) or GF(char).
 
-    It maps each pivot row to (key, inverse): the key of the column that
-    pivots there and the inverse of that column's entry in the row.  Its
-    size is the rank of the matrix with the given columns.  Each nonzero
-    column arrives as (row, entry, key): row is its largest row key and
-    entry the integer there, nonzero (mod char), and build(key) returns
-    the whole column as a fresh dict from int row keys to such integers.
-    char must already be validated.
+    v is the column as a fresh dict from int row keys to integer entries,
+    nonzero (mod char), and key names it.  pivots maps each pivot row to
+    the key of the column that pivots there.  While v's largest row key r
+    is a pivot row, the pivot column at r times b/a is subtracted from v,
+    where b is v's entry at r and a the pivot's, so its largest key drops;
+    entries are reduced mod char as they are computed.  A v left nonzero
+    becomes the pivot at its largest key and True is returned; False means
+    it reduced to zero.  char must already be validated.
 
-    Lowest-row reduction: a column whose row is not yet a pivot row becomes
-    the pivot there as it is, and is not built until a later reduction
-    uses it.  Only a column whose row is already a pivot row is built;
-    while its largest row key r is a pivot row, the pivot column at r
-    times b/a is subtracted from it, where b is its entry at r and a the
-    pivot's, so its largest key drops.  A column left nonzero becomes the
-    pivot at its largest key.  Each pivot keeps the inverse of its entry
-    (itself for +-1, in every field; else pow mod char or an exact
-    Fraction), and entries are reduced mod char as they are computed.
-    The pairs are those of reducing every column built: a column whose
-    row is fresh becomes the pivot there unreduced either way, and over
-    GF(char) the inverse -1 of an entry -1 equals char - 1 once entries
-    are reduced mod char.
+    built maps a pivot row to its column and the inverse of its entry
+    there, from the first reduction that uses it: a pivot claimed
+    without its column is built then by build(key), and the inverse taken
+    from the built column (+-1 is its own inverse in every field, else
+    pow mod char or an exact Fraction).  A subtraction that leaves row r
+    in v can only come from a wrong inverse, and raises rather than loop.
     """
-    pivots = {}  # row -> (key, inverse of the pivot's entry in that row)
-    built = {}  # row -> pivot column, once built (a reduced pivot always is)
-    for r, a, key in columns:
-        if r in pivots:
-            v = build(key)
-            while v and (r := max(v)) in pivots:
-                k, inv = pivots[r]
-                col = built.get(r)
-                if col is None:
-                    col = built[r] = build(k)
-                b = v[r] * inv
-                for row, x in col.items():
-                    y = v.get(row, 0) - b * x
-                    if char:
-                        y %= char
-                    if y:
-                        v[row] = y
-                    else:
-                        v.pop(row, None)
-            if not v:
-                continue
-            a = v[r]
-            built[r] = v
-        if a == 1 or a == -1:
-            inv = a
-        else:
-            inv = pow(a, -1, char) if char else Fraction(1, a)
-        pivots[r] = (key, inv)
-    return pivots
+    while v:
+        r = max(v)
+        if r not in pivots:
+            pivots[r] = key
+            built[r] = v, None
+            return True
+        col, inv = built.get(r) or (build(pivots[r]), None)
+        if inv is None:
+            a = col[r]
+            inv = a if a == 1 or a == -1 else pow(a, -1, char) if char else Fraction(1, a)
+            built[r] = col, inv
+        b = v[r] * inv
+        for row, x in col.items():
+            y = v.get(row, 0) - b * x
+            if char:
+                y %= char
+            if y:
+                v[row] = y
+            else:
+                v.pop(row, None)
+        if r in v:
+            raise ArithmeticError(f"reduction by the pivot at row {r} left that row nonzero")
+    return False
 
 
 def integer_rank(rows, char=0):
@@ -129,9 +118,11 @@ def integer_rank(rows, char=0):
     validate_characteristic(char)
     rows = [list(r) for r in rows]
     width = len(rows[0]) if rows else 0
-    columns = [{r: row[c] for r, row in enumerate(rows) if (row[c] % char if char else row[c])}
-               for c in range(width)]
-    return len(_pivot_rows([(r := max(v), v[r], v) for v in columns if v], dict, char))
+    pivots, built = {}, {}
+    for c in range(width):
+        column = {r: row[c] for r, row in enumerate(rows) if (row[c] % char if char else row[c])}
+        _reduce(column, c, pivots, built, None, char)  # every pivot here is built
+    return len(pivots)
 
 
 class BettiTable:
@@ -221,21 +212,19 @@ def _boundary_column(cx, face):
 
 
 def _lowest_removal(label_id, face):
-    """(row, sign) of the largest row key in a face mask's boundary column, or None.
+    """The largest row key in a face mask's boundary column, or None if it is empty.
 
     It is the first label-keeping removal that `_boundary_column` meets,
     the lowest bit whose subface keeps the face's label id, so the scan
-    stops there without building the column; None means it is empty.
+    stops there without building the column.
     """
     own = label_id[face]
-    sign = -1
     rest = face
     while rest:
         bit = rest & -rest
         if label_id[face ^ bit] == own:
-            return face ^ bit, sign
+            return face ^ bit
         rest ^= bit
-        sign = -sign
     return None
 
 
@@ -259,16 +248,51 @@ def reduced_boundary(cx, i, j):
     return BoundaryMatrix(i, j, rows, cols, tuple(tuple(r) for r in entries))
 
 
+def _pairs(cx, char):
+    """The pairing of each dimension's boundary, from the top dimension down.
+
+    Yields (d, pivots, unpaired) for each dimension d: pivots maps each
+    pivot row, a (d-1)-face mask, to the d-face whose column pivots there;
+    unpaired counts by label id the d-faces neither in pivots nor cleared.
+    """
+    label_id = cx._label_id
+    build = partial(_boundary_column, cx)
+    above = {}
+    for d in range(cx.dim, -1, -1):
+        pivots, built, unpaired = {}, {}, {}
+        for face in cx._masks[d]:
+            if face in above:
+                continue
+            own = label_id[face]
+            rest = face
+            while rest:
+                bit = rest & -rest
+                row = face ^ bit
+                if label_id[row] == own:
+                    break
+                rest ^= bit
+            else:
+                unpaired[own] = unpaired.get(own, 0) + 1
+                continue
+            if row not in pivots:
+                pivots[row] = face
+            elif not _reduce(build(face), face, pivots, built, build, char):
+                unpaired[own] = unpaired.get(own, 0) + 1
+        yield d, pivots, unpaired
+        above = pivots
+
+
 def graded_betti(cx, char=0, power=None):
     """Betti table of the quotient supported on the given complex.
 
-    The boundary of each dimension is reduced in one pass, which pairs
-    some of its faces: a pivot column with its pivot row one dimension
-    down.  The Betti number at i = d + 1 and degree j counts the d-faces
-    of degree j left unpaired: n(d, j) faces less rank(d, j), the pivot
-    columns among them (a pivot row has its column's label), less
-    rank(d + 1, j), the pivot rows among them.  This is the persistence
-    pairing (Edelsbrunner-Letscher-Zomorodian 2002).
+    The boundary of each dimension is reduced in one pass (`_pairs`),
+    which pairs some of its faces, a pivot column with its pivot row one
+    dimension down, and counts the rest by label as it meets them.  The
+    Betti number at i = d + 1 and degree j counts the d-faces of degree j
+    left unpaired: n(d, j) faces less rank(d, j), the pivot columns among
+    them (a pivot row has its column's label), less rank(d + 1, j), the
+    pivot rows among them.  This is the persistence pairing
+    (Edelsbrunner-Letscher-Zomorodian 2002).
 
     Dimensions run from the top down so that each pass can skip the
     columns that are pivot rows one dimension up ("clearing"): the reduced
@@ -276,24 +300,15 @@ def graded_betti(cx, char=0, power=None):
     so the cleared column lies in the span of the columns with smaller
     masks and rank(d, j) is unchanged without it.  A cleared face is never
     a column, so the pivot columns and the pivot rows are disjoint.  Only
-    the faces of one dimension and the pairs of the one above are kept at
-    a time.
+    the pairs of the dimension in hand and of the one above are kept.
     """
     validate_characteristic(char)
-    label_id = cx._label_id
     degrees = cx._degrees
     entries = {(0, 0): 1}
-    above = {}  # the pairs one dimension up, keyed by their pivot rows: d-faces
-    build = partial(_boundary_column, cx)
-    for d in range(cx.dim, -1, -1):
-        faces = [face for face in cx._masks[d] if face not in above]
-        pairs = _pivot_rows([(*low, face) for face in faces
-                             if (low := _lowest_removal(label_id, face))], build, char)
-        paired = {key for key, _ in pairs.values()}
-        unpaired = Counter(degrees[label_id[face]] for face in faces if face not in paired)
-        for j, value in unpaired.items():
-            entries[d + 1, j] = value
-        above = pairs
+    for d, _, unpaired in _pairs(cx, char):
+        for label, count in unpaired.items():
+            key = d + 1, degrees[label]
+            entries[key] = entries.get(key, 0) + count
     return BettiTable(dict(sorted(entries.items())), power=power, char=char)
 
 

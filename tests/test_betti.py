@@ -12,8 +12,8 @@ from hyperbetti import betti
 from hyperbetti.betti import (BettiTable, bound_applicability, graded_betti,
                               integer_rank, reduced_boundary, survivor_face_sets,
                               validate_characteristic)
-from hyperbetti.complexes import (DEFAULT_MAX_FACES, LabelledComplex, faridi_complex,
-                                  taylor_complex)
+from hyperbetti.complexes import (DEFAULT_MAX_FACES, LabelledComplex, _vertices_of,
+                                  faridi_complex, taylor_complex)
 from hyperbetti.errors import DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.matchings import invariants
@@ -21,6 +21,28 @@ from hyperbetti.monomials import Monomial, power_generators
 from hyperbetti.verify import (ComputeCache, builtin_corpus, check_taylor_agreement,
                                random_hypergraph)
 from helpers import fraction_rank, gf_rank, hochster_betti, survivor_oracle
+
+
+def dense_table(cx, char):
+    """The table from the ranks of the dense per-degree reduced_boundary matrices."""
+    table = {(0, 0): 1}
+    for i in range(1, cx.dim + 2):
+        for j, faces in cx.degree_slices(i - 1).items():
+            value = len(faces) - sum(integer_rank(reduced_boundary(cx, k, j).entries, char)
+                                     for k in (i, i + 1))
+            if value:
+                table[i, j] = value
+    return table
+
+
+def reordered(cx, order):
+    """The same complex with its vertex order[k] moved to place k, so other masks."""
+    place = {v: k for k, v in enumerate(order)}
+    masks = cx._label_id
+    facets = [mask for mask in masks
+              if not any(mask | 1 << v in masks for v in range(len(order)) if not mask >> v & 1)]
+    return LabelledComplex([cx.vertices[v] for v in order],
+                           [[place[v] for v in _vertices_of(mask)] for mask in facets])
 
 
 def random_sign_matrix(rng, rows, cols):
@@ -76,9 +98,15 @@ class TestIntegerRank:
 
     @pytest.mark.parametrize("p, rank", [(0, 2), (3, 2), (32003, 2), (2, 1)])
     def test_unbuilt_non_unit_pivot(self, p, rank):
-        # the first column pivots unbuilt at row 1 on the non-unit 2; the
-        # second and third reduce against it there, so it is built then
+        # the first column pivots at row 1 on the non-unit 2; the second and
+        # third reduce against it there, so its inverse is taken then
         assert integer_rank([[0, 1, 0], [2, 2, 4]], p) == rank
+
+    def test_wrong_inverse_fails_fast(self):
+        # a pivot entry -1 kept with the inverse +1 doubles the entry it should
+        # clear; the step raises instead of reducing the same row forever
+        with pytest.raises(ArithmeticError, match="row 1"):
+            betti._reduce({1: 1, 0: 1}, "v", {1: "p"}, {1: ({1: -1}, 1)}, None, 0)
 
 
 class TestCharacteristic:
@@ -222,35 +250,23 @@ class TestGradedBetti:
             for t in (1, 2):
                 for cx in (faridi_complex(ideal, t),
                            taylor_complex(power_generators(ideal, t))):
-                    dense = {(0, 0): 1}
-                    for i in range(1, cx.dim + 2):
-                        for j, faces in cx.degree_slices(i - 1).items():
-                            ranks = [integer_rank(reduced_boundary(cx, k, j).entries, char)
-                                     for k in (i, i + 1)]
-                            value = len(faces) - sum(ranks)
-                            if value:
-                                dense[i, j] = value
-                    assert graded_betti(cx, char=char).entries == dense
+                    assert graded_betti(cx, char=char).entries == dense_table(cx, char)
 
     @pytest.mark.parametrize("char", [0, 3])
-    def test_pairing_invariants(self, monkeypatch, char):
+    def test_pairing_invariants(self, char):
         # each pass pairs a pivot column with a pivot row of its own label one
         # dimension down, never takes a column cleared by the pass above, and
         # pairs as many faces as the dense boundary's rank
-        passes = []
-        real = betti._pivot_rows
-        monkeypatch.setattr(betti, "_pivot_rows", lambda columns, build, char:
-                            passes.append(real(columns, build, char)) or passes[-1])
+        seen = 0
         for name, h in builtin_corpus():
             ideal = edge_ideal(h)
             for t in (1, 2):
                 for cx in (faridi_complex(ideal, t),
                            taylor_complex(power_generators(ideal, t))):
-                    passes.clear()
-                    graded_betti(cx, char=char)
                     above = {}
-                    for d, pairs in zip(range(cx.dim, -1, -1), passes):
-                        for row, (key, _) in pairs.items():
+                    for d, pairs, _ in betti._pairs(cx, char):
+                        seen += 1
+                        for row, key in pairs.items():
                             assert row.bit_count() == key.bit_count() - 1 == d, name
                             assert cx._label_id[row] == cx._label_id[key], name
                             assert key not in above, name
@@ -258,18 +274,15 @@ class TestGradedBetti:
                             integer_rank(reduced_boundary(cx, d + 1, j).entries, char)
                             for j in cx.degree_slices(d)), name
                         above = pairs
+        assert seen
 
     @pytest.mark.parametrize("kind", ["faridi", "taylor"])
-    def test_one_reduction_per_dimension(self, monkeypatch, example39, kind):
+    def test_one_reduction_per_dimension(self, example39, kind):
         ideal = edge_ideal(example39)
         cx = (faridi_complex(ideal, 2) if kind == "faridi"
               else taylor_complex(power_generators(ideal, 2)))
-        calls = []
-        real = betti._pivot_rows
-        monkeypatch.setattr(betti, "_pivot_rows", lambda columns, build, char:
-                            calls.append(1) or real(columns, build, char))
-        graded_betti(cx)
-        assert len(calls) == cx.dim + 1
+        dims = [d for d, _, _ in betti._pairs(cx, 0)]
+        assert dims == list(range(cx.dim, -1, -1))
 
     @pytest.mark.parametrize("kind", ["faridi", "taylor"])
     def test_columns_built_only_to_reduce(self, monkeypatch, example39, kind):
@@ -335,6 +348,67 @@ class TestBoundarySigns:
                                         cache=ComputeCache(max_faces=DEFAULT_MAX_FACES))
         assert report.witness == {"t": 2, "faces_taylor": 32768}
         assert report.hypothesis_satisfied and report.conclusion_holds
+
+
+class TestRareReduction:
+    # one label on every vertex makes each boundary the whole simplicial one,
+    # so columns reduce against reduced pivots whose entries can leave +-1,
+    # which no workload or corpus instance reaches
+    def test_single_label_complexes_match_dense(self, monkeypatch):
+        used = []  # the pivot columns a reduction has used, in the last table
+        real = betti._reduce
+
+        def spy(v, key, pivots, built, build, char):
+            try:
+                return real(v, key, pivots, built, build, char)
+            finally:
+                used.extend(col for col, inv in built.values() if inv is not None)
+
+        monkeypatch.setattr(betti, "_reduce", spy)
+        non_unit = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            n = rng.randint(7, 10)
+            facets = [f for k in (3, 4) for f in combinations(range(n), k) if rng.random() < 0.5]
+            cx = LabelledComplex([((v,), Monomial((1,))) for v in range(n)], facets)
+            for char in (0, 2, 3):
+                used.clear()
+                table = graded_betti(cx, char=char).entries
+                non_unit += char == 0 and any(x not in (1, -1) for col in used
+                                              for x in col.values())
+                assert table == dense_table(cx, char), (seed, char)
+        assert non_unit
+
+
+class TestVertexOrder:
+    # a new vertex order renumbers the face masks, so the pairing meets the
+    # columns in another order and reduces them differently; the table of a
+    # complex must not change with it
+    graph = TestBoundarySigns.graph
+
+    @pytest.mark.parametrize("char", [0, 3])
+    @pytest.mark.parametrize("kind", ["faridi", "taylor"])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_sign_sensitive_graph(self, char, kind, data):
+        ideal = edge_ideal(self.graph)
+        cx = (faridi_complex(ideal, 2) if kind == "faridi"
+              else taylor_complex(power_generators(ideal, 2)))
+        order = data.draw(st.permutations(range(len(cx.vertices))))
+        assert (graded_betti(reordered(cx, order), char=char).entries
+                == graded_betti(cx, char=char).entries)
+
+    @pytest.mark.parametrize("char", [0, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), data=st.data())
+    def test_random_graphs(self, char, seed, data):
+        rng = random.Random(seed)
+        ideal = edge_ideal(random_hypergraph(rng.randint(4, 6), rng.randint(2, 4), 2, seed))
+        t = rng.choice((1, 2, 3))
+        for cx in (faridi_complex(ideal, t), taylor_complex(power_generators(ideal, min(t, 2)))):
+            order = data.draw(st.permutations(range(len(cx.vertices))))
+            assert (graded_betti(reordered(cx, order), char=char).entries
+                    == graded_betti(cx, char=char).entries)
 
 
 class TestRecordedPools:
