@@ -15,8 +15,9 @@ characteristic, and the rationals are never replaced by a modular
 shortcut.  Every step divides by the pivot entry, in one code path for
 both fields.
 
-Each dimension is one loop over its faces.  A face cleared by the pass
-above is skipped; the others scan their vertex removals up to the first
+Each dimension is one loop over the complex's dict of its faces, which
+gives each face with its label id.  A face cleared by the pass above is
+skipped; the others scan their vertex removals up to the first
 label-keeping one, the column's largest row, and a fresh row is claimed
 with no entry carried along.  A column is built, and its pivot entry
 inverted, only when a reduction first needs it (as Ripser does, Bauer
@@ -27,7 +28,7 @@ as unpaired on the spot.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .complexes import _mask_of, _vertices_of
@@ -61,6 +62,7 @@ def _is_prime(n):
     return True
 
 
+@lru_cache(maxsize=16)  # a raised DomainError is not cached
 def validate_characteristic(char):
     if char > MAX_CHARACTERISTIC:
         raise DomainError(f"characteristic {char} exceeds the supported maximum "
@@ -197,32 +199,31 @@ def _boundary_column(cx, face):
     A subface keeps its term exactly when it has the face's label id, that
     is, when both sit at the same element of the lcm lattice.
     """
-    label_id = cx._label_id
-    own = label_id[face]
+    own, rows = cx._faces[face.bit_count()][face], cx._faces[face.bit_count() - 1]
     column = {}
     sign = -1
     rest = face
     while rest:
         bit = rest & -rest
         rest ^= bit
-        if label_id[face ^ bit] == own:
+        if rows[face ^ bit] == own:
             column[face ^ bit] = sign
         sign = -sign
     return column
 
 
-def _lowest_removal(label_id, face):
+def _lowest_removal(cx, face):
     """The largest row key in a face mask's boundary column, or None if it is empty.
 
     It is the first label-keeping removal that `_boundary_column` meets,
     the lowest bit whose subface keeps the face's label id, so the scan
     stops there without building the column.
     """
-    own = label_id[face]
+    own, rows = cx._faces[face.bit_count()][face], cx._faces[face.bit_count() - 1]
     rest = face
     while rest:
         bit = rest & -rest
-        if label_id[face ^ bit] == own:
+        if rows[face ^ bit] == own:
             return face ^ bit
         rest ^= bit
     return None
@@ -254,21 +255,22 @@ def _pairs(cx, char):
     Yields (d, pivots, unpaired) for each dimension d: pivots maps each
     pivot row, a (d-1)-face mask, to the d-face whose column pivots there;
     unpaired counts by label id the d-faces neither in pivots nor cleared.
+    Faces and label ids come from the complex's store, in its order.
     """
-    label_id = cx._label_id
+    faces = cx._faces
     build = partial(_boundary_column, cx)
     above = {}
     for d in range(cx.dim, -1, -1):
+        rows = faces[d]
         pivots, built, unpaired = {}, {}, {}
-        for face in cx._masks[d]:
+        for face, own in faces[d + 1].items():
             if face in above:
                 continue
-            own = label_id[face]
             rest = face
             while rest:
                 bit = rest & -rest
                 row = face ^ bit
-                if label_id[row] == own:
+                if rows[row] == own:
                     break
                 rest ^= bit
             else:
@@ -325,11 +327,11 @@ def survivor_face_sets(cx, i, j):
     whose label-keeping boundary column holds F, and such an extension is
     recoverable exactly when its column holds a second face.
     """
-    columns = [_boundary_column(cx, ext) for ext in cx._degree_masks(i).get(j, ())]
+    columns = [_boundary_column(cx, ext) for ext in cx._degree_groups(i).get(j, ())]
     extended = {face for column in columns for face in column}
     stuck = {face for column in columns if len(column) == 1 for face in column}
-    candidates = [face for face in cx._degree_masks(i - 1).get(j, ())
-                  if _lowest_removal(cx._label_id, face) is None]
+    candidates = [face for face in cx._degree_groups(i - 1).get(j, ())
+                  if _lowest_removal(cx, face) is None]
     return ({_vertices_of(face) for face in candidates if face not in extended},
             {_vertices_of(face) for face in candidates if face not in stuck})
 
@@ -350,8 +352,8 @@ def bound_applicability(cx, i, j):
     codimension one, so the Betti number is at least the number of certain
     survivors.
     """
-    upper = all(_lowest_removal(cx._label_id, face) is None
-                for face in cx._degree_masks(i - 1).get(j, ()))
+    upper = all(_lowest_removal(cx, face) is None
+                for face in cx._degree_groups(i - 1).get(j, ()))
     lower = all(len(_boundary_column(cx, ext)) <= 1
-                for ext in cx._degree_masks(i).get(j, ()))
+                for ext in cx._degree_groups(i).get(j, ()))
     return BoundApplicability(upper, lower)

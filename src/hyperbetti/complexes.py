@@ -10,14 +10,16 @@ grades the result.
 
 Inside a complex a face is the int bitmask of its vertex indices and its
 label is the small int id of an interned lcm label, so the Betti kernel
-in `betti` works on ints alone.  A label is interned as a unary code:
+in `betti` works on ints alone; one dict per face size, {mask: label id},
+is the only store of the faces.  A label is interned as a unary code:
 exponent e is e ones in a fixed-width field per variable, so the lcm of
 two labels is the OR of their codes and a degree is a bit count.  At the
-public API a face is a sorted tuple of vertex indices, built from its
-mask on each call.
+public API a face is a sorted tuple of vertex indices, built from its mask.
 """
 
 from __future__ import annotations
+
+from itertools import compress, count
 
 from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCapError,
                      check_budget, format_count)
@@ -39,7 +41,7 @@ def _vertices_of(mask, first=0):
     per bit would cost time quadratic in its length.  The trailing "b"
     and "0" of the reversed "0b..." prefix are never "1".
     """
-    return tuple(v for v, digit in enumerate(reversed(bin(mask)), first) if digit == "1")
+    return tuple(compress(count(first), map("1".__eq__, reversed(bin(mask)))))
 
 
 def _unary_codes(vertices):
@@ -69,29 +71,29 @@ class LabelledComplex:
     """Simplicial complex on labelled vertices, closed under subsets.
 
     vertices[k] is a (factorization tuple, monomial) pair.  A face is kept
-    as the bitmask with bit k set for each vertex k: `_label_id` maps every
-    face mask to the id of its label, the lcm of its vertex labels, and
-    `_masks` buckets the masks by dimension.  `_codes` lists the distinct
-    labels by id as unary codes, `_width` bits per variable (the largest
-    vertex exponent, at least 1), and `_degrees` their bit counts.  Two
-    faces have the same label exactly when they have the same id.  Faces
-    keep ids, not codes: a code has n * `_width` bits, and faces outnumber
-    labels by far.  A code over 2^20 64-bit words is refused before any
-    is built.
+    as the bitmask with bit k set for each vertex k, and `_faces[k]`, the
+    one store of the faces, maps the mask of each face with k vertices to
+    the id of its label, the lcm of its vertex labels.  `_codes` lists
+    the distinct labels by id as unary codes, `_width` bits per variable
+    (the largest vertex exponent, at least 1), and `_degrees` their bit
+    counts.  Two faces have the same label exactly when they have the
+    same id.  Faces keep ids, not codes: a code has n * `_width` bits, and
+    faces outnumber labels by far.  A code over 2^20 64-bit words is
+    refused before any is built.
 
     Each facet is built by doubling over its vertices, lowest first: the
     faces with the new vertex are the faces so far with its bit set, and
     their ids come from a per-vertex memo {label id: id of the join}, so
     an OR and an interning happen once per new (label, vertex) pair, not
-    per face.  Each dimension's masks come out in increasing order within
-    a facet, and in facet order across facets.
+    per face.  Each size's masks come out in increasing order within a
+    facet, and in facet order across facets.
 
     At the API (`faces`, `faces_of_dim`, `degree_slices`, `label_exps`,
     `degree`) a face is a sorted tuple of vertex indices; these tuples are
     built from the masks when asked for and are not kept.
     """
 
-    __slots__ = ("vertices", "_label_id", "_codes", "_width", "_degrees", "_masks", "_slices")
+    __slots__ = ("vertices", "_faces", "_codes", "_width", "_degrees", "_slices")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
         vertices = tuple(vertices)
@@ -119,7 +121,7 @@ class LabelledComplex:
                     new = step[lid] = ids.setdefault(joined, len(codes))
                     if new == len(codes):
                         codes.append(joined)
-                seen.update([step[lid] for lid in seen])
+                seen.update(list(map(step.__getitem__, seen)))
                 layers.append(([], []))
                 for k in range(len(layers) - 1, 0, -1):
                     masks, lids = layers[k - 1]
@@ -133,65 +135,67 @@ class LabelledComplex:
         self._store(vertices, width, codes, by_size)
 
     def _store(self, vertices, width, codes, by_size):
-        """Keep the faces of by_size[k], {mask: label id} for k vertices,
-        with the label codes by id, `width` bits per variable."""
+        """Keep by_size[k], {mask: label id} of the k-vertex faces, as the one store."""
         self.vertices = vertices
-        self._label_id = {}
-        for faces in by_size:
-            self._label_id.update(faces)
+        self._faces = by_size
         self._codes = codes
         self._width = width
         self._degrees = list(map(int.bit_count, codes))
-        self._masks = {k - 1: list(faces) for k, faces in enumerate(by_size)}
         self._slices = {}
 
     @property
     def dim(self):
-        return max(self._masks)
+        return len(self._faces) - 2
 
     @property
     def face_count(self):
-        return len(self._label_id)
+        return sum(map(len, self._faces))
 
     @property
     def faces(self):
         """{dimension: faces of that dimension}, in increasing dimension."""
-        return {d: self.faces_of_dim(d) for d in sorted(self._masks)}
+        return {d: self.faces_of_dim(d) for d in range(-1, self.dim + 1)}
+
+    def _size(self, k):
+        """{mask: label id} of the faces with k vertices, empty if there are none."""
+        return self._faces[k] if 0 <= k < len(self._faces) else {}
 
     def faces_of_dim(self, d):
-        return tuple(sorted(map(_vertices_of, self._masks.get(d, ()))))
+        return tuple(sorted(map(_vertices_of, self._size(d + 1))))
 
     def label_exps(self, face):
-        code = self._codes[self._label_id[_mask_of(face)]]
+        mask = _mask_of(face)
+        code = self._codes[self._size(mask.bit_count())[mask]]
         nvars = len(self.vertices[0][1].exps) if self.vertices else 0
         w = self._width
         digits = format(code | 1 << nvars * w, "b")  # the leading 1 keeps zero fields
         return tuple(digits.count("1", i - w, i) for i in range(len(digits), 1, -w))
 
     def degree(self, face):
-        return self._degrees[self._label_id[_mask_of(face)]]
+        mask = _mask_of(face)
+        return self._degrees[self._size(mask.bit_count())[mask]]
 
-    def _degree_masks(self, d):
+    def _degree_groups(self, d):
         """Face masks of dimension d grouped by degree, in increasing degree."""
         if d not in self._slices:
             groups = {}
-            for mask in self._masks.get(d, ()):
-                groups.setdefault(self._degrees[self._label_id[mask]], []).append(mask)
+            for mask, lid in self._size(d + 1).items():
+                groups.setdefault(self._degrees[lid], []).append(mask)
             self._slices[d] = dict(sorted(groups.items()))
         return self._slices[d]
 
     def degree_slices(self, d):
         """Faces of dimension d grouped by degree: {degree: (faces...)}."""
         return {j: tuple(sorted(map(_vertices_of, masks)))
-                for j, masks in self._degree_masks(d).items()}
+                for j, masks in self._degree_groups(d).items()}
 
     def __eq__(self, other):
         return (isinstance(other, LabelledComplex)
                 and self.vertices == other.vertices
-                and self._label_id.keys() == other._label_id.keys())
+                and [f.keys() for f in self._faces] == [f.keys() for f in other._faces])
 
     def __repr__(self):
-        sizes = {d: len(ms) for d, ms in sorted(self._masks.items())}
+        sizes = {k - 1: len(faces) for k, faces in enumerate(self._faces)}
         return f"LabelledComplex({len(self.vertices)} vertices, faces by dim {sizes})"
 
 

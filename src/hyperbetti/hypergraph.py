@@ -8,24 +8,31 @@ are single integer operations.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import chain
 
 from .complexes import _vertices_of
 from .errors import ValidationError, check_budget
 from .monomials import Monomial, MonomialIdeal
 
 
-def _edges_by_lowest_vertex(masks):
-    """{vertex v: indices of the edge masks whose lowest vertex is v}, vertex 1 at bit 0."""
-    starting = {}
-    for k, mask in enumerate(masks):
-        starting.setdefault((mask & -mask).bit_length(), []).append(k)
-    return starting
+def _edges_by_least_used_vertex(edges):
+    """{vertex v: indices of the edges (vertex tuples) indexed at v}, each edge at its
+    least-used vertex.  An edge inside another edge or inside a union of edges has that
+    vertex there too, so only the edges indexed at an edge's own vertices are tested
+    against it: on a star, only itself.  Over DEFAULT_MAX_FACES tests are refused."""
+    uses = Counter(chain.from_iterable(edges))
+    index = {}
+    for k, vertices in enumerate(edges):
+        index.setdefault(min(vertices, key=uses.__getitem__), []).append(k)
+    check_budget(sum(uses[v] * len(ks) for v, ks in index.items()), "edge containment tests")
+    return index
 
 
 class Hypergraph:
     """A simple hypergraph: edges are incomparable vertex sets of size >= 2."""
 
-    __slots__ = ("n", "edges", "labels")
+    __slots__ = ("n", "edges", "labels", "_vertices")
 
     def __init__(self, n, edges, labels=None):
         # vertex numbers and counts must be exactly `int`: JSON true/false
@@ -35,27 +42,27 @@ class Hypergraph:
         masks = []
         edge_vertices = []
         for edge in edges:
-            vertices = list(edge)
-            mask = 0
+            vertices = tuple(edge)
+            digits = bytearray(1)  # the mask's bytes, lowest first: no big-int shift per vertex
             for v in vertices:
                 if type(v) is not int:
                     raise ValidationError(f"vertex {v!r} is not an integer")
                 if not 1 <= v <= n:
                     raise ValidationError(f"vertex {v!r} out of range 1..{n}")
-                bit = 1 << (v - 1)
-                if mask & bit:
+                byte, bit = (v - 1) >> 3, 1 << (v - 1 & 7)
+                if byte >= len(digits):
+                    digits += bytes(byte + 1 - len(digits))
+                elif digits[byte] & bit:
                     raise ValidationError(f"duplicate vertex {v} in edge {sorted(vertices)}")
-                mask |= bit
-            if mask.bit_count() < 2:
+                digits[byte] |= bit
+            if len(vertices) < 2:
                 raise ValidationError(f"edge {sorted(vertices)} has fewer than two vertices")
-            masks.append(mask)
+            masks.append(int.from_bytes(digits, "little"))
             edge_vertices.append(vertices)
-        # an edge inside another has its lowest vertex there, so each edge is
-        # tested only against the edges that start at one of its vertices;
         # the first offending pair (i, k), i < k, is the one reported
-        starting = _edges_by_lowest_vertex(masks)
+        index = _edges_by_least_used_vertex(edge_vertices)
         first = min(((min(i, k), max(i, k)) for k, vertices in enumerate(edge_vertices)
-                     for v in vertices for i in starting.get(v, ())
+                     for v in vertices for i in index.get(v, ())
                      if i != k and masks[i] | masks[k] == masks[k]), default=None)
         if first is not None:
             a, b = masks[first[0]], masks[first[1]]
@@ -73,13 +80,14 @@ class Hypergraph:
         self.n = n
         self.edges = tuple(masks)
         self.labels = labels
+        self._vertices = tuple(edge_vertices)  # each edge's vertices, as given
 
     @property
     def num_edges(self):
         return len(self.edges)
 
     def edge_sets(self):
-        return tuple(_vertices_of(mask, 1) for mask in self.edges)
+        return tuple(tuple(sorted(vertices)) for vertices in self._vertices)
 
     def edge_size(self, k):
         return self.edges[k].bit_count()

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, check_budget
-from .hypergraph import _edges_by_lowest_vertex
+from .hypergraph import _edges_by_least_used_vertex
 
 KINDS = ("matching", "self_matching", "semi_induced", "self_semi_induced", "induced")
 
@@ -33,8 +33,8 @@ class FamilyClassification:
         return getattr(self, "is_" + kind)
 
 
-def _classify_indices(hypergraph, idx, starting):
-    """The flags of the family idx; `starting` is _edges_by_lowest_vertex of the edges."""
+def _classify_indices(hypergraph, idx, near):
+    """The flags of the family idx; near[k] lists the edges indexed at edge k's vertices."""
     masks = [hypergraph.edges[k] for k in idx]
     union = 0
     seen_multi = 0
@@ -44,16 +44,10 @@ def _classify_indices(hypergraph, idx, starting):
     once_only = union & ~seen_multi
     is_matching = seen_multi == 0
     is_self = all(mask & once_only for mask in masks)
-    # an edge inside the union has its lowest vertex there, so only the edges
-    # starting at a vertex of the union are tested
+    # an edge inside the union is indexed at a vertex of one of the family's edges
     chosen = set(idx)
-    is_semi = True
-    rest = union
-    while rest and is_semi:
-        low = rest & -rest
-        rest ^= low
-        is_semi = all(k in chosen or hypergraph.edges[k] | union != union
-                      for k in starting.get(low.bit_length(), ()))
+    is_semi = all(i in chosen or hypergraph.edges[i] | union != union
+                  for k in idx for i in near[k])
     return FamilyClassification(
         is_matching=is_matching,
         is_self_matching=is_self,
@@ -79,10 +73,11 @@ def families(hypergraph, kind=None, size_cap=None):
     cap = m if size_cap is None else min(size_cap, m)
     check_budget(sum(comb(m, size) for size in range(1, cap + 1)),
                  "edge families to classify")
-    starting = _edges_by_lowest_vertex(hypergraph.edges)
+    index = _edges_by_least_used_vertex(hypergraph._vertices)
+    near = [[i for v in vertices for i in index.get(v, ())] for vertices in hypergraph._vertices]
     for size in range(1, cap + 1):
         for idx in combinations(range(m), size):
-            cls = _classify_indices(hypergraph, idx, starting)
+            cls = _classify_indices(hypergraph, idx, near)
             if kind is None or cls.has_kind(kind):
                 yield idx, cls
 

@@ -22,7 +22,7 @@ class Monomial:
 
     def __init__(self, exps):
         self.exps = tuple(exps)
-        if any(e < 0 for e in self.exps):
+        if min(self.exps, default=0) < 0:
             raise DomainError(f"negative exponent in {self.exps}")
         self.degree = sum(self.exps)
 
@@ -80,11 +80,12 @@ def minimal_generators(monomials):
     by_degree = {}
     for g in unique:
         by_degree.setdefault(g.degree, []).append(g)
-    kept = set()
+    kept = []
     for degree in sorted(by_degree):
         smaller = tuple(kept)
-        kept.update(g for g in by_degree[degree] if not any(h.divides(g) for h in smaller))
-    return [g for g in unique if g in kept]
+        kept += [g for g in by_degree[degree]
+                 if not smaller or not any(h.divides(g) for h in smaller)]
+    return unique if len(kept) == len(unique) else list(filter(set(kept).__contains__, unique))
 
 
 class MonomialIdeal:
@@ -97,12 +98,12 @@ class MonomialIdeal:
         for g in gens:
             if g.n != n:
                 raise DimensionError(f"generator {g!r} not in {n} variables")
-        if len(set(gens)) != len(gens):
-            raise DomainError("duplicate generators")
-        minimal = set(minimal_generators(gens))
-        for g in gens:
-            if g not in minimal:
-                raise DomainError(f"generating set not minimal: {g} is redundant")
+        minimal = minimal_generators(gens)  # shorter only on a repeated or redundant generator
+        if len(minimal) < len(gens):
+            if len(set(gens)) < len(gens):
+                raise DomainError("duplicate generators")
+            g = next(g for g in gens if g not in minimal)
+            raise DomainError(f"generating set not minimal: {g} is redundant")
         self.n = n
         self.generators = gens
         self._hash = None  # computed on first use: every cache lookup hashes the ideal

@@ -300,7 +300,7 @@ def check_vanishing(hypergraph, ideal, cache, t, r, s):
     d = hypergraph.uniform_size()
     cx = cache.complex_for(ideal, t)
     table = cache.table_for(ideal, t)
-    window_clear = r not in cx._degree_masks(s - 1) and r not in cx._degree_masks(s + 1)
+    window_clear = r not in cx._degree_groups(s - 1) and r not in cx._degree_groups(s + 1)
     target_type = (s + 1, r - d * (t - 1))
     family_exists = any(cls.is_self_semi_induced and cls.family_type == target_type
                         for _, cls in cache.families(hypergraph))
@@ -356,7 +356,7 @@ def check_survivor_sandwich(hypergraph, ideal, cache, t):
     table = cache.table_for(ideal, t)
     cases = []  # every failing case is kept, so the verdict reads them alone
     for i in range(1, cx.dim + 2):
-        for j in cx._degree_masks(i - 1):
+        for j in cx._degree_groups(i - 1):
             applies = bound_applicability(cx, i, j)
             if applies.upper or applies.lower:
                 case = _survivor_case(cx, table, i, j, applies)

@@ -1,7 +1,7 @@
 """Independent oracles used by the tests, kept apart from the library code."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 from hyperbetti.errors import DimensionError, DomainError, ResourceCapError, format_count
 from hyperbetti.matchings import FamilyClassification
@@ -349,3 +349,52 @@ def edge_conflict_oracle(edges):
             if b < a:
                 return f"edge {sorted(b)} contained in {sorted(a)}"
     return None
+
+
+def _edges_by_lowest_vertex(masks):
+    """{vertex v: indices of the edge masks whose lowest vertex is v}, vertex 1 at bit 0."""
+    starting = {}
+    for k, mask in enumerate(masks):
+        starting.setdefault((mask & -mask).bit_length(), []).append(k)
+    return starting
+
+
+def nested_pair_by_lowest_vertex(edges):
+    """The first pair (i, k), i < k, of equal or nested edges (vertex lists), or None.
+
+    The lowest-vertex scan: an edge inside another has its lowest vertex
+    there, so each edge is tested against the edges that start at one of
+    its vertices.  It is quadratic on a star, where every edge starts at
+    the centre.
+    """
+    masks = [sum(1 << (v - 1) for v in set(edge)) for edge in edges]
+    starting = _edges_by_lowest_vertex(masks)
+    return min(((min(i, k), max(i, k)) for k, edge in enumerate(edges)
+                for v in set(edge) for i in starting.get(v, ())
+                if i != k and masks[i] | masks[k] == masks[k]), default=None)
+
+
+def semi_induced_by_lowest_vertex(hypergraph, idx):
+    """Whether no edge outside the family idx lies inside its union, by the
+    lowest-vertex scan: only the edges starting at a vertex of the union
+    are tested."""
+    starting = _edges_by_lowest_vertex(hypergraph.edges)
+    union = 0
+    for k in idx:
+        union |= hypergraph.edges[k]
+    rest = union
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not all(k in idx or hypergraph.edges[k] | union != union
+                   for k in starting.get(low.bit_length(), ())):
+            return False
+    return True
+
+
+def canonical_edges(hypergraph):
+    """The least sorted edge list over all relabellings of the vertices: two
+    hypergraphs are isomorphic, up to isolated vertices, exactly when these agree."""
+    edges = hypergraph.edge_sets()
+    return min(tuple(sorted(tuple(sorted(p[v - 1] for v in edge)) for edge in edges))
+               for p in permutations(range(1, hypergraph.n + 1)))

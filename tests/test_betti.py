@@ -20,7 +20,7 @@ from hyperbetti.matchings import invariants
 from hyperbetti.monomials import Monomial, power_generators
 from hyperbetti.verify import (ComputeCache, builtin_corpus, check_taylor_agreement,
                                random_hypergraph)
-from helpers import fraction_rank, gf_rank, hochster_betti, survivor_oracle
+from helpers import canonical_edges, fraction_rank, gf_rank, hochster_betti, survivor_oracle
 
 
 def dense_table(cx, char):
@@ -38,7 +38,7 @@ def dense_table(cx, char):
 def reordered(cx, order):
     """The same complex with its vertex order[k] moved to place k, so other masks."""
     place = {v: k for k, v in enumerate(order)}
-    masks = cx._label_id
+    masks = {mask for faces in cx._faces for mask in faces}
     facets = [mask for mask in masks
               if not any(mask | 1 << v in masks for v in range(len(order)) if not mask >> v & 1)]
     return LabelledComplex([cx.vertices[v] for v in order],
@@ -268,7 +268,7 @@ class TestGradedBetti:
                         seen += 1
                         for row, key in pairs.items():
                             assert row.bit_count() == key.bit_count() - 1 == d, name
-                            assert cx._label_id[row] == cx._label_id[key], name
+                            assert cx._faces[d][row] == cx._faces[d + 1][key], name
                             assert key not in above, name
                         assert len(pairs) == sum(
                             integer_rank(reduced_boundary(cx, d + 1, j).entries, char)
@@ -409,6 +409,24 @@ class TestVertexOrder:
             order = data.draw(st.permutations(range(len(cx.vertices))))
             assert (graded_betti(reordered(cx, order), char=char).entries
                     == graded_betti(cx, char=char).entries)
+
+
+class TestIsomorphismClasses:
+    # the builtin corpus lists several labellings of each hypergraph; the
+    # support tables of one isomorphism class must all agree
+    def test_one_table_per_class(self):
+        classes = {}
+        for name, h in builtin_corpus():
+            if h.n <= 7:
+                classes.setdefault(canonical_edges(h), []).append((name, edge_ideal(h)))
+        assert len(classes) == 33 and sum(map(len, classes.values())) == 255
+        for members in classes.values():
+            for t in (1, 2):
+                for char in (0, 3):
+                    tables = {name: graded_betti(faridi_complex(ideal, t), char=char).entries
+                              for name, ideal in members}
+                    first = next(iter(tables.values()))
+                    assert all(table == first for table in tables.values()), (t, char, tables)
 
 
 class TestRecordedPools:

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from hyperbetti.errors import ResourceCapError, ValidationError
-from hyperbetti.hypergraph import Hypergraph, edge_ideal
+from hyperbetti.hypergraph import Hypergraph, _edges_by_least_used_vertex, edge_ideal
 from hyperbetti.monomials import Monomial
 
-from helpers import edge_conflict_oracle
+from helpers import edge_conflict_oracle, nested_pair_by_lowest_vertex
 
 
 class TestValidation:
@@ -39,6 +39,34 @@ class TestValidation:
                 with pytest.raises(ValidationError) as caught:
                     Hypergraph(n, edges)
                 assert str(caught.value) == expected
+
+    def test_least_used_index_finds_the_lowest_vertex_pair(self):
+        # every nested pair is a candidate of the least-used-vertex index, and
+        # the first one is the pair the lowest-vertex scan reports
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            edges = [rng.sample(range(1, n + 1), rng.randint(2, min(n, 4)))
+                     for _ in range(rng.randint(1, 8))]
+            sets = [set(edge) for edge in edges]
+            index = _edges_by_least_used_vertex(edges)
+            near = [[i for v in edge for i in index.get(v, ())] for edge in edges]
+            nested = [(i, k) for k in range(len(edges)) for i in range(len(edges))
+                      if i != k and sets[i] <= sets[k]]
+            assert all(i in near[k] for i, k in nested), edges
+            first = min(((min(i, k), max(i, k)) for i, k in nested), default=None)
+            assert first == nested_pair_by_lowest_vertex(edges), edges
+
+    def test_containment_tests_over_budget_refused(self):
+        # K_n with every edge indexed at its first vertex: vertex v indexes the
+        # n - v edges {v, w > v} and lies in n - 1 edges
+        def complete(n):
+            return [[v, w] for v in range(1, n + 1) for w in range(v + 1, n + 1)]
+
+        # 99 * 4950 tests build; 129 * 8385 are over the budget
+        assert Hypergraph(100, complete(100)).num_edges == 4950
+        with pytest.raises(ResourceCapError, match="^1081665 edge containment tests, over the cap"):
+            Hypergraph(130, complete(130))
 
     def test_small_edge_rejected(self):
         with pytest.raises(ValidationError, match="fewer than two"):

@@ -64,10 +64,14 @@ class TestBuildMatchesTheSubmaskWalk:
             return
         label_id, labels, degrees, masks = expected
         cx = LabelledComplex(vertices, facets, max_faces)
-        assert cx._masks == masks
-        assert cx._label_id.keys() == label_id.keys()
+        # one dict per face size, in the oracle's build order
+        assert {k - 1: list(faces) for k, faces in enumerate(cx._faces)} == masks
+        assert all(mask.bit_count() == k for k, faces in enumerate(cx._faces) for mask in faces)
+        store = {mask: lid for faces in cx._faces for mask, lid in faces.items()}
+        assert store.keys() == label_id.keys()
+        assert sum(map(len, cx._faces)) == cx.face_count == len(label_id)
         # the same partition of the faces by label: ids correspond one to one
-        pairs = {(cx._label_id[mask], lid) for mask, lid in label_id.items()}
+        pairs = {(store[mask], lid) for mask, lid in label_id.items()}
         assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
         for mask, lid in label_id.items():
             face = complexes._vertices_of(mask)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,7 @@ from hyperbetti.hypergraph import Hypergraph
 from hyperbetti.matchings import count_families, families, invariants
 from hyperbetti.verify import random_hypergraph
 
-from helpers import classify_oracle
+from helpers import classify_oracle, semi_induced_by_lowest_vertex
 
 
 def classify(hypergraph, idx):
@@ -148,6 +149,8 @@ class TestProperties:
             assert len(walked) == 2 ** h.num_edges - 1
             for idx, cls in walked.items():
                 assert cls == classify_oracle(h, idx), (edges, idx)
+                assert cls.is_semi_induced == semi_induced_by_lowest_vertex(h, idx), (edges, idx)
+
 
     def test_invariants_consistent_with_counts(self, example39):
         inv = invariants(example39)
@@ -184,3 +187,27 @@ class TestProperties:
             inv_full = invariants(h)
             if inv_small.matching_number is not None:
                 assert inv_small.matching_number <= inv_full.matching_number
+
+
+class TestBoundedCost:
+    # each edge is indexed at its least-used vertex, so a star's edges do not
+    # all meet at the centre, and edge masks are built in one pass, so a wide
+    # edge costs time linear in its size
+    @staticmethod
+    def build_and_walk(n, edges):
+        start = time.perf_counter()
+        h = Hypergraph(n, edges)
+        walked = sum(1 for _ in families(h, size_cap=1))
+        return walked, time.perf_counter() - start
+
+    def test_star(self):
+        m = 20000
+        walked, seconds = self.build_and_walk(m + 1, [[1, k] for k in range(2, m + 2)])
+        assert walked == m and seconds < 1.0
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_wide_edges(self, count):
+        w = 1 << 16
+        walked, seconds = self.build_and_walk(
+            count * w, [list(range(k * w + 1, (k + 1) * w + 1)) for k in range(count)])
+        assert walked == count and seconds < 1.0
