@@ -11,19 +11,26 @@ grades the result.
 Inside a complex a face is the int bitmask of its vertex indices and its
 label is the small int id of an interned lcm label, so the Betti kernel
 in `betti` works on ints alone; one dict per face size, {mask: label id},
-is the only store of the faces.  A label is interned as a unary code:
-exponent e is e ones in a fixed-width field per variable, so the lcm of
-two labels is the OR of their codes and a degree is a bit count.  At the
+masks in increasing order, is the only store of the faces.  A label is
+interned as a unary code: exponent e is e ones in a fixed-width field per
+variable, so the lcm of two labels is the OR of their codes and a degree
+is a bit count.  The label-free faces are memoized per facet set.  At the
 public API a face is a sorted tuple of vertex indices, built from its mask.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import partial, reduce
 from itertools import compress, count
+from operator import itemgetter, or_
 
 from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCapError,
                      check_budget, format_count)
 from .monomials import power_generators
+
+_MEMO_FACES = 1 << 16  # faces held by all memoized skeletons together
+_skeletons = {}  # sorted facet masks -> skeleton, kept while within _MEMO_FACES
 
 
 def _mask_of(face):
@@ -67,6 +74,54 @@ def _unary_codes(vertices):
                    for exps in vertex_labels]
 
 
+def _picker(at):
+    """itemgetter of the increasing positions `at`, a slice when they are consecutive."""
+    if at[-1] - at[0] + 1 == len(at):
+        return itemgetter(slice(at[0], at[-1] + 1))
+    return itemgetter(*at)
+
+
+def _skeleton(facets, max_faces):
+    """(face count, blocks, sizes): the faces of the given facet masks, without labels.
+
+    In increasing mask order the faces with top vertex v follow one another;
+    blocks[i] is (v, picker of their parents' positions, a parent being the
+    face without v), sizes[k] (the masks with k bits set, picker of their
+    positions).  One pass over the vertices of the union adds v to every
+    subset of its links (its facets, cut below v): to every face so far when
+    a link holds all the vertices so far.
+    """
+    masks, blocks, below = [0], [], 0  # below: the vertices so far
+    # by_size[k]: positions of the faces with k vertices
+    by_size = [[0]] + [[] for _ in range(max(map(int.bit_count, facets), default=0))]
+    for v in _vertices_of(reduce(or_, facets, 0)):
+        bit, start = 1 << v, len(masks)
+        links = {facet & below for facet in facets if facet & bit}
+        if below in links:
+            if 2 * start > max_faces:
+                raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+            parents, positions = masks, range(start)
+            for k in range(len(by_size) - 1, 0, -1):
+                by_size[k] += map(start.__add__, by_size[k - 1])
+        else:
+            parents = set()
+            for link in links:
+                subsets = [0]
+                for u in _vertices_of(link):
+                    subsets += list(map((1 << u).__or__, subsets))
+                parents.update(subsets)
+                if start + len(parents) > max_faces:
+                    raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+            parents = sorted(parents)
+            positions = list(map(partial(bisect_left, masks), parents))
+            for at, mask in enumerate(parents, start):
+                by_size[mask.bit_count() + 1].append(at)
+        blocks.append((v, _picker(positions)))
+        masks += list(map(bit.__or__, parents))
+        below |= bit
+    return len(masks), blocks, [(pick(masks), pick) for pick in map(_picker, by_size)]
+
+
 class LabelledComplex:
     """Simplicial complex on labelled vertices, closed under subsets.
 
@@ -81,12 +136,12 @@ class LabelledComplex:
     faces outnumber labels by far.  A code over 2^20 64-bit words is
     refused before any is built.
 
-    Each facet is built by doubling over its vertices, lowest first: the
-    faces with the new vertex are the faces so far with its bit set, and
-    their ids come from a per-vertex memo {label id: id of the join}, so
-    an OR and an interning happen once per new (label, vertex) pair, not
-    per face.  Each size's masks come out in increasing order within a
-    facet, and in facet order across facets.
+    Which faces there are depends on the facets alone, so the label-free
+    skeleton (`_skeleton`) is memoized by the sorted facet masks, up to
+    `_MEMO_FACES` faces in all.  Each complex only labels it: per top vertex
+    v, each distinct label id of the parents is joined with v's code once,
+    and the faces with v take the joined ids of their parents.  Each size's
+    masks come in increasing order.
 
     At the API (`faces`, `faces_of_dim`, `degree_slices`, `label_exps`,
     `degree`) a face is a sorted tuple of vertex indices; these tuples are
@@ -105,34 +160,31 @@ class LabelledComplex:
                     f"facet with {size} vertices yields {format_count(1 << size)} faces, "
                     f"over the cap of {max_faces}")
         width, vertex_codes = _unary_codes(vertices)
+        key = tuple(sorted(canonical))
+        skeleton = _skeletons.get(key)
+        if skeleton is None:
+            skeleton = _skeleton(key, max_faces)
+            if skeleton[0] + sum(kept[0] for kept in _skeletons.values()) <= _MEMO_FACES:
+                _skeletons[key] = skeleton
+        elif skeleton[0] > max_faces:  # memoized under a larger cap
+            raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+        _, blocks, sizes = skeleton
         codes = [0]
         ids = {0: 0}  # label code -> id
-        joins = [{} for _ in vertex_codes]  # per vertex: label id -> id of the joined label
-        by_size = [{0: 0}]  # by_size[k]: {mask: label id} of the faces with k vertices
-        for facet in canonical:
-            # layers[k] holds this facet's k-vertex faces over the vertices so far,
-            # masks in increasing order; a new vertex is above all of them
-            layers = [([0], [0])]
-            seen = {0}  # label ids the layers hold
-            for v in _vertices_of(facet):
-                bit, code, step = 1 << v, vertex_codes[v], joins[v]
-                for lid in seen.difference(step):
-                    joined = codes[lid] | code
-                    new = step[lid] = ids.setdefault(joined, len(codes))
-                    if new == len(codes):
-                        codes.append(joined)
-                seen.update(list(map(step.__getitem__, seen)))
-                layers.append(([], []))
-                for k in range(len(layers) - 1, 0, -1):
-                    masks, lids = layers[k - 1]
-                    layers[k][0].extend(map(bit.__or__, masks))
-                    layers[k][1].extend(map(step.__getitem__, lids))
-            by_size += [{} for _ in range(len(layers) - len(by_size))]
-            for faces, (masks, lids) in zip(by_size, layers):
-                faces.update(zip(masks, lids))
-            if sum(map(len, by_size)) > max_faces:
-                raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
-        self._store(vertices, width, codes, by_size)
+        lids = [0]  # label id of each face, in mask order
+        for v, parents in blocks:
+            code = vertex_codes[v]
+            parent_ids = parents(lids)
+            step = {}  # label id -> id of its join with v
+            for lid in set(parent_ids):
+                joined = codes[lid] | code
+                if joined not in ids:
+                    ids[joined] = len(codes)
+                    codes.append(joined)
+                step[lid] = ids[joined]
+            lids += map(step.__getitem__, parent_ids)
+        self._store(vertices, width, codes,
+                    [dict(zip(masks, pick(lids))) for masks, pick in sizes])
 
     def _store(self, vertices, width, codes, by_size):
         """Keep by_size[k], {mask: label id} of the k-vertex faces, as the one store."""

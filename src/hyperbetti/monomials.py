@@ -9,7 +9,6 @@ over the base generators.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import DimensionError, DomainError, check_budget
@@ -130,12 +129,12 @@ class MonomialIdeal:
 def power_generators(ideal, t):
     """Minimal generators of the t-th power, with their factorization tuples.
 
-    One walk lists the factorization tuples as the sorted multisets of t
-    generator indices: in lexicographic order their count vectors come in
-    descending order.  More than DEFAULT_MAX_FACES of them, C(m+t-1, t) for
-    m generators, raise ResourceCapError before any is built.  Each count
-    vector gives its product's exponent vector, and a Monomial is built
-    only once per distinct product.
+    One walk lists the factorization tuples as the count vectors of t
+    generator indices, in descending order, at O(m) per vector.  More than
+    DEFAULT_MAX_FACES of them, C(m+t-1, t) for m generators, raise
+    ResourceCapError before any is built.  Each count vector gives its
+    product's exponent vector, and a Monomial is built only once per
+    distinct product.
 
     Distinct tuples can collide on the same monomial, and one product of t
     generators can strictly divide another; both effects are eliminated.
@@ -153,20 +152,28 @@ def power_generators(ideal, t):
     check_budget(comb(m + t - 1, t), f"factorization tuples of {m} generators at power {t}")
     bound = (t + 1) // 2
     reps = {}  # product exponent vector -> (representative tuple, balanced)
-    for combo in combinations_with_replacement(range(m), t):
-        counts = [0] * m
-        for k in combo:
-            counts[k] += 1
+    counts = [t] + [0] * (m - 1)
+    while True:
+        b = tuple(counts)
         exps = [0] * ideal.n
-        for g, c in zip(gens, counts):
+        for g, c in zip(gens, b):
             if c:
                 for i, e in enumerate(g.exps):
                     exps[i] += e * c
         exps = tuple(exps)
-        b = tuple(counts)
         balanced = max(b) <= bound
         if exps not in reps or (balanced and not reps[exps][1]):
             reps[exps] = (b, balanced)
+        # the next vector: one unit moves from the last nonzero count before
+        # the final one to the next position, and the final count with it
+        j = m - 2
+        while j >= 0 and not counts[j]:
+            j -= 1
+        if j < 0:
+            break
+        rest, counts[-1] = counts[-1], 0
+        counts[j] -= 1
+        counts[j + 1] = rest + 1
     tuple_of = {Monomial(exps): b for exps, (b, _) in reps.items()}
     survivors = [(tuple_of[mono], mono) for mono in minimal_generators(tuple_of)]
     survivors.sort(key=lambda pair: pair[0], reverse=True)

@@ -398,6 +398,42 @@ class TestVertexOrder:
         assert (graded_betti(reordered(cx, order), char=char).entries
                 == graded_betti(cx, char=char).entries)
 
+    # six more graphs, found by a seeded search over graphs with 5 and 6
+    # edges, whose support table at t = 2 changes when every sign is +1;
+    # pairwise non-isomorphic, and none isomorphic to the graph above
+    more_graphs = [
+        (Hypergraph(7, [[1, 3], [2, 5], [2, 6], [2, 7], [4, 7]]),
+         {(0, 0): 1, (1, 4): 15, (2, 5): 19, (2, 6): 14, (3, 6): 8, (3, 7): 19, (4, 7): 1,
+          (4, 8): 8, (5, 9): 1}),
+        (Hypergraph(6, [[1, 6], [2, 4], [3, 4], [3, 6], [4, 5]]),
+         {(0, 0): 1, (1, 4): 15, (2, 5): 24, (2, 6): 5, (3, 6): 12, (3, 7): 8, (4, 7): 2,
+          (4, 8): 3}),
+        (Hypergraph(5, [[1, 5], [2, 5], [3, 4], [3, 5], [4, 5]]),
+         {(0, 0): 1, (1, 4): 15, (2, 5): 31, (3, 6): 25, (4, 7): 9, (5, 8): 1}),
+        (Hypergraph(7, [[1, 2], [1, 5], [1, 6], [1, 7], [3, 4]]),
+         {(0, 0): 1, (1, 4): 15, (2, 5): 26, (2, 6): 14, (3, 6): 19, (3, 7): 26, (4, 7): 5,
+          (4, 8): 19, (5, 9): 5}),
+        (Hypergraph(5, [[1, 2], [2, 3], [2, 5], [3, 4], [4, 5]]),
+         {(0, 0): 1, (1, 4): 14, (2, 5): 24, (3, 6): 13, (4, 7): 2}),
+        (Hypergraph(5, [[1, 2], [1, 3], [1, 5], [2, 4], [3, 4], [4, 5]]),
+         {(0, 0): 1, (1, 4): 18, (2, 5): 36, (3, 6): 25, (4, 7): 6}),
+    ]
+
+    def test_more_graphs_are_distinct(self):
+        classes = {canonical_edges(h) for h, _ in self.more_graphs}
+        assert len(classes | {canonical_edges(self.graph)}) == 7
+
+    @pytest.mark.parametrize("char", [0, 3])
+    @pytest.mark.parametrize("index", range(6))
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_more_sign_sensitive_graphs(self, char, index, data):
+        graph, table = self.more_graphs[index]
+        cx = faridi_complex(edge_ideal(graph), 2)
+        assert graded_betti(cx, char=char).entries == table
+        order = data.draw(st.permutations(range(len(cx.vertices))))
+        assert graded_betti(reordered(cx, order), char=char).entries == table
+
     @pytest.mark.parametrize("char", [0, 3])
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), data=st.data())

@@ -3,6 +3,7 @@ these tests pin its build against a per-face oracle, its public tuple view,
 its equality and its face cap, and check that the Betti kernel never asks
 for tuple faces."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -50,33 +51,112 @@ def labelled_inputs(draw):
     return vertices, facets, draw(st.integers(1, 200))
 
 
+def check_against_oracle(vertices, facets, max_faces):
+    """Build the complex and compare it with the per-face oracle, cap included."""
+    try:
+        expected = labelled_complex_oracle(vertices, facets, max_faces)
+    except ResourceCapError as exc:
+        with pytest.raises(ResourceCapError) as caught:
+            LabelledComplex(vertices, facets, max_faces)
+        assert str(caught.value) == str(exc)
+        return None
+    label_id, labels, degrees, masks = expected
+    cx = LabelledComplex(vertices, facets, max_faces)
+    # one dict per face size, its masks in increasing order
+    assert {k - 1: list(faces) for k, faces in enumerate(cx._faces)} == {
+        d: sorted(ms) for d, ms in masks.items()}
+    assert all(mask.bit_count() == k for k, faces in enumerate(cx._faces) for mask in faces)
+    store = {mask: lid for faces in cx._faces for mask, lid in faces.items()}
+    assert store.keys() == label_id.keys()
+    assert sum(map(len, cx._faces)) == cx.face_count == len(label_id)
+    # the same partition of the faces by label: ids correspond one to one
+    pairs = {(store[mask], lid) for mask, lid in label_id.items()}
+    assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+    for mask, lid in label_id.items():
+        face = complexes._vertices_of(mask)
+        assert cx.label_exps(face) == labels[lid]
+        assert cx.degree(face) == degrees[lid]
+    return cx
+
+
 class TestBuildMatchesTheSubmaskWalk:
     @settings(max_examples=300, deadline=None)
     @given(labelled_inputs())
     def test_masks_labels_degrees_and_cap(self, inputs):
-        vertices, facets, max_faces = inputs
-        try:
-            expected = labelled_complex_oracle(vertices, facets, max_faces)
-        except ResourceCapError as exc:
-            with pytest.raises(ResourceCapError) as caught:
-                LabelledComplex(vertices, facets, max_faces)
-            assert str(caught.value) == str(exc)
-            return
-        label_id, labels, degrees, masks = expected
-        cx = LabelledComplex(vertices, facets, max_faces)
-        # one dict per face size, in the oracle's build order
-        assert {k - 1: list(faces) for k, faces in enumerate(cx._faces)} == masks
-        assert all(mask.bit_count() == k for k, faces in enumerate(cx._faces) for mask in faces)
-        store = {mask: lid for faces in cx._faces for mask, lid in faces.items()}
-        assert store.keys() == label_id.keys()
-        assert sum(map(len, cx._faces)) == cx.face_count == len(label_id)
-        # the same partition of the faces by label: ids correspond one to one
-        pairs = {(store[mask], lid) for mask, lid in label_id.items()}
-        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
-        for mask, lid in label_id.items():
-            face = complexes._vertices_of(mask)
-            assert cx.label_exps(face) == labels[lid]
-            assert cx.degree(face) == degrees[lid]
+        check_against_oracle(*inputs)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh, empty skeleton memo for one test."""
+    monkeypatch.setattr(complexes, "_skeletons", {})
+    return complexes._skeletons
+
+
+def labelled(*label_rows):
+    return [((k,), Monomial(exps)) for k, exps in enumerate(label_rows)]
+
+
+class TestSkeletonMemo:
+    # the faces of a complex come from a skeleton memoized by its sorted facet
+    # masks; each query labels it afresh
+    def test_other_labels_on_the_same_facets(self, empty_memo):
+        facets = [(0, 1, 2), (1, 3), (2, 3, 4)]
+        first = labelled((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))
+        second = labelled((2, 0, 1), (0, 1, 0), (2, 0, 1), (0, 0, 3), (1, 1, 1))
+        a = check_against_oracle(first, facets, 100)
+        assert len(empty_memo) == 1
+        b = check_against_oracle(second, facets, 100)  # a memo hit
+        assert len(empty_memo) == 1
+        assert [list(f) for f in a._faces] == [list(f) for f in b._faces]
+        assert a.label_exps((2, 3, 4)) == (1, 1, 1) and b.label_exps((2, 3, 4)) == (2, 1, 3)
+        assert check_against_oracle(first, facets, 100) == a
+
+    def test_same_counts_other_facets(self, empty_memo):
+        # as many vertices and facets, and faces, but other facets
+        vertices = labelled((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        for facets in ([(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)],
+                       [(0, 3), (1, 3), (2, 3)], [(0, 1, 2)], [(1, 2, 3)]):
+            check_against_oracle(vertices, facets, 100)
+        assert len(empty_memo) == 5
+
+    def test_facet_order_and_repeats_share_a_skeleton(self, empty_memo, four_cycle):
+        gens, facets = support_inputs(four_cycle, 2)
+        base = LabelledComplex(gens, facets)
+        rng = random.Random(5)
+        for _ in range(10):
+            variant = facets + rng.sample(facets, rng.randint(0, len(facets)))
+            rng.shuffle(variant)
+            cx = LabelledComplex(gens, variant)
+            assert cx == base
+            assert [list(f.items()) for f in cx._faces] == [list(f.items()) for f in base._faces]
+        assert len(empty_memo) == 1
+
+    def test_cap_message_on_a_hit_and_a_miss(self, empty_memo, four_cycle):
+        gens, facets = support_inputs(four_cycle, 2)
+        messages, kept = [], []
+        for max_faces in (55, 56, 55):  # a miss at the cap, then a build, then a hit
+            try:
+                LabelledComplex(gens, facets, max_faces)
+            except ResourceCapError as exc:
+                messages.append(str(exc))
+            kept.append(len(empty_memo))
+        assert messages == ["complex exceeds the cap of 55 faces"] * 2
+        assert kept == [0, 1, 1]
+
+    def test_memo_bound(self, empty_memo):
+        bound = complexes._MEMO_FACES
+        assert bound == 1 << 16
+        vertices = labelled(*[[int(i == k) for i in range(17)] for k in range(17)])
+        # 2^17 faces: built, not kept
+        assert LabelledComplex(vertices, [range(17)]).face_count == 2 * bound
+        assert not empty_memo
+        # a skeleton is kept only while the memo stays within the bound
+        for size in (15, 14, 15, 16, 13, 14, 3, 13):
+            LabelledComplex(vertices, [range(size)])
+            held = [skeleton[0] for skeleton in empty_memo.values()]
+            assert sum(held) <= bound
+        assert sorted(held) == [1 << 3, 1 << 13, 1 << 14, 1 << 15]
 
 
 class TestFaceCap:

@@ -66,6 +66,13 @@ class TestEnumerateTuples:
     def test_m1(self):
         assert tuples_of(1, 3) == [(3,)]
 
+    def test_one_generator_at_a_huge_power(self):
+        # the walk steps through count vectors, so one generator is one vector
+        # at any power, not a t-long index tuple
+        start = time.perf_counter()
+        assert tuples_of(1, 23_000_000) == [(23_000_000,)]
+        assert time.perf_counter() - start < 0.5
+
     def test_standard_basis_at_t1(self):
         assert tuples_of(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
