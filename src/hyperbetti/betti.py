@@ -23,12 +23,22 @@ with no entry carried along.  A column is built, and its pivot entry
 inverted, only when a reduction first needs it (as Ripser does, Bauer
 2021), and a face whose column is empty or reduces to zero is counted
 as unpaired on the spot.
+
+The pairing depends on the labelled complex only through which faces
+share a label, so many queries repeat one: `graded_betti` memoizes its
+unpaired counts by (index, label id) per skeleton, labelling and
+characteristic, and grades them by each querying complex's own degrees.
+The memo is process-wide and exact (its key is made of values, and two
+complexes with one key have the same face store), and it keeps new
+entries while it holds at most `_MEMO_BYTES` bytes.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache, partial
+from threading import Lock
 from typing import NamedTuple
 
 from .complexes import _mask_of, _vertices_of
@@ -38,6 +48,11 @@ from .errors import DomainError
 # bound (Sorenson-Webster 2017); larger characteristics are refused.
 MAX_CHARACTERISTIC = 3317044064679887385961981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+_MEMO_BYTES = 1 << 19  # bytes of labellings and counts held by all memoized pairings together
+_pairings = {}  # (skeleton key, char) -> {labelling: unpaired counts}, kept within _MEMO_BYTES
+_pairings_held = 0  # the bytes that _pairings holds
+_pairings_lock = Lock()  # held to test the bound and add an entry
 
 
 def _is_prime(n):
@@ -284,6 +299,41 @@ def _pairs(cx, char):
         above = pivots
 
 
+def _keep(shape, char, runs):
+    """Memoize a pairing's runs under (shape, char) if the memo stays within _MEMO_BYTES.
+
+    runs lists (i, {label id: count}) for the indices with unpaired faces.
+    The kept value is one array: per run, i, its length n, its n label
+    ids and then their n counts.
+    """
+    global _pairings_held
+    skeleton, labelling = shape
+    flat = []
+    for i, unpaired in runs:
+        flat += i, len(unpaired)
+        flat += unpaired
+        flat += unpaired.values()
+    kept = array("I", flat)
+    size = len(labelling) + kept.itemsize * len(kept)
+    with _pairings_lock:
+        if _pairings_held + size <= _MEMO_BYTES:
+            memo = _pairings.setdefault((skeleton, char), {})
+            if labelling not in memo:  # another thread may have kept it first
+                memo[labelling] = kept
+                _pairings_held += size
+
+
+def _unpack(kept):
+    """The runs (i, {label id: count}) of a kept array."""
+    runs, pos = [], 0
+    while pos < len(kept):
+        i, n = kept[pos], kept[pos + 1]
+        pos += 2
+        runs.append((i, dict(zip(kept[pos:pos + n], kept[pos + n:pos + 2 * n]))))
+        pos += 2 * n
+    return runs
+
+
 def graded_betti(cx, char=0, power=None):
     """Betti table of the quotient supported on the given complex.
 
@@ -303,13 +353,35 @@ def graded_betti(cx, char=0, power=None):
     masks and rank(d, j) is unchanged without it.  A cleared face is never
     a column, so the pivot columns and the pivot rows are disjoint.  Only
     the pairs of the dimension in hand and of the one above are kept.
+
+    The pass reads only the face masks in store order, their label ids and
+    the characteristic, so its unpaired counts by (index, label id) are
+    memoized in `_pairings` under the complex's `_shape`, (sorted facet
+    masks, labelling), and char; a complex without a shape is reduced
+    every time.  The facet masks fix the faces and their order, and the
+    labelling fixes every face's label id (see `LabelledComplex`), so two
+    complexes with one key have the same store and the same pairing: the
+    memo is exact.  Degrees are not in it: each table is graded by its
+    own complex's `_degrees`, as a hit is for an ideal with every exponent
+    doubled.  The memo keeps a new entry only while the labellings and
+    counts it holds stay within `_MEMO_BYTES` bytes; past that, a table is
+    computed and not kept.  The characteristic is validated first, also
+    on a hit.
     """
     validate_characteristic(char)
+    shape = cx._shape
+    kept = None if shape is None else _pairings.get((shape[0], char), {}).get(shape[1])
+    if kept is None:
+        runs = [(d + 1, unpaired) for d, _, unpaired in _pairs(cx, char) if unpaired]
+        if shape is not None:
+            _keep(shape, char, runs)
+    else:
+        runs = _unpack(kept)
     degrees = cx._degrees
     entries = {(0, 0): 1}
-    for d, _, unpaired in _pairs(cx, char):
+    for i, unpaired in runs:
         for label, count in unpaired.items():
-            key = d + 1, degrees[label]
+            key = i, degrees[label]
             entries[key] = entries.get(key, 0) + count
     return BettiTable(dict(sorted(entries.items())), power=power, char=char)
 

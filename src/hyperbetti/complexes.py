@@ -143,12 +143,22 @@ class LabelledComplex:
     and the faces with v take the joined ids of their parents.  Each size's
     masks come in increasing order.
 
+    `_shape` keys the Betti kernel's memo: (sorted facet masks, labelling),
+    where the labelling is the bytes of the joined ids, block by block in
+    the order each block takes its distinct parent ids.  Replaying it on
+    the skeleton gives back every face's label id, and the ids give it, so
+    two complexes on one skeleton have equal labellings exactly when their
+    faces have equal ids.  Exponents do not enter: doubling them all keeps
+    the labelling.  A complex whose skeleton is not memoized, or with over
+    256 labels (a joined id past one byte), has no shape, nor has one from
+    `lyubeznik_complex`.
+
     At the API (`faces`, `faces_of_dim`, `degree_slices`, `label_exps`,
     `degree`) a face is a sorted tuple of vertex indices; these tuples are
     built from the masks when asked for and are not kept.
     """
 
-    __slots__ = ("vertices", "_faces", "_codes", "_width", "_degrees", "_slices")
+    __slots__ = ("vertices", "_faces", "_codes", "_width", "_degrees", "_slices", "_shape")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
         vertices = tuple(vertices)
@@ -166,12 +176,15 @@ class LabelledComplex:
             skeleton = _skeleton(key, max_faces)
             if skeleton[0] + sum(kept[0] for kept in _skeletons.values()) <= _MEMO_FACES:
                 _skeletons[key] = skeleton
+            else:
+                key = None
         elif skeleton[0] > max_faces:  # memoized under a larger cap
             raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
         _, blocks, sizes = skeleton
         codes = [0]
         ids = {0: 0}  # label code -> id
         lids = [0]  # label id of each face, in mask order
+        joins = []  # each block's joined ids, in the order its step takes them: the labelling
         for v, parents in blocks:
             code = vertex_codes[v]
             parent_ids = parents(lids)
@@ -182,11 +195,13 @@ class LabelledComplex:
                     ids[joined] = len(codes)
                     codes.append(joined)
                 step[lid] = ids[joined]
+            joins += step.values()
             lids += map(step.__getitem__, parent_ids)
         self._store(vertices, width, codes,
-                    [dict(zip(masks, pick(lids))) for masks, pick in sizes])
+                    [dict(zip(masks, pick(lids))) for masks, pick in sizes],
+                    None if key is None or len(codes) > 256 else (key, bytes(joins)))
 
-    def _store(self, vertices, width, codes, by_size):
+    def _store(self, vertices, width, codes, by_size, shape=None):
         """Keep by_size[k], {mask: label id} of the k-vertex faces, as the one store."""
         self.vertices = vertices
         self._faces = by_size
@@ -194,6 +209,7 @@ class LabelledComplex:
         self._width = width
         self._degrees = list(map(int.bit_count, codes))
         self._slices = {}
+        self._shape = shape
 
     @property
     def dim(self):

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperbetti import Hypergraph
+from hyperbetti import Hypergraph, betti, complexes
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -25,3 +25,28 @@ def four_cycle():
 @pytest.fixture
 def data_dir():
     return DATA_DIR
+
+
+@pytest.fixture
+def empty_pairings(monkeypatch):
+    """A fresh, empty pairing memo for one test, so that graded_betti runs the
+    kernel on the first query of each labelled skeleton."""
+    monkeypatch.setattr(betti, "_pairings", {})
+    monkeypatch.setattr(betti, "_pairings_held", 0)
+    return betti._pairings
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The complexes that graded_betti hands to the kernel, in order."""
+    runs = []
+    real = betti._pairs
+    monkeypatch.setattr(betti, "_pairs", lambda cx, char: runs.append(cx) or real(cx, char))
+    return runs
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh, empty skeleton memo for one test."""
+    monkeypatch.setattr(complexes, "_skeletons", {})
+    return complexes._skeletons

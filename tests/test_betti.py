@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -8,12 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperbetti import betti
+from hyperbetti import betti, complexes
 from hyperbetti.betti import (BettiTable, bound_applicability, graded_betti,
                               integer_rank, reduced_boundary, survivor_face_sets,
                               validate_characteristic)
-from hyperbetti.complexes import (DEFAULT_MAX_FACES, LabelledComplex, _vertices_of,
-                                  faridi_complex, taylor_complex)
+from hyperbetti.complexes import (DEFAULT_MAX_FACES, LabelledComplex, _support_facets,
+                                  _vertices_of, faridi_complex, lyubeznik_complex,
+                                  taylor_complex)
 from hyperbetti.errors import DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.matchings import invariants
@@ -285,7 +288,7 @@ class TestGradedBetti:
         assert dims == list(range(cx.dim, -1, -1))
 
     @pytest.mark.parametrize("kind", ["faridi", "taylor"])
-    def test_columns_built_only_to_reduce(self, monkeypatch, example39, kind):
+    def test_columns_built_only_to_reduce(self, monkeypatch, empty_pairings, example39, kind):
         # a column whose largest row is not yet a pivot row is never built
         ideal = edge_ideal(example39)
         cx = (faridi_complex(ideal, 2) if kind == "faridi"
@@ -354,7 +357,7 @@ class TestRareReduction:
     # one label on every vertex makes each boundary the whole simplicial one,
     # so columns reduce against reduced pivots whose entries can leave +-1,
     # which no workload or corpus instance reaches
-    def test_single_label_complexes_match_dense(self, monkeypatch):
+    def test_single_label_complexes_match_dense(self, monkeypatch, empty_pairings):
         used = []  # the pivot columns a reduction has used, in the last table
         real = betti._reduce
 
@@ -468,9 +471,10 @@ class TestIsomorphismClasses:
 class TestRecordedPools:
     # the benchmark's query pools, read as recorded: 2400 tables over Q and
     # GF(32003) at t = 2..4.  The builtin corpus stream does not see boundary
-    # signs; all-+1 signs change 90 of these tables
+    # signs; all-+1 signs change 90 of these tables.  Many queries repeat a
+    # labelled skeleton, so the tables check memo hits as well as reductions
     @pytest.mark.parametrize("pool", ["queries-char0.json", "queries-charp.json"])
-    def test_every_recorded_table(self, pool):
+    def test_every_recorded_table(self, empty_pairings, kernel_runs, pool):
         path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / pool
         recorded = json.loads(path.read_text(encoding="utf-8"))
         char, max_faces = recorded["char"], recorded["max_faces"]
@@ -482,6 +486,149 @@ class TestRecordedPools:
                 cx = faridi_complex(ideal, q["t"], max_faces=max_faces)
             table = graded_betti(cx, char=char, power=q["t"])
             assert [[i, j, b] for (i, j), b in table.items_sorted()] == q["table"], q
+        assert 0 < len(kernel_runs) < len(recorded["queries"])
+
+
+@pytest.mark.usefixtures("empty_memo")  # a full skeleton memo would leave complexes unkeyed
+class TestPairingMemo:
+    # graded_betti memoizes the unpaired counts of each (skeleton, labelling,
+    # char) and grades them by the querying complex's own degrees
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+
+    def plane(self, rng, top):
+        """The projective plane with random vertex labels, exponents 0..top in 3 variables."""
+        exps = [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(6)]
+        return LabelledComplex([((v,), Monomial(e)) for v, e in enumerate(exps)], self.triangles)
+
+    def test_each_field_its_own_table(self, empty_pairings):
+        # the projective plane of TestGradedBetti: only GF(2) sees its torsion
+        vertices = [((v,), Monomial((1,))) for v in range(6)]
+        tables = {0: {(0, 0): 1, (1, 1): 1}, 2: {(0, 0): 1, (1, 1): 1, (2, 1): 1, (3, 1): 1}}
+        for char in (0, 2, 0, 2):
+            cx = LabelledComplex(vertices, self.triangles)
+            assert graded_betti(cx, char=char).entries == tables[char], char
+        assert sum(map(len, empty_pairings.values())) == 2
+
+    @pytest.mark.parametrize("char", [0, 3])
+    def test_degrees_grade_each_hit(self, empty_pairings, kernel_runs, four_cycle, char):
+        # the square of the 4-cycle's edge ideal, and the same ideal with every
+        # exponent doubled: one skeleton, one labelling, degrees twice as large
+        gens = power_generators(edge_ideal(four_cycle), 2)
+        doubled = [(b, Monomial(tuple(2 * e for e in mono.exps))) for b, mono in gens]
+        facets = _support_facets([b for b, _ in gens], 2)
+        plain, double = LabelledComplex(gens, facets), LabelledComplex(doubled, facets)
+        assert plain._shape == double._shape is not None
+        table = graded_betti(plain, char=char).entries
+        assert graded_betti(double, char=char).entries == {
+            (i, 2 * j): b for (i, j), b in table.items()} != table
+        assert kernel_runs == [plain]
+        assert table == dense_table(plain, char)
+
+    def test_labelling_replays_the_label_ids(self, example39):
+        # the labelling is each block's joined ids in the order its step takes
+        # the distinct parent ids, so replaying it on the skeleton gives back
+        # every face's label id
+        rng = random.Random(3)
+        ideal = edge_ideal(example39)
+        cxs = [faridi_complex(ideal, 2), taylor_complex(power_generators(ideal, 2))]
+        for cx in cxs + [self.plane(rng, 2) for _ in range(20)]:
+            skeleton, labelling = cx._shape
+            _, blocks, sizes = complexes._skeletons[skeleton]
+            lids, joins = [0], iter(labelling)
+            for _, parents in blocks:
+                parent_ids = parents(lids)
+                step = {lid: next(joins) for lid in set(parent_ids)}
+                lids += map(step.__getitem__, parent_ids)
+            assert next(joins, None) is None
+            assert [dict(zip(masks, pick(lids))) for masks, pick in sizes] == cx._faces
+
+    @pytest.mark.parametrize("char", [0, 2])
+    def test_other_labellings_of_one_skeleton(self, empty_pairings, char):
+        # the projective plane under random labellings: one skeleton, and two
+        # complexes share a labelling exactly when they share every label id
+        rng = random.Random(11)
+        shapes = {}
+        for _ in range(40):
+            cx = self.plane(rng, 1)
+            assert graded_betti(cx, char=char).entries == dense_table(cx, char)
+            ids = [list(faces.items()) for faces in cx._faces]
+            assert shapes.setdefault(cx._shape, ids) == ids
+        assert len({skeleton for skeleton, _ in shapes}) == 1 < len(shapes)
+        assert len({labelling for _, labelling in shapes}) == len(shapes)
+        assert sum(map(len, empty_pairings.values())) == len(shapes)
+
+    def test_bound(self, monkeypatch, empty_pairings):
+        # past _MEMO_BYTES new tables are computed and not kept, and stay right
+        assert betti._MEMO_BYTES == 1 << 19
+        bound = 600
+        monkeypatch.setattr(betti, "_MEMO_BYTES", bound)
+        computed = {}
+        for seed in range(12):
+            cx = self.plane(random.Random(seed), 2)
+            for char in (0, 2):
+                held = betti._pairings_held
+                table = graded_betti(cx, char=char).entries
+                assert table == dense_table(cx, char), (seed, char)
+                kept = empty_pairings.get((cx._shape[0], char), {}).get(cx._shape[1])
+                computed[cx._shape, char] = kept is not None
+                if kept is None:
+                    assert betti._pairings_held == held
+                assert betti._pairings_held == sum(
+                    len(labelling) + kept.itemsize * len(kept)
+                    for memo in empty_pairings.values() for labelling, kept in memo.items())
+                assert betti._pairings_held <= bound
+        assert any(computed.values()) and not all(computed.values())
+
+    def test_threads_keep_the_bound(self, monkeypatch, empty_pairings):
+        # threads that miss at once count each kept entry once, within the bound
+        cxs = [self.plane(random.Random(seed), 2) for seed in range(30)]
+        queries = [(cx, char, dense_table(cx, char)) for cx in cxs for char in (0, 2)]
+        bound = 2000
+        monkeypatch.setattr(betti, "_MEMO_BYTES", bound)
+        wrong = []
+
+        def query(seed):
+            for cx, char, table in random.Random(seed).sample(queries, len(queries)):
+                if graded_betti(cx, char=char).entries != table:
+                    wrong.append((cx, char))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                empty_pairings.clear()
+                betti._pairings_held = 0
+                workers = [threading.Thread(target=query, args=(seed,)) for seed in range(4)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not any(worker.is_alive() for worker in workers)
+                assert not wrong
+                assert betti._pairings_held == sum(
+                    len(labelling) + kept.itemsize * len(kept)
+                    for memo in empty_pairings.values() for labelling, kept in memo.items())
+                assert bound // 2 < betti._pairings_held <= bound
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_complexes_without_a_key(self, monkeypatch, empty_pairings, kernel_runs, four_cycle):
+        # Lyubeznik's complex, a skeleton over the skeleton memo's bound, and
+        # a complex with more than 256 labels are reduced every time
+        gens = power_generators(edge_ideal(four_cycle), 2)
+        free = [((v,), Monomial(tuple(int(k == v) for k in range(9)))) for v in range(9)]
+        monkeypatch.setattr(complexes, "_MEMO_FACES", 8)
+        unkept = LabelledComplex(gens, _support_facets([b for b, _ in gens], 2))
+        monkeypatch.setattr(complexes, "_MEMO_FACES", 1 << 16)
+        simplex = LabelledComplex(free, [range(9)])
+        assert len(simplex._codes) == 512
+        # 256 labels, ids 0..255, still get a key
+        assert LabelledComplex(free[:8], [range(8)])._shape is not None
+        for cx in (lyubeznik_complex(gens), unkept, simplex):
+            assert cx._shape is None
+            assert graded_betti(cx).entries == graded_betti(cx).entries
+        assert len(kernel_runs) == 6 and not empty_pairings
 
 
 class TestBettiTable:

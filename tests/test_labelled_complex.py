@@ -86,13 +86,6 @@ class TestBuildMatchesTheSubmaskWalk:
         check_against_oracle(*inputs)
 
 
-@pytest.fixture
-def empty_memo(monkeypatch):
-    """A fresh, empty skeleton memo for one test."""
-    monkeypatch.setattr(complexes, "_skeletons", {})
-    return complexes._skeletons
-
-
 def labelled(*label_rows):
     return [((k,), Monomial(exps)) for k, exps in enumerate(label_rows)]
 
@@ -228,7 +221,7 @@ class TestKernelStaysOnMasks:
     taylor_table = {(0, 0): 1, (1, 6): 10, (2, 8): 12, (2, 9): 8, (3, 10): 12, (4, 12): 1}
 
     @pytest.mark.parametrize("char", [0, 3])
-    def test_graded_betti_builds_no_tuple_faces(self, monkeypatch, char):
+    def test_graded_betti_builds_no_tuple_faces(self, monkeypatch, empty_pairings, char):
         support = faridi_complex(edge_ideal(self.graph), 2)
         simplex = taylor_complex(power_generators(edge_ideal(self.example39), 2))
         assert (support.face_count, simplex.face_count) == (1104, 1024)
