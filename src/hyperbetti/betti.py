@@ -15,14 +15,14 @@ characteristic, and the rationals are never replaced by a modular
 shortcut.  Every step divides by the pivot entry, in one code path for
 both fields.
 
-Each dimension is one loop over the complex's dict of its faces, which
-gives each face with its label id.  A face cleared by the pass above is
-skipped; the others scan their vertex removals up to the first
-label-keeping one, the column's largest row, and a fresh row is claimed
-with no entry carried along.  A column is built, and its pivot entry
-inverted, only when a reduction first needs it (as Ripser does, Bauer
-2021), and a face whose column is empty or reduces to zero is counted
-as unpaired on the spot.
+Each dimension is one loop over the complex's index of its faces, which
+gives each face mask with its number, the key of its label id and of its
+row.  A face cleared by the pass above is skipped; the others scan their
+vertex removals up to the first label-keeping one, the column's largest
+row, and a fresh row is claimed with no entry carried along.  A column
+is built, and its pivot entry inverted, only when a reduction first
+needs it (as Ripser does, Bauer 2021), and a face whose column is empty
+or reduces to zero is counted as unpaired on the spot.
 
 The pairing depends on the labelled complex only through which faces
 share a label, so many queries repeat one: `graded_betti` memoizes its
@@ -207,39 +207,36 @@ class BoundaryMatrix(NamedTuple):
 
 
 def _boundary_column(cx, face):
-    """Boundary terms of a face mask whose subface keeps its label, as {subface mask: sign}.
+    """Boundary terms of a face mask whose subface keeps its label, as {subface number: sign}.
 
     The subfaces are face ^ bit for the set bits of the mask, lowest first;
     removing the k-th vertex (0-based, in sorted order) has sign (-1)^(k+1).
     A subface keeps its term exactly when it has the face's label id, that
     is, when both sit at the same element of the lcm lattice.
     """
-    own, rows = cx._faces[face.bit_count()][face], cx._faces[face.bit_count() - 1]
-    column = {}
-    sign = -1
-    rest = face
+    lids, index = cx._lids, cx._index
+    own, rows = lids[index[face.bit_count()][face]], index[face.bit_count() - 1]
+    column, sign, rest = {}, -1, face
     while rest:
         bit = rest & -rest
         rest ^= bit
-        if rows[face ^ bit] == own:
-            column[face ^ bit] = sign
+        row = rows[face ^ bit]
+        if lids[row] == own:
+            column[row] = sign
         sign = -sign
     return column
 
 
 def _lowest_removal(cx, face):
-    """The largest row key in a face mask's boundary column, or None if it is empty.
-
-    It is the first label-keeping removal that `_boundary_column` meets,
-    the lowest bit whose subface keeps the face's label id, so the scan
-    stops there without building the column.
-    """
-    own, rows = cx._faces[face.bit_count()][face], cx._faces[face.bit_count() - 1]
+    """The largest row key in a face mask's boundary column, found without building it, or None."""
+    lids, index = cx._lids, cx._index
+    own, rows = lids[index[face.bit_count()][face]], index[face.bit_count() - 1]
     rest = face
     while rest:
         bit = rest & -rest
-        if rows[face ^ bit] == own:
-            return face ^ bit
+        row = rows[face ^ bit]
+        if lids[row] == own:
+            return row
         rest ^= bit
     return None
 
@@ -257,7 +254,7 @@ def reduced_boundary(cx, i, j):
     cols = cx.degree_slices(i - 1).get(j, ())
     rows = cx.degree_slices(i - 2).get(j, ())
     entries = [[0] * len(cols) for _ in rows]
-    row_pos = {_mask_of(face): r for r, face in enumerate(rows)}
+    row_pos = {cx._size(i - 1)[_mask_of(face)]: r for r, face in enumerate(rows)}
     for c, face in enumerate(cols):
         for sub, sign in _boundary_column(cx, _mask_of(face)).items():
             entries[row_pos[sub]][c] = sign
@@ -268,24 +265,25 @@ def _pairs(cx, char):
     """The pairing of each dimension's boundary, from the top dimension down.
 
     Yields (d, pivots, unpaired) for each dimension d: pivots maps each
-    pivot row, a (d-1)-face mask, to the d-face whose column pivots there;
-    unpaired counts by label id the d-faces neither in pivots nor cleared.
-    Faces and label ids come from the complex's store, in its order.
+    pivot row, a (d-1)-face number, to the mask of the d-face whose column
+    pivots there; unpaired counts by label id the d-faces neither in pivots
+    nor cleared.  Faces come from the complex's index, in its order.
     """
-    faces = cx._faces
+    index, lids = cx._index, cx._lids
     build = partial(_boundary_column, cx)
     above = {}
     for d in range(cx.dim, -1, -1):
-        rows = faces[d]
+        rows = index[d]
         pivots, built, unpaired = {}, {}, {}
-        for face, own in faces[d + 1].items():
-            if face in above:
+        for face, number in index[d + 1].items():
+            if number in above:
                 continue
+            own = lids[number]
             rest = face
             while rest:
                 bit = rest & -rest
-                row = face ^ bit
-                if rows[row] == own:
+                row = rows[face ^ bit]
+                if lids[row] == own:
                     break
                 rest ^= bit
             else:
@@ -354,19 +352,18 @@ def graded_betti(cx, char=0, power=None):
     a column, so the pivot columns and the pivot rows are disjoint.  Only
     the pairs of the dimension in hand and of the one above are kept.
 
-    The pass reads only the face masks in store order, their label ids and
-    the characteristic, so its unpaired counts by (index, label id) are
+    The pass reads only the face index, the label ids and the
+    characteristic, so its unpaired counts by (index, label id) are
     memoized in `_pairings` under the complex's `_shape`, (sorted facet
     masks, labelling), and char; a complex without a shape is reduced
-    every time.  The facet masks fix the faces and their order, and the
-    labelling fixes every face's label id (see `LabelledComplex`), so two
-    complexes with one key have the same store and the same pairing: the
-    memo is exact.  Degrees are not in it: each table is graded by its
-    own complex's `_degrees`, as a hit is for an ideal with every exponent
-    doubled.  The memo keeps a new entry only while the labellings and
-    counts it holds stay within `_MEMO_BYTES` bytes; past that, a table is
-    computed and not kept.  The characteristic is validated first, also
-    on a hit.
+    every time.  The facet masks fix the index, and the labelling every
+    face's label id (see `LabelledComplex`), so two complexes with one key
+    have the same store and the same pairing: the memo is exact.  Degrees
+    are not in it: each table is graded by its own complex's `_degrees`,
+    as a hit is for an ideal with every exponent doubled.  The memo keeps
+    a new entry only while the labellings and counts it holds stay within
+    `_MEMO_BYTES` bytes; past that, a table is computed and not kept.  The
+    characteristic is validated first, also on a hit.
     """
     validate_characteristic(char)
     shape = cx._shape
@@ -400,12 +397,13 @@ def survivor_face_sets(cx, i, j):
     recoverable exactly when its column holds a second face.
     """
     columns = [_boundary_column(cx, ext) for ext in cx._degree_groups(i).get(j, ())]
-    extended = {face for column in columns for face in column}
-    stuck = {face for column in columns if len(column) == 1 for face in column}
+    extended = {row for column in columns for row in column}
+    stuck = {row for column in columns if len(column) == 1 for row in column}
+    numbers = cx._size(i)
     candidates = [face for face in cx._degree_groups(i - 1).get(j, ())
                   if _lowest_removal(cx, face) is None]
-    return ({_vertices_of(face) for face in candidates if face not in extended},
-            {_vertices_of(face) for face in candidates if face not in stuck})
+    return ({_vertices_of(face) for face in candidates if numbers[face] not in extended},
+            {_vertices_of(face) for face in candidates if numbers[face] not in stuck})
 
 
 class BoundApplicability(NamedTuple):

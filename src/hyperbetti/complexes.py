@@ -4,18 +4,17 @@ Three constructions: the full simplex on the minimal generators of I^t
 (Taylor), Lyubeznik's subcomplex of it, and a much smaller support
 complex whose facets either concentrate the power on one generator or
 spread it in a balanced way (`faridi` on the command line).  Faces carry
-lcm labels: downstream, a
-label decides which boundary terms a face keeps, and its degree only
-grades the result.
+lcm labels: downstream, a label decides which boundary terms a face
+keeps, and its degree only grades the result.
 
 Inside a complex a face is the int bitmask of its vertex indices and its
 label is the small int id of an interned lcm label, so the Betti kernel
-in `betti` works on ints alone; one dict per face size, {mask: label id},
-masks in increasing order, is the only store of the faces.  A label is
-interned as a unary code: exponent e is e ones in a fixed-width field per
-variable, so the lcm of two labels is the OR of their codes and a degree
-is a bit count.  The label-free faces are memoized per facet set.  At the
-public API a face is a sorted tuple of vertex indices, built from its mask.
+in `betti` works on ints alone; a label-free index per facet set, shared
+by every complex on it, numbers the faces, and one flat list of label ids
+by face number is the only store of the labels.  A label is interned as a
+unary code: exponent e is e ones in a fixed-width field per variable, so
+the lcm of two labels is the OR of their codes and a degree is a bit
+count.  At the public API a face is a sorted tuple of vertex indices.
 """
 
 from __future__ import annotations
@@ -82,17 +81,17 @@ def _picker(at):
 
 
 def _skeleton(facets, max_faces):
-    """(face count, blocks, sizes): the faces of the given facet masks, without labels.
+    """(face count, blocks, index): the faces of the given facet masks, without labels.
 
-    In increasing mask order the faces with top vertex v follow one another;
-    blocks[i] is (v, picker of their parents' positions, a parent being the
-    face without v), sizes[k] (the masks with k bits set, picker of their
-    positions).  One pass over the vertices of the union adds v to every
-    subset of its links (its facets, cut below v): to every face so far when
-    a link holds all the vertices so far.
+    A face's number is its place in increasing mask order, where the faces
+    with top vertex v follow one another: blocks[i] is (v, picker of their
+    parents' numbers, a parent being the face without v), index[k] {mask:
+    number} of the faces with k vertices.  One pass over the vertices of
+    the union adds v to every subset of its links (its facets, cut below v):
+    to every face so far when a link holds all the vertices so far.
     """
     masks, blocks, below = [0], [], 0  # below: the vertices so far
-    # by_size[k]: positions of the faces with k vertices
+    # by_size[k]: the numbers of the faces with k vertices, the int objects the index keeps
     by_size = [[0]] + [[] for _ in range(max(map(int.bit_count, facets), default=0))]
     for v in _vertices_of(reduce(or_, facets, 0)):
         bit, start = 1 << v, len(masks)
@@ -119,29 +118,27 @@ def _skeleton(facets, max_faces):
         blocks.append((v, _picker(positions)))
         masks += list(map(bit.__or__, parents))
         below |= bit
-    return len(masks), blocks, [(pick(masks), pick) for pick in map(_picker, by_size)]
+    return len(masks), blocks, [dict(zip(_picker(at)(masks), at)) for at in by_size]
 
 
 class LabelledComplex:
     """Simplicial complex on labelled vertices, closed under subsets.
 
-    vertices[k] is a (factorization tuple, monomial) pair.  A face is kept
-    as the bitmask with bit k set for each vertex k, and `_faces[k]`, the
-    one store of the faces, maps the mask of each face with k vertices to
-    the id of its label, the lcm of its vertex labels.  `_codes` lists
-    the distinct labels by id as unary codes, `_width` bits per variable
-    (the largest vertex exponent, at least 1), and `_degrees` their bit
-    counts.  Two faces have the same label exactly when they have the
-    same id.  Faces keep ids, not codes: a code has n * `_width` bits, and
-    faces outnumber labels by far.  A code over 2^20 64-bit words is
-    refused before any is built.
+    vertices[k] is a (factorization tuple, monomial) pair.  A face is the
+    bitmask with bit k set for each vertex k; `_index[k]` maps the masks
+    with k bits to face numbers, rising with the mask, and `_lids[n]`, the
+    one store of labels, is the id of face n's label (the lcm of its vertex
+    labels; equal ids, equal labels).  `_codes` lists the labels by id as
+    unary codes, `_width` bits per variable (the largest vertex exponent,
+    at least 1), and `_degrees` their bit counts.  Faces keep ids, not
+    codes: a code has n * `_width` bits, and faces outnumber labels by far;
+    one over 2^20 64-bit words is refused before any is built.
 
     Which faces there are depends on the facets alone, so the label-free
-    skeleton (`_skeleton`) is memoized by the sorted facet masks, up to
-    `_MEMO_FACES` faces in all.  Each complex only labels it: per top vertex
-    v, each distinct label id of the parents is joined with v's code once,
-    and the faces with v take the joined ids of their parents.  Each size's
-    masks come in increasing order.
+    skeleton (`_skeleton`) and its index are memoized by the sorted facet
+    masks, up to `_MEMO_FACES` faces in all.  Each complex only labels it:
+    per top vertex v, each distinct label id of the parents is joined with
+    v's code once, and the faces with v take the joined ids of their parents.
 
     `_shape` keys the Betti kernel's memo: (sorted facet masks, labelling),
     where the labelling is the bytes of the joined ids, block by block in
@@ -158,7 +155,8 @@ class LabelledComplex:
     built from the masks when asked for and are not kept.
     """
 
-    __slots__ = ("vertices", "_faces", "_codes", "_width", "_degrees", "_slices", "_shape")
+    __slots__ = ("vertices", "_index", "_lids", "_codes", "_width", "_degrees", "_slices",
+                 "_shape")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
         vertices = tuple(vertices)
@@ -180,10 +178,10 @@ class LabelledComplex:
                 key = None
         elif skeleton[0] > max_faces:  # memoized under a larger cap
             raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
-        _, blocks, sizes = skeleton
+        _, blocks, index = skeleton
         codes = [0]
         ids = {0: 0}  # label code -> id
-        lids = [0]  # label id of each face, in mask order
+        lids = [0]  # label id of each face, by face number
         joins = []  # each block's joined ids, in the order its step takes them: the labelling
         for v, parents in blocks:
             code = vertex_codes[v]
@@ -197,14 +195,13 @@ class LabelledComplex:
                 step[lid] = ids[joined]
             joins += step.values()
             lids += map(step.__getitem__, parent_ids)
-        self._store(vertices, width, codes,
-                    [dict(zip(masks, pick(lids))) for masks, pick in sizes],
+        self._store(vertices, width, codes, index, lids,
                     None if key is None or len(codes) > 256 else (key, bytes(joins)))
 
-    def _store(self, vertices, width, codes, by_size, shape=None):
-        """Keep by_size[k], {mask: label id} of the k-vertex faces, as the one store."""
+    def _store(self, vertices, width, codes, index, lids, shape=None):
+        """Keep index[k], {mask: face number} of the k-vertex faces, and lids by number."""
         self.vertices = vertices
-        self._faces = by_size
+        self._index, self._lids = index, lids
         self._codes = codes
         self._width = width
         self._degrees = list(map(int.bit_count, codes))
@@ -213,11 +210,11 @@ class LabelledComplex:
 
     @property
     def dim(self):
-        return len(self._faces) - 2
+        return len(self._index) - 2
 
     @property
     def face_count(self):
-        return sum(map(len, self._faces))
+        return len(self._lids)
 
     @property
     def faces(self):
@@ -225,15 +222,15 @@ class LabelledComplex:
         return {d: self.faces_of_dim(d) for d in range(-1, self.dim + 1)}
 
     def _size(self, k):
-        """{mask: label id} of the faces with k vertices, empty if there are none."""
-        return self._faces[k] if 0 <= k < len(self._faces) else {}
+        """{mask: face number} of the faces with k vertices, empty if there are none."""
+        return self._index[k] if 0 <= k < len(self._index) else {}
 
     def faces_of_dim(self, d):
         return tuple(sorted(map(_vertices_of, self._size(d + 1))))
 
     def label_exps(self, face):
         mask = _mask_of(face)
-        code = self._codes[self._size(mask.bit_count())[mask]]
+        code = self._codes[self._lids[self._size(mask.bit_count())[mask]]]
         nvars = len(self.vertices[0][1].exps) if self.vertices else 0
         w = self._width
         digits = format(code | 1 << nvars * w, "b")  # the leading 1 keeps zero fields
@@ -241,14 +238,14 @@ class LabelledComplex:
 
     def degree(self, face):
         mask = _mask_of(face)
-        return self._degrees[self._size(mask.bit_count())[mask]]
+        return self._degrees[self._lids[self._size(mask.bit_count())[mask]]]
 
     def _degree_groups(self, d):
         """Face masks of dimension d grouped by degree, in increasing degree."""
         if d not in self._slices:
-            groups = {}
-            for mask, lid in self._size(d + 1).items():
-                groups.setdefault(self._degrees[lid], []).append(mask)
+            groups, degrees, lids = {}, self._degrees, self._lids
+            for mask, number in self._size(d + 1).items():
+                groups.setdefault(degrees[lids[number]], []).append(mask)
             self._slices[d] = dict(sorted(groups.items()))
         return self._slices[d]
 
@@ -260,10 +257,10 @@ class LabelledComplex:
     def __eq__(self, other):
         return (isinstance(other, LabelledComplex)
                 and self.vertices == other.vertices
-                and [f.keys() for f in self._faces] == [f.keys() for f in other._faces])
+                and [f.keys() for f in self._index] == [f.keys() for f in other._index])
 
     def __repr__(self):
-        sizes = {k - 1: len(faces) for k, faces in enumerate(self._faces)}
+        sizes = {k - 1: len(faces) for k, faces in enumerate(self._index)}
         return f"LabelledComplex({len(self.vertices)} vertices, faces by dim {sizes})"
 
 
@@ -302,7 +299,9 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
 
     The front-extension tests of each size, min F for every face F one
     size down, are counted against the fixed budget before they run, and
-    the face cap is tested as each face is added.
+    the face cap is tested as each face is added.  Faces are numbered as
+    added, each size in increasing mask order: F1 < F2 one size down gives
+    F1 | 1 << i1 < F2 | 1 << i2, as F2's top bit not in F1 is above min F1.
     """
     vertices = tuple(gens)
     width, vertex_codes = _unary_codes(vertices)
@@ -315,11 +314,11 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     ids = {0: 0}  # label code -> id
     first = [first_divisor(0)]  # label id -> index of the first generator dividing it
     joins = [{} for _ in vertex_codes]  # per generator: label id -> id of the joined label
-    by_size = [{0: 0}]  # by_size[k]: {mask: label id} of the faces with k vertices
-    faces, tests = 1, 0
-    while by_size[-1]:
-        fronts = [(mask, lid, (mask & -mask).bit_length() - 1 if mask else r)
-                  for mask, lid in by_size[-1].items()]
+    # index[k]: {mask: face number} of the faces with k vertices; lids: label id by number
+    index, lids, tests = [{0: 0}], [0], 0
+    while index[-1]:
+        fronts = [(mask, lids[number], (mask & -mask).bit_length() - 1 if mask else r)
+                  for mask, number in index[-1].items()]
         tests += sum(low for _, _, low in fronts)
         check_budget(tests, f"front-extension tests on {r} generators")
         larger = {}
@@ -334,13 +333,13 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
                         codes.append(joined)
                         first.append(first_divisor(joined))
                 if first[new] == i:
-                    larger[mask | 1 << i] = new
-                    faces += 1
-                    if faces > max_faces:
+                    larger[mask | 1 << i] = len(lids)
+                    lids.append(new)
+                    if len(lids) > max_faces:
                         raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
-        by_size.append(larger)
+        index.append(larger)
     cx = object.__new__(LabelledComplex)
-    cx._store(vertices, width, codes, by_size[:-1])
+    cx._store(vertices, width, codes, index[:-1], lids)
     return cx
 
 

@@ -133,8 +133,8 @@ def power_generators(ideal, t):
     generator indices, in descending order, at O(m) per vector.  More than
     DEFAULT_MAX_FACES of them, C(m+t-1, t) for m generators, raise
     ResourceCapError before any is built.  Each count vector gives its
-    product's exponent vector, and a Monomial is built only once per
-    distinct product.
+    product's exponent vector from the nonzero exponents of its generators
+    alone, and a Monomial is built only once per distinct product.
 
     Distinct tuples can collide on the same monomial, and one product of t
     generators can strictly divide another; both effects are eliminated.
@@ -151,14 +151,15 @@ def power_generators(ideal, t):
     m = len(gens)
     check_budget(comb(m + t - 1, t), f"factorization tuples of {m} generators at power {t}")
     bound = (t + 1) // 2
+    nonzero = [[(i, e) for i, e in enumerate(g.exps) if e] for g in gens]
     reps = {}  # product exponent vector -> (representative tuple, balanced)
     counts = [t] + [0] * (m - 1)
     while True:
         b = tuple(counts)
         exps = [0] * ideal.n
-        for g, c in zip(gens, b):
+        for pairs, c in zip(nonzero, b):
             if c:
-                for i, e in enumerate(g.exps):
+                for i, e in pairs:
                     exps[i] += e * c
         exps = tuple(exps)
         balanced = max(b) <= bound

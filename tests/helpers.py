@@ -312,6 +312,21 @@ def labelled_complex_oracle(vertices, facets, max_faces):
     return label_id, labels, degrees, masks
 
 
+def assert_numbering(cx):
+    """Every face of a LabelledComplex has its own number below the face count,
+    and within each size the numbers increase with the mask.
+
+    The Betti kernel relies on the second: its scan claims the lowest-bit
+    label-keeping removal, the largest subface mask, as a column's largest
+    row, and its eliminator takes the largest row number.
+    """
+    numbers = [number for faces in cx._index for number in faces.values()]
+    assert sorted(numbers) == list(range(cx.face_count)) == list(range(len(cx._lids)))
+    for faces in cx._index:
+        in_mask_order = [faces[mask] for mask in sorted(faces)]
+        assert in_mask_order == sorted(in_mask_order)
+
+
 def classify_oracle(hypergraph, idx):
     """The flags of the edge family idx, testing every outside edge against its union."""
     def union_of(masks):

@@ -41,7 +41,7 @@ def dense_table(cx, char):
 def reordered(cx, order):
     """The same complex with its vertex order[k] moved to place k, so other masks."""
     place = {v: k for k, v in enumerate(order)}
-    masks = {mask for faces in cx._faces for mask in faces}
+    masks = {mask for faces in cx._index for mask in faces}
     facets = [mask for mask in masks
               if not any(mask | 1 << v in masks for v in range(len(order)) if not mask >> v & 1)]
     return LabelledComplex([cx.vertices[v] for v in order],
@@ -269,10 +269,12 @@ class TestGradedBetti:
                     above = {}
                     for d, pairs, _ in betti._pairs(cx, char):
                         seen += 1
+                        rows = set(cx._index[d].values())
                         for row, key in pairs.items():
-                            assert row.bit_count() == key.bit_count() - 1 == d, name
-                            assert cx._faces[d][row] == cx._faces[d + 1][key], name
-                            assert key not in above, name
+                            number = cx._index[d + 1][key]
+                            assert row in rows and key.bit_count() == d + 1, name
+                            assert cx._lids[row] == cx._lids[number], name
+                            assert number not in above, name
                         assert len(pairs) == sum(
                             integer_rank(reduced_boundary(cx, d + 1, j).entries, char)
                             for j in cx.degree_slices(d)), name
@@ -534,14 +536,14 @@ class TestPairingMemo:
         cxs = [faridi_complex(ideal, 2), taylor_complex(power_generators(ideal, 2))]
         for cx in cxs + [self.plane(rng, 2) for _ in range(20)]:
             skeleton, labelling = cx._shape
-            _, blocks, sizes = complexes._skeletons[skeleton]
+            _, blocks, _ = complexes._skeletons[skeleton]
             lids, joins = [0], iter(labelling)
             for _, parents in blocks:
                 parent_ids = parents(lids)
                 step = {lid: next(joins) for lid in set(parent_ids)}
                 lids += map(step.__getitem__, parent_ids)
             assert next(joins, None) is None
-            assert [dict(zip(masks, pick(lids))) for masks, pick in sizes] == cx._faces
+            assert lids == cx._lids
 
     @pytest.mark.parametrize("char", [0, 2])
     def test_other_labellings_of_one_skeleton(self, empty_pairings, char):
@@ -552,7 +554,7 @@ class TestPairingMemo:
         for _ in range(40):
             cx = self.plane(rng, 1)
             assert graded_betti(cx, char=char).entries == dense_table(cx, char)
-            ids = [list(faces.items()) for faces in cx._faces]
+            ids = cx._lids
             assert shapes.setdefault(cx._shape, ids) == ids
         assert len({skeleton for skeleton, _ in shapes}) == 1 < len(shapes)
         assert len({labelling for _, labelling in shapes}) == len(shapes)

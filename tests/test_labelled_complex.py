@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 from hyperbetti import betti, complexes
 from hyperbetti.betti import graded_betti
 from hyperbetti.complexes import (LabelledComplex, _support_facets, faridi_complex,
-                                  taylor_complex)
+                                  lyubeznik_complex, taylor_complex)
 from hyperbetti.errors import ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.monomials import Monomial, power_generators
+from hyperbetti.verify import builtin_corpus, random_hypergraph
 
-from helpers import labelled_complex_oracle
+from helpers import assert_numbering, labelled_complex_oracle
 
 
 def support_inputs(hypergraph, t):
@@ -62,13 +63,15 @@ def check_against_oracle(vertices, facets, max_faces):
         return None
     label_id, labels, degrees, masks = expected
     cx = LabelledComplex(vertices, facets, max_faces)
-    # one dict per face size, its masks in increasing order
-    assert {k - 1: list(faces) for k, faces in enumerate(cx._faces)} == {
+    # one index dict per face size, its masks in increasing order, numbering
+    # every face once; the label ids are read by face number
+    assert {k - 1: list(faces) for k, faces in enumerate(cx._index)} == {
         d: sorted(ms) for d, ms in masks.items()}
-    assert all(mask.bit_count() == k for k, faces in enumerate(cx._faces) for mask in faces)
-    store = {mask: lid for faces in cx._faces for mask, lid in faces.items()}
+    assert all(mask.bit_count() == k for k, faces in enumerate(cx._index) for mask in faces)
+    assert_numbering(cx)
+    store = {mask: cx._lids[number] for faces in cx._index for mask, number in faces.items()}
     assert store.keys() == label_id.keys()
-    assert sum(map(len, cx._faces)) == cx.face_count == len(label_id)
+    assert sum(map(len, cx._index)) == cx.face_count == len(label_id)
     # the same partition of the faces by label: ids correspond one to one
     pairs = {(store[mask], lid) for mask, lid in label_id.items()}
     assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
@@ -101,7 +104,7 @@ class TestSkeletonMemo:
         assert len(empty_memo) == 1
         b = check_against_oracle(second, facets, 100)  # a memo hit
         assert len(empty_memo) == 1
-        assert [list(f) for f in a._faces] == [list(f) for f in b._faces]
+        assert a._index is b._index
         assert a.label_exps((2, 3, 4)) == (1, 1, 1) and b.label_exps((2, 3, 4)) == (2, 1, 3)
         assert check_against_oracle(first, facets, 100) == a
 
@@ -122,7 +125,7 @@ class TestSkeletonMemo:
             rng.shuffle(variant)
             cx = LabelledComplex(gens, variant)
             assert cx == base
-            assert [list(f.items()) for f in cx._faces] == [list(f.items()) for f in base._faces]
+            assert cx._index is base._index and cx._lids == base._lids
         assert len(empty_memo) == 1
 
     def test_cap_message_on_a_hit_and_a_miss(self, empty_memo, four_cycle):
@@ -150,6 +153,40 @@ class TestSkeletonMemo:
             held = [skeleton[0] for skeleton in empty_memo.values()]
             assert sum(held) <= bound
         assert sorted(held) == [1 << 3, 1 << 13, 1 << 14, 1 << 15]
+
+
+class TestFaceNumbering:
+    # within each size, face numbers increase with the mask in every
+    # construction: the support complex and the Taylor simplex, numbered by
+    # the skeleton, and Lyubeznik's complex, numbered as its front extension
+    # adds faces; generator orders are shuffled so the masks move
+    def test_corpus_complexes(self):
+        rng = random.Random(8)
+        for _, h in builtin_corpus():
+            ideal = edge_ideal(h)
+            for t in (1, 2):
+                gens = power_generators(ideal, t)
+                facets = [f for f in _support_facets([b for b, _ in gens], t) if f]
+                order = rng.sample(range(len(gens)), len(gens))
+                place = {v: k for k, v in enumerate(order)}
+                shuffled = [gens[v] for v in order]
+                for cx in (faridi_complex(ideal, t),
+                           LabelledComplex(shuffled, [[place[v] for v in f] for f in facets]),
+                           taylor_complex(gens), taylor_complex(shuffled),
+                           lyubeznik_complex(gens), lyubeznik_complex(shuffled)):
+                    assert_numbering(cx)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_lyubeznik_orders(self, seed):
+        # powers of random hypergraphs, up to 10 generators, each in 5 orders
+        rng = random.Random(seed)
+        h = random_hypergraph(rng.randint(4, 7), rng.randint(2, 4), rng.choice((2, 3)), seed)
+        gens = power_generators(edge_ideal(h), rng.choice((2, 3)))[:10]
+        for _ in range(5):
+            rng.shuffle(gens)
+            cx = lyubeznik_complex(gens)
+            assert_numbering(cx)
+            assert cx.face_count > len(gens)
 
 
 class TestFaceCap:
