@@ -26,11 +26,10 @@ or reduces to zero is counted as unpaired on the spot.
 
 The pairing depends on the labelled complex only through which faces
 share a label, so many queries repeat one: `graded_betti` memoizes its
-unpaired counts by (index, label id) per skeleton, labelling and
-characteristic, and grades them by each querying complex's own degrees.
-The memo is process-wide and exact (its key is made of values, and two
-complexes with one key have the same face store), and it keeps new
-entries while it holds at most `_MEMO_BYTES` bytes.
+unpaired counts by (index, label id) per labelling and characteristic on
+the complex's memoized skeleton (see `LabelledComplex`), and grades them
+by each querying complex's own degrees.  The memo, its byte bound and
+its lock live in `complexes`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from functools import lru_cache, partial
-from threading import Lock
 from typing import NamedTuple
 
 from .complexes import _mask_of, _vertices_of
@@ -48,11 +46,6 @@ from .errors import DomainError
 # bound (Sorenson-Webster 2017); larger characteristics are refused.
 MAX_CHARACTERISTIC = 3317044064679887385961981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-_MEMO_BYTES = 1 << 19  # bytes of labellings and counts held by all memoized pairings together
-_pairings = {}  # (skeleton key, char) -> {labelling: unpaired counts}, kept within _MEMO_BYTES
-_pairings_held = 0  # the bytes that _pairings holds
-_pairings_lock = Lock()  # held to test the bound and add an entry
 
 
 def _is_prime(n):
@@ -227,20 +220,6 @@ def _boundary_column(cx, face):
     return column
 
 
-def _lowest_removal(cx, face):
-    """The largest row key in a face mask's boundary column, found without building it, or None."""
-    lids, index = cx._lids, cx._index
-    own, rows = lids[index[face.bit_count()][face]], index[face.bit_count() - 1]
-    rest = face
-    while rest:
-        bit = rest & -rest
-        row = rows[face ^ bit]
-        if lids[row] == own:
-            return row
-        rest ^= bit
-    return None
-
-
 def reduced_boundary(cx, i, j):
     """Dense matrix of the reduced boundary map at homological index i, degree j.
 
@@ -297,41 +276,6 @@ def _pairs(cx, char):
         above = pivots
 
 
-def _keep(shape, char, runs):
-    """Memoize a pairing's runs under (shape, char) if the memo stays within _MEMO_BYTES.
-
-    runs lists (i, {label id: count}) for the indices with unpaired faces.
-    The kept value is one array: per run, i, its length n, its n label
-    ids and then their n counts.
-    """
-    global _pairings_held
-    skeleton, labelling = shape
-    flat = []
-    for i, unpaired in runs:
-        flat += i, len(unpaired)
-        flat += unpaired
-        flat += unpaired.values()
-    kept = array("I", flat)
-    size = len(labelling) + kept.itemsize * len(kept)
-    with _pairings_lock:
-        if _pairings_held + size <= _MEMO_BYTES:
-            memo = _pairings.setdefault((skeleton, char), {})
-            if labelling not in memo:  # another thread may have kept it first
-                memo[labelling] = kept
-                _pairings_held += size
-
-
-def _unpack(kept):
-    """The runs (i, {label id: count}) of a kept array."""
-    runs, pos = [], 0
-    while pos < len(kept):
-        i, n = kept[pos], kept[pos + 1]
-        pos += 2
-        runs.append((i, dict(zip(kept[pos:pos + n], kept[pos + n:pos + 2 * n]))))
-        pos += 2 * n
-    return runs
-
-
 def graded_betti(cx, char=0, power=None):
     """Betti table of the quotient supported on the given complex.
 
@@ -353,33 +297,35 @@ def graded_betti(cx, char=0, power=None):
     the pairs of the dimension in hand and of the one above are kept.
 
     The pass reads only the face index, the label ids and the
-    characteristic, so its unpaired counts by (index, label id) are
-    memoized in `_pairings` under the complex's `_shape`, (sorted facet
-    masks, labelling), and char; a complex without a shape is reduced
-    every time.  The facet masks fix the index, and the labelling every
-    face's label id (see `LabelledComplex`), so two complexes with one key
-    have the same store and the same pairing: the memo is exact.  Degrees
-    are not in it: each table is graded by its own complex's `_degrees`,
-    as a hit is for an ideal with every exponent doubled.  The memo keeps
-    a new entry only while the labellings and counts it holds stay within
-    `_MEMO_BYTES` bytes; past that, a table is computed and not kept.  The
-    characteristic is validated first, also on a hit.
+    characteristic, so its unpaired counts are memoized on the complex's
+    skeleton under (labelling, char), as one array of (i, label id, count)
+    triples; a complex without a `_memo` is reduced every time.  The
+    skeleton fixes the index, and the labelling every face's label id (see
+    `LabelledComplex`), so two complexes with one key have the same store
+    and the same pairing: the memo is exact.  Degrees are not in it: a
+    computed and a memoized array go through one loop that grades them by
+    the complex's own `_degrees`, as a hit is for an ideal with every
+    exponent doubled.  A new array is kept only while all pairings hold
+    at most `_MEMO_BYTES` bytes of labellings and counts; past that, a
+    table is computed and not kept.  The characteristic is validated
+    first, also on a hit.
     """
     validate_characteristic(char)
-    shape = cx._shape
-    kept = None if shape is None else _pairings.get((shape[0], char), {}).get(shape[1])
-    if kept is None:
-        runs = [(d + 1, unpaired) for d, _, unpaired in _pairs(cx, char) if unpaired]
-        if shape is not None:
-            _keep(shape, char, runs)
-    else:
-        runs = _unpack(kept)
+    counts = cx._pairing(char)
+    if counts is None:
+        flat = []
+        for d, _, unpaired in _pairs(cx, char):
+            for label, count in unpaired.items():
+                flat += d + 1, label, count
+        counts = array("I", flat)
+        if cx._memo is not None:
+            cx._keep(char, counts)
     degrees = cx._degrees
     entries = {(0, 0): 1}
-    for i, unpaired in runs:
-        for label, count in unpaired.items():
-            key = i, degrees[label]
-            entries[key] = entries.get(key, 0) + count
+    triples = iter(counts)
+    for i, label, count in zip(triples, triples, triples):
+        key = i, degrees[label]
+        entries[key] = entries.get(key, 0) + count
     return BettiTable(dict(sorted(entries.items())), power=power, char=char)
 
 
@@ -401,7 +347,7 @@ def survivor_face_sets(cx, i, j):
     stuck = {row for column in columns if len(column) == 1 for row in column}
     numbers = cx._size(i)
     candidates = [face for face in cx._degree_groups(i - 1).get(j, ())
-                  if _lowest_removal(cx, face) is None]
+                  if not _boundary_column(cx, face)]
     return ({_vertices_of(face) for face in candidates if numbers[face] not in extended},
             {_vertices_of(face) for face in candidates if numbers[face] not in stuck})
 
@@ -422,8 +368,7 @@ def bound_applicability(cx, i, j):
     codimension one, so the Betti number is at least the number of certain
     survivors.
     """
-    upper = all(_lowest_removal(cx, face) is None
-                for face in cx._degree_groups(i - 1).get(j, ()))
+    upper = not any(_boundary_column(cx, face) for face in cx._degree_groups(i - 1).get(j, ()))
     lower = all(len(_boundary_column(cx, ext)) <= 1
                 for ext in cx._degree_groups(i).get(j, ()))
     return BoundApplicability(upper, lower)

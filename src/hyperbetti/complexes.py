@@ -23,13 +23,19 @@ from bisect import bisect_left
 from functools import partial, reduce
 from itertools import compress, count
 from operator import itemgetter, or_
+from threading import Lock
 
 from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCapError,
                      check_budget, format_count)
 from .monomials import power_generators
 
 _MEMO_FACES = 1 << 16  # faces held by all memoized skeletons together
-_skeletons = {}  # sorted facet masks -> skeleton, kept while within _MEMO_FACES
+_MEMO_BYTES = 1 << 19  # bytes of labellings and counts held by all memoized pairings together
+# sorted facet masks -> (face count, blocks, index, pairings), kept while within _MEMO_FACES;
+# pairings maps (labelling, char) to the Betti kernel's counts, kept while within _MEMO_BYTES
+_skeletons = {}
+_pairings_held = 0  # the bytes that all skeletons' pairings hold
+_pairings_lock = Lock()  # held to test _MEMO_BYTES and add a pairing
 
 
 def _mask_of(face):
@@ -140,14 +146,15 @@ class LabelledComplex:
     per top vertex v, each distinct label id of the parents is joined with
     v's code once, and the faces with v take the joined ids of their parents.
 
-    `_shape` keys the Betti kernel's memo: (sorted facet masks, labelling),
-    where the labelling is the bytes of the joined ids, block by block in
-    the order each block takes its distinct parent ids.  Replaying it on
-    the skeleton gives back every face's label id, and the ids give it, so
-    two complexes on one skeleton have equal labellings exactly when their
-    faces have equal ids.  Exponents do not enter: doubling them all keeps
-    the labelling.  A complex whose skeleton is not memoized, or with over
-    256 labels (a joined id past one byte), has no shape, nor has one from
+    A memoized skeleton also keeps the Betti kernel's pairings of its
+    labellings, and `_memo` is (that dict, labelling), where the labelling
+    is the bytes of the joined ids, block by block in the order each block
+    takes its distinct parent ids.  Replaying it on the skeleton gives back
+    every face's label id, and the ids give it, so two complexes on one
+    skeleton have equal labellings exactly when their faces have equal
+    ids.  Exponents do not enter: doubling them all keeps the labelling.
+    A complex whose skeleton is not memoized, or with over 256 labels (a
+    joined id past one byte), has no `_memo`, nor has one from
     `lyubeznik_complex`.
 
     At the API (`faces`, `faces_of_dim`, `degree_slices`, `label_exps`,
@@ -156,7 +163,7 @@ class LabelledComplex:
     """
 
     __slots__ = ("vertices", "_index", "_lids", "_codes", "_width", "_degrees", "_slices",
-                 "_shape")
+                 "_memo")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
         vertices = tuple(vertices)
@@ -171,14 +178,14 @@ class LabelledComplex:
         key = tuple(sorted(canonical))
         skeleton = _skeletons.get(key)
         if skeleton is None:
-            skeleton = _skeleton(key, max_faces)
+            skeleton = *_skeleton(key, max_faces), {}
             if skeleton[0] + sum(kept[0] for kept in _skeletons.values()) <= _MEMO_FACES:
                 _skeletons[key] = skeleton
             else:
                 key = None
         elif skeleton[0] > max_faces:  # memoized under a larger cap
             raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
-        _, blocks, index = skeleton
+        _, blocks, index, pairings = skeleton
         codes = [0]
         ids = {0: 0}  # label code -> id
         lids = [0]  # label id of each face, by face number
@@ -196,9 +203,9 @@ class LabelledComplex:
             joins += step.values()
             lids += map(step.__getitem__, parent_ids)
         self._store(vertices, width, codes, index, lids,
-                    None if key is None or len(codes) > 256 else (key, bytes(joins)))
+                    None if key is None or len(codes) > 256 else (pairings, bytes(joins)))
 
-    def _store(self, vertices, width, codes, index, lids, shape=None):
+    def _store(self, vertices, width, codes, index, lids, memo=None):
         """Keep index[k], {mask: face number} of the k-vertex faces, and lids by number."""
         self.vertices = vertices
         self._index, self._lids = index, lids
@@ -206,7 +213,21 @@ class LabelledComplex:
         self._width = width
         self._degrees = list(map(int.bit_count, codes))
         self._slices = {}
-        self._shape = shape
+        self._memo = memo
+
+    def _pairing(self, char):
+        """The memoized Betti kernel counts of this complex over GF(char) (Q for 0), or None."""
+        return self._memo and self._memo[0].get((self._memo[1], char))
+
+    def _keep(self, char, counts):
+        """Memoize the kernel's counts over GF(char) if the pairings stay within _MEMO_BYTES."""
+        global _pairings_held
+        pairings, labelling = self._memo
+        size = len(labelling) + counts.itemsize * len(counts)
+        with _pairings_lock:  # another thread may have kept them first
+            if (_pairings_held + size <= _MEMO_BYTES
+                    and pairings.setdefault((labelling, char), counts) is counts):
+                _pairings_held += size
 
     @property
     def dim(self):

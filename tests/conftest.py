@@ -28,15 +28,6 @@ def data_dir():
 
 
 @pytest.fixture
-def empty_pairings(monkeypatch):
-    """A fresh, empty pairing memo for one test, so that graded_betti runs the
-    kernel on the first query of each labelled skeleton."""
-    monkeypatch.setattr(betti, "_pairings", {})
-    monkeypatch.setattr(betti, "_pairings_held", 0)
-    return betti._pairings
-
-
-@pytest.fixture
 def kernel_runs(monkeypatch):
     """The complexes that graded_betti hands to the kernel, in order."""
     runs = []
@@ -47,6 +38,9 @@ def kernel_runs(monkeypatch):
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    """A fresh, empty skeleton memo for one test."""
+    """A fresh, empty skeleton memo for one test, and with it no memoized
+    pairing: graded_betti runs the kernel on the first query of each
+    labelled skeleton."""
     monkeypatch.setattr(complexes, "_skeletons", {})
+    monkeypatch.setattr(complexes, "_pairings_held", 0)
     return complexes._skeletons

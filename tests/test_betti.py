@@ -290,7 +290,7 @@ class TestGradedBetti:
         assert dims == list(range(cx.dim, -1, -1))
 
     @pytest.mark.parametrize("kind", ["faridi", "taylor"])
-    def test_columns_built_only_to_reduce(self, monkeypatch, empty_pairings, example39, kind):
+    def test_columns_built_only_to_reduce(self, monkeypatch, empty_memo, example39, kind):
         # a column whose largest row is not yet a pivot row is never built
         ideal = edge_ideal(example39)
         cx = (faridi_complex(ideal, 2) if kind == "faridi"
@@ -359,7 +359,7 @@ class TestRareReduction:
     # one label on every vertex makes each boundary the whole simplicial one,
     # so columns reduce against reduced pivots whose entries can leave +-1,
     # which no workload or corpus instance reaches
-    def test_single_label_complexes_match_dense(self, monkeypatch, empty_pairings):
+    def test_single_label_complexes_match_dense(self, monkeypatch, empty_memo):
         used = []  # the pivot columns a reduction has used, in the last table
         real = betti._reduce
 
@@ -476,7 +476,7 @@ class TestRecordedPools:
     # signs; all-+1 signs change 90 of these tables.  Many queries repeat a
     # labelled skeleton, so the tables check memo hits as well as reductions
     @pytest.mark.parametrize("pool", ["queries-char0.json", "queries-charp.json"])
-    def test_every_recorded_table(self, empty_pairings, kernel_runs, pool):
+    def test_every_recorded_table(self, empty_memo, kernel_runs, pool):
         path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / pool
         recorded = json.loads(path.read_text(encoding="utf-8"))
         char, max_faces = recorded["char"], recorded["max_faces"]
@@ -491,10 +491,21 @@ class TestRecordedPools:
         assert 0 < len(kernel_runs) < len(recorded["queries"])
 
 
+def kept_pairings(memo):
+    """Every (labelling, char, counts) that the skeletons of a memo keep."""
+    return [(labelling, char, counts) for skeleton in memo.values()
+            for (labelling, char), counts in skeleton[3].items()]
+
+
+def bytes_held(memo):
+    return sum(len(labelling) + counts.itemsize * len(counts)
+               for labelling, _, counts in kept_pairings(memo))
+
+
 @pytest.mark.usefixtures("empty_memo")  # a full skeleton memo would leave complexes unkeyed
 class TestPairingMemo:
-    # graded_betti memoizes the unpaired counts of each (skeleton, labelling,
-    # char) and grades them by the querying complex's own degrees
+    # graded_betti memoizes the unpaired counts of each (labelling, char) on
+    # the complex's skeleton and grades them by the querying complex's own degrees
     triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
                  (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
 
@@ -503,31 +514,31 @@ class TestPairingMemo:
         exps = [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(6)]
         return LabelledComplex([((v,), Monomial(e)) for v, e in enumerate(exps)], self.triangles)
 
-    def test_each_field_its_own_table(self, empty_pairings):
+    def test_each_field_its_own_table(self, empty_memo):
         # the projective plane of TestGradedBetti: only GF(2) sees its torsion
         vertices = [((v,), Monomial((1,))) for v in range(6)]
         tables = {0: {(0, 0): 1, (1, 1): 1}, 2: {(0, 0): 1, (1, 1): 1, (2, 1): 1, (3, 1): 1}}
         for char in (0, 2, 0, 2):
             cx = LabelledComplex(vertices, self.triangles)
             assert graded_betti(cx, char=char).entries == tables[char], char
-        assert sum(map(len, empty_pairings.values())) == 2
+        assert sorted(char for _, char, _ in kept_pairings(empty_memo)) == [0, 2]
 
     @pytest.mark.parametrize("char", [0, 3])
-    def test_degrees_grade_each_hit(self, empty_pairings, kernel_runs, four_cycle, char):
+    def test_degrees_grade_each_hit(self, kernel_runs, four_cycle, char):
         # the square of the 4-cycle's edge ideal, and the same ideal with every
         # exponent doubled: one skeleton, one labelling, degrees twice as large
         gens = power_generators(edge_ideal(four_cycle), 2)
         doubled = [(b, Monomial(tuple(2 * e for e in mono.exps))) for b, mono in gens]
         facets = _support_facets([b for b, _ in gens], 2)
         plain, double = LabelledComplex(gens, facets), LabelledComplex(doubled, facets)
-        assert plain._shape == double._shape is not None
+        assert plain._memo[0] is double._memo[0] and plain._memo[1] == double._memo[1]
         table = graded_betti(plain, char=char).entries
         assert graded_betti(double, char=char).entries == {
             (i, 2 * j): b for (i, j), b in table.items()} != table
         assert kernel_runs == [plain]
         assert table == dense_table(plain, char)
 
-    def test_labelling_replays_the_label_ids(self, example39):
+    def test_labelling_replays_the_label_ids(self, empty_memo, example39):
         # the labelling is each block's joined ids in the order its step takes
         # the distinct parent ids, so replaying it on the skeleton gives back
         # every face's label id
@@ -535,8 +546,8 @@ class TestPairingMemo:
         ideal = edge_ideal(example39)
         cxs = [faridi_complex(ideal, 2), taylor_complex(power_generators(ideal, 2))]
         for cx in cxs + [self.plane(rng, 2) for _ in range(20)]:
-            skeleton, labelling = cx._shape
-            _, blocks, _ = complexes._skeletons[skeleton]
+            pairings, labelling = cx._memo
+            _, blocks, _, _ = next(kept for kept in empty_memo.values() if kept[3] is pairings)
             lids, joins = [0], iter(labelling)
             for _, parents in blocks:
                 parent_ids = parents(lids)
@@ -546,48 +557,49 @@ class TestPairingMemo:
             assert lids == cx._lids
 
     @pytest.mark.parametrize("char", [0, 2])
-    def test_other_labellings_of_one_skeleton(self, empty_pairings, char):
+    def test_other_labellings_of_one_skeleton(self, empty_memo, char):
         # the projective plane under random labellings: one skeleton, and two
         # complexes share a labelling exactly when they share every label id
         rng = random.Random(11)
-        shapes = {}
+        labellings = {}
         for _ in range(40):
             cx = self.plane(rng, 1)
             assert graded_betti(cx, char=char).entries == dense_table(cx, char)
             ids = cx._lids
-            assert shapes.setdefault(cx._shape, ids) == ids
-        assert len({skeleton for skeleton, _ in shapes}) == 1 < len(shapes)
-        assert len({labelling for _, labelling in shapes}) == len(shapes)
-        assert sum(map(len, empty_pairings.values())) == len(shapes)
+            assert labellings.setdefault(cx._memo[1], ids) == ids
+        assert len(empty_memo) == 1 < len(labellings)
+        assert len({tuple(ids) for ids in labellings.values()}) == len(labellings)
+        assert sorted(labelling for labelling, _, _ in kept_pairings(empty_memo)) == sorted(
+            labellings)
 
-    def test_bound(self, monkeypatch, empty_pairings):
+    def test_bound(self, monkeypatch, empty_memo):
         # past _MEMO_BYTES new tables are computed and not kept, and stay right
-        assert betti._MEMO_BYTES == 1 << 19
+        assert complexes._MEMO_BYTES == 1 << 19
         bound = 600
-        monkeypatch.setattr(betti, "_MEMO_BYTES", bound)
+        monkeypatch.setattr(complexes, "_MEMO_BYTES", bound)
         computed = {}
         for seed in range(12):
             cx = self.plane(random.Random(seed), 2)
             for char in (0, 2):
-                held = betti._pairings_held
+                held = complexes._pairings_held
                 table = graded_betti(cx, char=char).entries
                 assert table == dense_table(cx, char), (seed, char)
-                kept = empty_pairings.get((cx._shape[0], char), {}).get(cx._shape[1])
-                computed[cx._shape, char] = kept is not None
+                kept = cx._pairing(char)
+                computed[cx._memo[1], char] = kept is not None
                 if kept is None:
-                    assert betti._pairings_held == held
-                assert betti._pairings_held == sum(
-                    len(labelling) + kept.itemsize * len(kept)
-                    for memo in empty_pairings.values() for labelling, kept in memo.items())
-                assert betti._pairings_held <= bound
+                    assert complexes._pairings_held == held
+                assert complexes._pairings_held == bytes_held(empty_memo)
+                assert complexes._pairings_held <= bound
         assert any(computed.values()) and not all(computed.values())
 
-    def test_threads_keep_the_bound(self, monkeypatch, empty_pairings):
+    def test_threads_keep_the_bound(self, monkeypatch, empty_memo):
         # threads that miss at once count each kept entry once, within the bound
         cxs = [self.plane(random.Random(seed), 2) for seed in range(30)]
         queries = [(cx, char, dense_table(cx, char)) for cx in cxs for char in (0, 2)]
+        pairings = cxs[0]._memo[0]
+        assert all(cx._memo[0] is pairings for cx in cxs)
         bound = 2000
-        monkeypatch.setattr(betti, "_MEMO_BYTES", bound)
+        monkeypatch.setattr(complexes, "_MEMO_BYTES", bound)
         wrong = []
 
         def query(seed):
@@ -599,8 +611,8 @@ class TestPairingMemo:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                empty_pairings.clear()
-                betti._pairings_held = 0
+                pairings.clear()
+                complexes._pairings_held = 0
                 workers = [threading.Thread(target=query, args=(seed,)) for seed in range(4)]
                 for worker in workers:
                     worker.start()
@@ -608,14 +620,12 @@ class TestPairingMemo:
                     worker.join(timeout=60)
                 assert not any(worker.is_alive() for worker in workers)
                 assert not wrong
-                assert betti._pairings_held == sum(
-                    len(labelling) + kept.itemsize * len(kept)
-                    for memo in empty_pairings.values() for labelling, kept in memo.items())
-                assert bound // 2 < betti._pairings_held <= bound
+                assert complexes._pairings_held == bytes_held(empty_memo)
+                assert bound // 2 < complexes._pairings_held <= bound
         finally:
             sys.setswitchinterval(interval)
 
-    def test_complexes_without_a_key(self, monkeypatch, empty_pairings, kernel_runs, four_cycle):
+    def test_complexes_without_a_key(self, monkeypatch, empty_memo, kernel_runs, four_cycle):
         # Lyubeznik's complex, a skeleton over the skeleton memo's bound, and
         # a complex with more than 256 labels are reduced every time
         gens = power_generators(edge_ideal(four_cycle), 2)
@@ -626,11 +636,26 @@ class TestPairingMemo:
         simplex = LabelledComplex(free, [range(9)])
         assert len(simplex._codes) == 512
         # 256 labels, ids 0..255, still get a key
-        assert LabelledComplex(free[:8], [range(8)])._shape is not None
+        assert LabelledComplex(free[:8], [range(8)])._memo is not None
         for cx in (lyubeznik_complex(gens), unkept, simplex):
-            assert cx._shape is None
+            assert cx._memo is None
             assert graded_betti(cx).entries == graded_betti(cx).entries
-        assert len(kernel_runs) == 6 and not empty_pairings
+        assert len(kernel_runs) == 6 and not kept_pairings(empty_memo)
+
+    def test_no_pairing_outlives_its_skeleton(self, empty_memo, kernel_runs, four_cycle):
+        # the pairings sit on the skeleton's memo entry: once the skeleton
+        # memo is emptied, a rebuilt complex with the same facets and labels
+        # runs the kernel again
+        ideal = edge_ideal(four_cycle)
+        first = faridi_complex(ideal, 2)
+        table = graded_betti(first).entries
+        assert graded_betti(faridi_complex(ideal, 2)).entries == table
+        assert kernel_runs == [first]
+        empty_memo.clear()
+        again = faridi_complex(ideal, 2)
+        assert again._memo[0] is not first._memo[0]
+        assert graded_betti(again).entries == table
+        assert kernel_runs == [first, again]
 
 
 class TestBettiTable:

@@ -218,8 +218,7 @@ class TestFaceCap:
 
 
 class TestTupleView:
-    # check_first_power_simplex relies on == between complexes whose facet
-    # lists differ; == compares the face masks
+    # == between complexes whose facet lists differ compares the face masks
     def test_facet_order_redundancy_and_repeats(self, four_cycle):
         gens, facets = support_inputs(four_cycle, 2)
         base = LabelledComplex(gens, facets)
@@ -258,7 +257,7 @@ class TestKernelStaysOnMasks:
     taylor_table = {(0, 0): 1, (1, 6): 10, (2, 8): 12, (2, 9): 8, (3, 10): 12, (4, 12): 1}
 
     @pytest.mark.parametrize("char", [0, 3])
-    def test_graded_betti_builds_no_tuple_faces(self, monkeypatch, empty_pairings, char):
+    def test_graded_betti_builds_no_tuple_faces(self, monkeypatch, empty_memo, char):
         support = faridi_complex(edge_ideal(self.graph), 2)
         simplex = taylor_complex(power_generators(edge_ideal(self.example39), 2))
         assert (support.face_count, simplex.face_count) == (1104, 1024)

@@ -14,7 +14,7 @@ import hyperbetti.verify as verify
 from hyperbetti.betti import BettiTable
 from hyperbetti.errors import DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph
-from hyperbetti.monomials import MonomialIdeal
+from hyperbetti.monomials import MonomialIdeal, power_generators
 from hyperbetti.verify import (CheckReport, ComputeCache, builtin_corpus,
                                check_first_power_simplex, check_lower_bounds,
                                check_min_gens, check_reg_upper, check_second_power,
@@ -171,6 +171,17 @@ class TestIndividualChecks:
     def test_first_power_simplex(self, four_cycle):
         report = check_first_power_simplex(four_cycle)
         assert report.conclusion_holds
+
+    def test_first_power_without_its_top_face(self, four_cycle):
+        # a power-one complex on r vertices short of one of its 2^r faces is no simplex
+        cache = ComputeCache()
+        ideal = cache.ideal_for(four_cycle)
+        gens = power_generators(ideal, 1)
+        boundary = list(combinations(range(len(gens)), len(gens) - 1))
+        cache._memo[("complex", ideal, 1)] = complexes.LabelledComplex(gens, boundary)
+        report = check_first_power_simplex(four_cycle, cache=cache)
+        assert report.hypothesis_satisfied and not report.conclusion_holds
+        assert report.witness == {"faces": (1 << len(gens)) - 1}
 
     def test_survivor_sandwich(self, example39):
         for t in (1, 2):
