@@ -230,8 +230,8 @@ def reduced_boundary(cx, i, j):
     """
     if i < 1:
         raise DomainError(f"homological index must be >= 1, got {i}")
-    cols = cx.degree_slices(i - 1).get(j, ())
-    rows = cx.degree_slices(i - 2).get(j, ())
+    cols, rows = (tuple(sorted(map(_vertices_of, cx._degree_groups(d).get(j, ()))))
+                  for d in (i - 1, i - 2))
     entries = [[0] * len(cols) for _ in rows]
     row_pos = {cx._size(i - 1)[_mask_of(face)]: r for r, face in enumerate(rows)}
     for c, face in enumerate(cols):
@@ -326,7 +326,7 @@ def graded_betti(cx, char=0, power=None):
     for i, label, count in zip(triples, triples, triples):
         key = i, degrees[label]
         entries[key] = entries.get(key, 0) + count
-    return BettiTable(dict(sorted(entries.items())), power=power, char=char)
+    return BettiTable(entries, power=power, char=char)
 
 
 def survivor_face_sets(cx, i, j):

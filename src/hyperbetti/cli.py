@@ -138,12 +138,14 @@ def cmd_complex(args):
 
 def cmd_verify(args):
     validate_characteristic(args.char)
-    if args.random is not None:
-        if args.n is None or args.m is None or args.d is None:
-            raise DomainError("--random needs --n, --m and --d")
-        entries = random_entries(args.n, args.d, args.m, range(args.seed, args.seed + args.random))
-    else:
+    if args.random is None:
+        if (args.n, args.m, args.d) != (None, None, None):
+            raise DomainError("--n, --m and --d need --random")
         entries = builtin_corpus()
+    elif None in (args.n, args.m, args.d) or args.corpus is not None:
+        raise DomainError("--random needs --n, --m and --d, and excludes --corpus")
+    else:
+        entries = random_entries(args.n, args.d, args.m, range(args.seed, args.seed + args.random))
     reports, summary = run_corpus(entries, t_max=args.t_max, char=args.char,
                                   max_faces=args.max_faces)
     for report in reports:

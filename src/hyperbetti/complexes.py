@@ -35,7 +35,7 @@ _MEMO_BYTES = 1 << 19  # bytes of labellings and counts held by all memoized pai
 # pairings maps (labelling, char) to the Betti kernel's counts, kept while within _MEMO_BYTES
 _skeletons = {}
 _pairings_held = 0  # the bytes that all skeletons' pairings hold
-_pairings_lock = Lock()  # held to test _MEMO_BYTES and add a pairing
+_memo_lock = Lock()  # held to test either bound and add a skeleton or a pairing
 
 
 def _mask_of(face):
@@ -157,9 +157,9 @@ class LabelledComplex:
     joined id past one byte), has no `_memo`, nor has one from
     `lyubeznik_complex`.
 
-    At the API (`faces`, `faces_of_dim`, `degree_slices`, `label_exps`,
-    `degree`) a face is a sorted tuple of vertex indices; these tuples are
-    built from the masks when asked for and are not kept.
+    At the API (`faces`, `label_exps`, `degree`) a face is a sorted tuple
+    of vertex indices; these tuples are built from the masks when asked for
+    and are not kept.
     """
 
     __slots__ = ("vertices", "_index", "_lids", "_codes", "_width", "_degrees", "_slices",
@@ -179,10 +179,12 @@ class LabelledComplex:
         skeleton = _skeletons.get(key)
         if skeleton is None:
             skeleton = *_skeleton(key, max_faces), {}
-            if skeleton[0] + sum(kept[0] for kept in _skeletons.values()) <= _MEMO_FACES:
-                _skeletons[key] = skeleton
-            else:
-                key = None
+            with _memo_lock:  # another thread may have kept this skeleton first
+                held = sum(kept[0] for kept in _skeletons.values())
+                if key in _skeletons or held + skeleton[0] <= _MEMO_FACES:
+                    skeleton = _skeletons.setdefault(key, skeleton)
+                else:
+                    key = None
         elif skeleton[0] > max_faces:  # memoized under a larger cap
             raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
         _, blocks, index, pairings = skeleton
@@ -224,7 +226,7 @@ class LabelledComplex:
         global _pairings_held
         pairings, labelling = self._memo
         size = len(labelling) + counts.itemsize * len(counts)
-        with _pairings_lock:  # another thread may have kept them first
+        with _memo_lock:  # another thread may have kept them first
             if (_pairings_held + size <= _MEMO_BYTES
                     and pairings.setdefault((labelling, char), counts) is counts):
                 _pairings_held += size
@@ -239,15 +241,13 @@ class LabelledComplex:
 
     @property
     def faces(self):
-        """{dimension: faces of that dimension}, in increasing dimension."""
-        return {d: self.faces_of_dim(d) for d in range(-1, self.dim + 1)}
+        """{dimension: faces of that dimension, sorted}, in increasing dimension."""
+        return {k - 1: tuple(sorted(map(_vertices_of, masks)))
+                for k, masks in enumerate(self._index)}
 
     def _size(self, k):
         """{mask: face number} of the faces with k vertices, empty if there are none."""
         return self._index[k] if 0 <= k < len(self._index) else {}
-
-    def faces_of_dim(self, d):
-        return tuple(sorted(map(_vertices_of, self._size(d + 1))))
 
     def label_exps(self, face):
         mask = _mask_of(face)
@@ -270,11 +270,6 @@ class LabelledComplex:
             self._slices[d] = dict(sorted(groups.items()))
         return self._slices[d]
 
-    def degree_slices(self, d):
-        """Faces of dimension d grouped by degree: {degree: (faces...)}."""
-        return {j: tuple(sorted(map(_vertices_of, masks)))
-                for j, masks in self._degree_groups(d).items()}
-
     def __eq__(self, other):
         return (isinstance(other, LabelledComplex)
                 and self.vertices == other.vertices
@@ -292,16 +287,7 @@ def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
         raise DomainError("no generators")
     if len({mono for _, mono in gens}) != len(gens):
         raise DomainError("generators must be distinct")
-    check_simplex_cap(len(gens), max_faces)
     return LabelledComplex(gens, [tuple(range(len(gens)))], max_faces)
-
-
-def check_simplex_cap(m, max_faces):
-    """Refuse a simplex on m vertices whose 2^m faces are over max_faces."""
-    if m >= max_faces.bit_length():
-        raise ResourceCapError(
-            f"simplex on {m} vertices has {format_count(1 << m)} faces, "
-            f"over the cap of {max_faces}")
 
 
 def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):

@@ -80,33 +80,39 @@ def hochster_betti(hypergraph, rank=fraction_rank):
 
 
 def survivor_oracle(cx, i, j):
-    """Certain and possible survivor sets at (i, j), by searching extensions.
+    """Certain and possible survivor sets at (i, j), by searching extensions,
+    and the upper and lower flags of `bound_applicability`, by degree search.
 
     Reads only cx.faces and cx.degree.  An (i-1)-face of degree j whose
     every vertex removal changes the degree qualifies.  Its flat extensions
     are the faces with one more vertex and the same degree.  It is certain
     when it has none, and possible when every flat extension keeps the
-    degree after removing one of the face's own vertices.
+    degree after removing one of the face's own vertices.  upper holds when
+    every (i-1)-face of degree j qualifies, lower when no i-face of degree
+    j has two codimension-one subfaces of degree j.
     """
-    upper = set(cx.faces.get(i, ()))
+    above = set(cx.faces.get(i, ()))
     vertices = {v for (v,) in cx.faces.get(0, ())}
-    certain, possible = set(), set()
+    certain, possible, upper = set(), set(), True
     for face in cx.faces.get(i - 1, ()):
         if cx.degree(face) != j:
             continue
         if any(cx.degree(face[:k] + face[k + 1:]) == j for k in range(len(face))):
+            upper = False
             continue
         flat = []
         for v in vertices - set(face):
             ext = tuple(sorted(face + (v,)))
-            if ext in upper and cx.degree(ext) == j:
+            if ext in above and cx.degree(ext) == j:
                 flat.append(ext)
         if not flat:
             certain.add(face)
         if all(any(cx.degree(tuple(x for x in ext if x != u)) == j for u in face)
                for ext in flat):
             possible.add(face)
-    return certain, possible
+    lower = all(sum(cx.degree(ext[:k] + ext[k + 1:]) == j for k in range(len(ext))) < 2
+                for ext in above if cx.degree(ext) == j)
+    return certain, possible, upper, lower
 
 
 def lyubeznik_oracle(monomials):

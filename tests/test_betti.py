@@ -30,8 +30,8 @@ def dense_table(cx, char):
     """The table from the ranks of the dense per-degree reduced_boundary matrices."""
     table = {(0, 0): 1}
     for i in range(1, cx.dim + 2):
-        for j, faces in cx.degree_slices(i - 1).items():
-            value = len(faces) - sum(integer_rank(reduced_boundary(cx, k, j).entries, char)
+        for j, masks in cx._degree_groups(i - 1).items():
+            value = len(masks) - sum(integer_rank(reduced_boundary(cx, k, j).entries, char)
                                      for k in (i, i + 1))
             if value:
                 table[i, j] = value
@@ -158,7 +158,7 @@ class TestReducedBoundary:
             for t in (1, 2):
                 cx = faridi_complex(ideal, t)
                 for i in range(2, cx.dim + 2):
-                    degrees = set(cx.degree_slices(i - 1)) | set(cx.degree_slices(i))
+                    degrees = set(cx._degree_groups(i - 1)) | set(cx._degree_groups(i))
                     for j in degrees:
                         outer = reduced_boundary(cx, i, j)
                         inner = reduced_boundary(cx, i + 1, j)
@@ -277,7 +277,7 @@ class TestGradedBetti:
                             assert number not in above, name
                         assert len(pairs) == sum(
                             integer_rank(reduced_boundary(cx, d + 1, j).entries, char)
-                            for j in cx.degree_slices(d)), name
+                            for j in cx._degree_groups(d)), name
                         above = pairs
         assert seen
 
@@ -625,6 +625,35 @@ class TestPairingMemo:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_threads_that_miss_together_keep_one_skeleton(self, monkeypatch, empty_memo):
+        # two threads build the same skeleton at once: the second to lock finds
+        # the first's in the memo, so the complexes share one index and every
+        # kept pairing stays reachable from the memo
+        meet = threading.Barrier(2)
+        build = complexes._skeleton
+
+        def build_together(facets, max_faces):
+            skeleton = build(facets, max_faces)
+            meet.wait(timeout=30)
+            return skeleton
+
+        monkeypatch.setattr(complexes, "_skeleton", build_together)
+        cxs = [None, None]
+
+        def construct(k):
+            cxs[k] = self.plane(random.Random(5), 2)
+
+        workers = [threading.Thread(target=construct, args=(k,)) for k in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert None not in cxs
+        assert cxs[0]._index is cxs[1]._index and len(empty_memo) == 1
+        for cx in cxs:
+            assert graded_betti(cx).entries == dense_table(cx, 0)
+        assert complexes._pairings_held == bytes_held(empty_memo) > 0
+
     def test_complexes_without_a_key(self, monkeypatch, empty_memo, kernel_runs, four_cycle):
         # Lyubeznik's complex, a skeleton over the skeleton memo's bound, and
         # a complex with more than 256 labels are reduced every time
@@ -723,7 +752,7 @@ class TestSurvivorBounds:
                 cx = faridi_complex(ideal, t)
                 table = graded_betti(cx)
                 for i in range(1, cx.dim + 2):
-                    for j in cx.degree_slices(i - 1):
+                    for j in cx._degree_groups(i - 1):
                         applies = bound_applicability(cx, i, j)
                         certain, possible = survivor_face_sets(cx, i, j)
                         assert len(certain) <= len(possible)
@@ -746,8 +775,10 @@ class TestSurvivorBounds:
                 except ResourceCapError:
                     continue
                 for i in range(cx.dim + 2):
-                    for j in set(cx.degree_slices(i - 1)) | set(cx.degree_slices(i)):
-                        assert survivor_face_sets(cx, i, j) == survivor_oracle(cx, i, j)
+                    for j in set(cx._degree_groups(i - 1)) | set(cx._degree_groups(i)):
+                        certain, possible, upper, lower = survivor_oracle(cx, i, j)
+                        assert survivor_face_sets(cx, i, j) == (certain, possible)
+                        assert bound_applicability(cx, i, j) == (upper, lower)
                         cases += 1
         assert cases > 1000
 

@@ -342,6 +342,16 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--random", "3")
         assert code == 2 and "--random needs" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--corpus", "builtin", "--random", "2", "--n", "6", "--m", "3", "--d", "2"],
+         "--random needs --n, --m and --d, and excludes --corpus"),
+        (["--n", "6"], "--n, --m and --d need --random"),
+        (["--corpus", "builtin", "--m", "3", "--d", "2"], "--n, --m and --d need --random"),
+    ])
+    def test_flags_it_would_ignore_are_input_errors(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "verify", "--t-max", "1", *args)
+        assert code == 2 and out == "" and message in err
+
     def test_failure_summary_gives_exit_one(self, capsys, monkeypatch):
         import hyperbetti.cli as cli
 

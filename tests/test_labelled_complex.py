@@ -232,8 +232,8 @@ class TestTupleView:
             cx = LabelledComplex(gens, variant)
             assert cx == base
             assert cx.faces == base.faces == closure(facets)
-            for d, faces in cx.faces.items():
-                assert cx.faces_of_dim(d) == faces
+            assert list(cx.faces) == list(range(-1, cx.dim + 1))
+            for faces in cx.faces.values():
                 assert list(faces) == sorted(faces)
 
     def test_missing_face_compares_unequal(self, four_cycle):
@@ -245,7 +245,7 @@ class TestTupleView:
         hollow = LabelledComplex(gens, rest + list(combinations(top, len(top) - 1)))
         assert hollow.face_count == full.face_count - 1
         assert hollow != full
-        assert top not in hollow.faces_of_dim(len(top) - 1)
+        assert top not in hollow.faces.get(len(top) - 1, ())
 
 
 class TestKernelStaysOnMasks:
@@ -265,7 +265,7 @@ class TestKernelStaysOnMasks:
         def refuse(*args, **kwargs):
             raise AssertionError("tuple faces built inside graded_betti")
 
-        for name in ("faces_of_dim", "degree_slices", "label_exps", "degree"):
+        for name in ("label_exps", "degree"):
             monkeypatch.setattr(LabelledComplex, name, refuse)
         monkeypatch.setattr(LabelledComplex, "faces", property(refuse))
         monkeypatch.setattr(complexes, "_vertices_of", refuse)
