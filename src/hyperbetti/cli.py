@@ -141,11 +141,14 @@ def cmd_verify(args):
     if args.random is None:
         if (args.n, args.m, args.d) != (None, None, None):
             raise DomainError("--n, --m and --d need --random")
+        if args.seed is not None:
+            raise DomainError("--seed needs --random")
         entries = builtin_corpus()
     elif None in (args.n, args.m, args.d) or args.corpus is not None:
         raise DomainError("--random needs --n, --m and --d, and excludes --corpus")
     else:
-        entries = random_entries(args.n, args.d, args.m, range(args.seed, args.seed + args.random))
+        seed = args.seed or 0
+        entries = random_entries(args.n, args.d, args.m, range(seed, seed + args.random))
     reports, summary = run_corpus(entries, t_max=args.t_max, char=args.char,
                                   max_faces=args.max_faces)
     for report in reports:
@@ -195,7 +198,8 @@ def _build_parser():
     p_verify.add_argument("--n", type=int, default=None, help="vertex count for --random")
     p_verify.add_argument("--m", type=int, default=None, help="edge count for --random")
     p_verify.add_argument("--d", type=int, default=None, help="edge size for --random")
-    p_verify.add_argument("--seed", type=int, default=0, help="base seed for --random")
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="base seed for --random (default 0)")
     p_verify.add_argument("--t-max", type=int, default=3,
                           help="largest power checked (default 3)")
     p_verify.add_argument("--char", type=int, default=0,

@@ -86,19 +86,24 @@ def _picker(at):
     return itemgetter(*at)
 
 
+def _index_of(masks, top):
+    """index[k], {mask: number} of the faces with k <= top vertices, numbered by place in masks."""
+    index = [{} for _ in range(top + 1)]
+    for number, mask in enumerate(masks):
+        index[mask.bit_count()][mask] = number
+    return index
+
+
 def _skeleton(facets, max_faces):
     """(face count, blocks, index): the faces of the given facet masks, without labels.
 
-    A face's number is its place in increasing mask order, where the faces
-    with top vertex v follow one another: blocks[i] is (v, picker of their
-    parents' numbers, a parent being the face without v), index[k] {mask:
-    number} of the faces with k vertices.  One pass over the vertices of
-    the union adds v to every subset of its links (its facets, cut below v):
-    to every face so far when a link holds all the vertices so far.
+    Faces are listed (see `LabelledComplex`) in increasing mask order, where
+    the faces with top vertex v follow one another: blocks[i] is (v, picker of
+    their parents' numbers, a parent being the face without v).  One pass over
+    the union's vertices adds v to every subset of its links (its facets, cut
+    below v): to every face so far when a link holds all the vertices so far.
     """
     masks, blocks, below = [0], [], 0  # below: the vertices so far
-    # by_size[k]: the numbers of the faces with k vertices, the int objects the index keeps
-    by_size = [[0]] + [[] for _ in range(max(map(int.bit_count, facets), default=0))]
     for v in _vertices_of(reduce(or_, facets, 0)):
         bit, start = 1 << v, len(masks)
         links = {facet & below for facet in facets if facet & bit}
@@ -106,8 +111,6 @@ def _skeleton(facets, max_faces):
             if 2 * start > max_faces:
                 raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
             parents, positions = masks, range(start)
-            for k in range(len(by_size) - 1, 0, -1):
-                by_size[k] += map(start.__add__, by_size[k - 1])
         else:
             parents = set()
             for link in links:
@@ -119,26 +122,25 @@ def _skeleton(facets, max_faces):
                     raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
             parents = sorted(parents)
             positions = list(map(partial(bisect_left, masks), parents))
-            for at, mask in enumerate(parents, start):
-                by_size[mask.bit_count() + 1].append(at)
         blocks.append((v, _picker(positions)))
         masks += list(map(bit.__or__, parents))
         below |= bit
-    return len(masks), blocks, [dict(zip(_picker(at)(masks), at)) for at in by_size]
+    return len(masks), blocks, _index_of(masks, max(map(int.bit_count, facets), default=0))
 
 
 class LabelledComplex:
     """Simplicial complex on labelled vertices, closed under subsets.
 
     vertices[k] is a (factorization tuple, monomial) pair.  A face is the
-    bitmask with bit k set for each vertex k; `_index[k]` maps the masks
-    with k bits to face numbers, rising with the mask, and `_lids[n]`, the
-    one store of labels, is the id of face n's label (the lcm of its vertex
-    labels; equal ids, equal labels).  `_codes` lists the labels by id as
-    unary codes, `_width` bits per variable (the largest vertex exponent,
-    at least 1), and `_degrees` their bit counts.  Faces keep ids, not
-    codes: a code has n * `_width` bits, and faces outnumber labels by far;
-    one over 2^20 64-bit words is refused before any is built.
+    bitmask with bit k set for each vertex k; its number is its place in its
+    builder's face list, which holds each size in increasing mask order, as
+    the Betti kernel needs.  `_index[k]` maps the masks with k bits to face
+    numbers, and `_lids[n]`, the one store of labels, is face n's label id
+    (the lcm of its vertex labels; equal ids, equal labels).  `_codes` lists
+    the labels by id as unary codes, `_width` bits per variable (the largest
+    vertex exponent, at least 1), and `_degrees` their bit counts.  Faces keep
+    ids, not codes: a code has n * `_width` bits, and faces outnumber labels
+    by far; one over 2^20 64-bit words is refused before any is built.
 
     Which faces there are depends on the facets alone, so the label-free
     skeleton (`_skeleton`) and its index are memoized by the sorted facet
@@ -280,13 +282,19 @@ class LabelledComplex:
         return f"LabelledComplex({len(self.vertices)} vertices, faces by dim {sizes})"
 
 
-def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
-    """The full simplex on the given (tuple, monomial) generator pairs."""
-    gens = list(gens)
+def _generators(gens):
+    """The given (tuple, monomial) generator pairs as a tuple, refused if none or repeated."""
+    gens = tuple(gens)
     if not gens:
         raise DomainError("no generators")
     if len({mono for _, mono in gens}) != len(gens):
         raise DomainError("generators must be distinct")
+    return gens
+
+
+def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
+    """The full simplex on the given (tuple, monomial) generator pairs."""
+    gens = _generators(gens)
     return LabelledComplex(gens, [tuple(range(len(gens)))], max_faces)
 
 
@@ -304,13 +312,13 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     first generator that divides it, found once when the label is
     interned, so the front test is that index being i.
 
-    The front-extension tests of each size, min F for every face F one
-    size down, are counted against the fixed budget before they run, and
-    the face cap is tested as each face is added.  Faces are numbered as
+    The front-extension tests of each size, min F for every face F one size
+    down, are counted against the fixed budget before they run, and the face
+    cap is tested per face.  Faces are listed (see `LabelledComplex`) as
     added, each size in increasing mask order: F1 < F2 one size down gives
     F1 | 1 << i1 < F2 | 1 << i2, as F2's top bit not in F1 is above min F1.
     """
-    vertices = tuple(gens)
+    vertices = _generators(gens)
     width, vertex_codes = _unary_codes(vertices)
     r = len(vertices)
 
@@ -321,14 +329,13 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     ids = {0: 0}  # label code -> id
     first = [first_divisor(0)]  # label id -> index of the first generator dividing it
     joins = [{} for _ in vertex_codes]  # per generator: label id -> id of the joined label
-    # index[k]: {mask: face number} of the faces with k vertices; lids: label id by number
-    index, lids, tests = [{0: 0}], [0], 0
-    while index[-1]:
-        fronts = [(mask, lids[number], (mask & -mask).bit_length() - 1 if mask else r)
-                  for mask, number in index[-1].items()]
+    masks, lids, tests, start = [0], [0], 0, 0  # faces by number; the last size's from start
+    while start < len(masks):
+        fronts = [(mask, lid, (mask & -mask).bit_length() - 1 if mask else r)
+                  for mask, lid in zip(masks[start:], lids[start:])]
+        start = len(masks)
         tests += sum(low for _, _, low in fronts)
         check_budget(tests, f"front-extension tests on {r} generators")
-        larger = {}
         for mask, lid, low in fronts:
             for i in range(low):
                 step = joins[i]
@@ -340,13 +347,12 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
                         codes.append(joined)
                         first.append(first_divisor(joined))
                 if first[new] == i:
-                    larger[mask | 1 << i] = len(lids)
+                    masks.append(mask | 1 << i)
                     lids.append(new)
                     if len(lids) > max_faces:
                         raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
-        index.append(larger)
     cx = object.__new__(LabelledComplex)
-    cx._store(vertices, width, codes, index[:-1], lids)
+    cx._store(vertices, width, codes, _index_of(masks, masks[-1].bit_count()), lids)
     return cx
 
 

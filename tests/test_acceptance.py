@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import hyperbetti
+from hyperbetti import cli
 from hyperbetti.betti import graded_betti
 from hyperbetti.complexes import faridi_complex, taylor_complex
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
@@ -30,6 +31,19 @@ CORPUS_BUDGET_SECONDS = 600.0
 # that changes a corpus report must re-record it; raising CORPUS_MAX_FACES
 # does, because the cap-gated reports then run.
 VERIFY_STREAM_SHA256 = "c55f393bf582d7a576b1f4938e3601a218b57ed7292c2db97f27921d6fdf90e5"
+
+# sha256 of more `verify` streams that a change to the kernel or the face
+# store must leave alone: the builtin corpus at t_max 3 under another field
+# or face budget, and one random run.  Over GF(2) the stream is the one over Q.
+PINNED_STREAMS = {
+    "--corpus builtin --t-max 3 --char 2": VERIFY_STREAM_SHA256,
+    "--corpus builtin --t-max 3 --max-faces 4096":
+        "ba756a3099e7b8af4ce97f8db9f4a0a3dc0c4839186757aa2dfae6e6dbe39588",
+    "--corpus builtin --t-max 3 --max-faces 65536":
+        "4b2bb29424f21e5b2250d663964370cfb65d264ca7d0bbf4bad9e7d702e6630c",
+    "--random 20 --n 7 --m 5 --d 3 --seed 9":
+        "2218353e7273177be6da78ec45dbecfe45e76599b3f62afc892c20fc9a5e69a0",
+}
 
 
 def criterion(num, ok, detail):
@@ -91,6 +105,12 @@ def test_verify_stream_is_pinned(corpus_run):
     stream = "".join(r.to_json() + "\n" for r in reports)
     stream += json.dumps({"summary": summary}, sort_keys=True, separators=(",", ":")) + "\n"
     assert hashlib.sha256(stream.encode()).hexdigest() == VERIFY_STREAM_SHA256
+
+
+@pytest.mark.parametrize("args", PINNED_STREAMS)
+def test_more_verify_streams_are_pinned(capsys, args):
+    assert cli.main(["verify", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_STREAMS[args]
 
 
 def test_criterion_3_taylor_faridi_agreement(corpus_run):

@@ -347,6 +347,7 @@ class TestVerifyCommand:
          "--random needs --n, --m and --d, and excludes --corpus"),
         (["--n", "6"], "--n, --m and --d need --random"),
         (["--corpus", "builtin", "--m", "3", "--d", "2"], "--n, --m and --d need --random"),
+        (["--seed", "5"], "--seed needs --random"),
     ])
     def test_flags_it_would_ignore_are_input_errors(self, capsys, args, message):
         code, out, err = run_cli(capsys, "verify", "--t-max", "1", *args)

@@ -15,7 +15,7 @@ import pytest
 import hyperbetti
 from hyperbetti.betti import graded_betti
 from hyperbetti.complexes import lyubeznik_complex, taylor_complex
-from hyperbetti.errors import ResourceCapError
+from hyperbetti.errors import DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.monomials import Monomial, power_generators
 from hyperbetti.verify import random_hypergraph
@@ -77,6 +77,15 @@ class TestFaces:
         tables = {frozenset(graded_betti(lyubeznik_complex(order)).entries.items())
                   for order in (first, last)}
         assert len(tables) == 1
+
+    @pytest.mark.parametrize("build", [lyubeznik_complex, taylor_complex])
+    def test_no_or_repeated_generators_are_refused(self, build):
+        # one check refuses an empty or repeated generator list on both builders
+        with pytest.raises(DomainError, match="no generators"):
+            build([])
+        gen = ((1,), Monomial((1, 1)))
+        with pytest.raises(DomainError, match="generators must be distinct"):
+            build([gen, ((2,), gen[1])])
 
 
 class TestRecordedPools:
