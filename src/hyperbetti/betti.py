@@ -34,7 +34,6 @@ its lock live in `complexes`.
 
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -297,29 +296,26 @@ def graded_betti(cx, char=0, power=None):
     the pairs of the dimension in hand and of the one above are kept.
 
     The pass reads only the face index, the label ids and the
-    characteristic, so its unpaired counts are memoized on the complex's
-    skeleton under (labelling, char), as one array of (i, label id, count)
-    triples; a complex without a `_memo` is reduced every time.  The
-    skeleton fixes the index, and the labelling every face's label id (see
-    `LabelledComplex`), so two complexes with one key have the same store
-    and the same pairing: the memo is exact.  Degrees are not in it: a
-    computed and a memoized array go through one loop that grades them by
-    the complex's own `_degrees`, as a hit is for an ideal with every
-    exponent doubled.  A new array is kept only while all pairings hold
-    at most `_MEMO_BYTES` bytes of labellings and counts; past that, a
-    table is computed and not kept.  The characteristic is validated
-    first, also on a hit.
+    characteristic, so its unpaired counts are memoized under (labelling,
+    char) on the complex's skeleton, as 16-bit (i, label id, count)
+    triples, by the rule of `LabelledComplex` that `_pairing` and `_keep`
+    apply.  The skeleton fixes the index, and the labelling every face's
+    label id, so two complexes with one key have the same store and the
+    same pairing: the memo is exact.  Degrees are not in it: computed and
+    memoized triples go through one loop that grades them by the complex's
+    own `_degrees`, as a hit is for an ideal with every exponent doubled.
+    New triples are kept only while all pairings hold at most `_MEMO_BYTES`
+    bytes of labellings and counts; past that, a table is computed and not
+    kept.  The characteristic is validated first, also on a hit.
     """
     validate_characteristic(char)
     counts = cx._pairing(char)
     if counts is None:
-        flat = []
+        counts = []
         for d, _, unpaired in _pairs(cx, char):
             for label, count in unpaired.items():
-                flat += d + 1, label, count
-        counts = array("I", flat)
-        if cx._memo is not None:
-            cx._keep(char, counts)
+                counts += d + 1, label, count
+        cx._keep(char, counts)
     degrees = cx._degrees
     entries = {(0, 0): 1}
     triples = iter(counts)

@@ -12,8 +12,9 @@ import sys
 from dataclasses import asdict
 
 from .betti import graded_betti, validate_characteristic
-from .complexes import DEFAULT_MAX_FACES, faridi_complex, lyubeznik_complex, taylor_complex
-from .errors import DimensionError, DomainError, ResourceCapError, ValidationError
+from .complexes import faridi_complex, lyubeznik_complex, taylor_complex
+from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCapError,
+                     ValidationError)
 from .hypergraph import Hypergraph, edge_ideal
 from .matchings import KINDS, families, invariants_of
 from .monomials import power_generators
@@ -75,6 +76,8 @@ def cmd_betti(args):
 
 
 def cmd_matchings(args):
+    if args.list_kind is None and (args.size, args.union_size) != (None, None):
+        raise DomainError("--size and --union-size need --list")
     hypergraph = Hypergraph.load(args.file)
     exhaustive = args.size_cap is None or args.size_cap >= hypergraph.num_edges
     listed = []
@@ -110,13 +113,8 @@ def cmd_matchings(args):
 
 def _family_selected(cls, args):
     i, j = cls.family_type
-    if args.list_kind is None or not cls.has_kind(args.list_kind):
-        return False
-    if args.size is not None and i != args.size:
-        return False
-    if args.union_size is not None and j != args.union_size:
-        return False
-    return True
+    return (args.list_kind is not None and cls.has_kind(args.list_kind)
+            and args.size in (None, i) and args.union_size in (None, j))
 
 
 def cmd_complex(args):
@@ -214,7 +212,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in ("max_faces", "t_max", "random", "size_cap"):
+        for name in ("max_faces", "t_max", "random", "size_cap", "size", "union_size"):
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise DomainError(f"--{name.replace('_', '-')} must be >= 1, got {value}")

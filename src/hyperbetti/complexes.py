@@ -19,6 +19,7 @@ count.  At the public API a face is a sorted tuple of vertex indices.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from functools import partial, reduce
 from itertools import compress, count
@@ -29,7 +30,7 @@ from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCap
                      check_budget, format_count)
 from .monomials import power_generators
 
-_MEMO_FACES = 1 << 16  # faces held by all memoized skeletons together
+_MEMO_FACES = 1 << 16  # faces held by all memoized skeletons, so their pairings pack in 16 bits
 _MEMO_BYTES = 1 << 19  # bytes of labellings and counts held by all memoized pairings together
 # sorted facet masks -> (face count, blocks, index, pairings), kept while within _MEMO_FACES;
 # pairings maps (labelling, char) to the Betti kernel's counts, kept while within _MEMO_BYTES
@@ -46,14 +47,14 @@ def _mask_of(face):
     return mask
 
 
-def _vertices_of(mask, first=0):
-    """The sorted indices of the set bits of a mask, numbering bit 0 as `first`.
+def _vertices_of(mask):
+    """The sorted indices of the set bits of a mask.
 
     One pass over the binary digits, lowest first: shifting the mask once
     per bit would cost time quadratic in its length.  The trailing "b"
     and "0" of the reversed "0b..." prefix are never "1".
     """
-    return tuple(compress(count(first), map("1".__eq__, reversed(bin(mask)))))
+    return tuple(compress(count(), map("1".__eq__, reversed(bin(mask)))))
 
 
 def _unary_codes(vertices):
@@ -149,15 +150,14 @@ class LabelledComplex:
     v's code once, and the faces with v take the joined ids of their parents.
 
     A memoized skeleton also keeps the Betti kernel's pairings of its
-    labellings, and `_memo` is (that dict, labelling), where the labelling
-    is the bytes of the joined ids, block by block in the order each block
-    takes its distinct parent ids.  Replaying it on the skeleton gives back
-    every face's label id, and the ids give it, so two complexes on one
-    skeleton have equal labellings exactly when their faces have equal
-    ids.  Exponents do not enter: doubling them all keeps the labelling.
-    A complex whose skeleton is not memoized, or with over 256 labels (a
-    joined id past one byte), has no `_memo`, nor has one from
-    `lyubeznik_complex`.
+    labellings, and `_memo` is (that dict, labelling): the joined ids as
+    16-bit bytes, block by block in the order each block takes its distinct
+    parent ids.  Replaying it on the skeleton gives back every face's label
+    id, and the ids give it, so two complexes on one skeleton have equal
+    labellings exactly when their faces have equal ids.  Exponents do not
+    enter: doubling them all keeps the labelling.  The one memo rule: a
+    complex has a `_memo` exactly when its skeleton is memoized, so none
+    from `lyubeznik_complex` has.
 
     At the API (`faces`, `label_exps`, `degree`) a face is a sorted tuple
     of vertex indices; these tuples are built from the masks when asked for
@@ -207,7 +207,7 @@ class LabelledComplex:
             joins += step.values()
             lids += map(step.__getitem__, parent_ids)
         self._store(vertices, width, codes, index, lids,
-                    None if key is None or len(codes) > 256 else (pairings, bytes(joins)))
+                    None if key is None else (pairings, array("H", joins).tobytes()))
 
     def _store(self, vertices, width, codes, index, lids, memo=None):
         """Keep index[k], {mask: face number} of the k-vertex faces, and lids by number."""
@@ -223,10 +223,14 @@ class LabelledComplex:
         """The memoized Betti kernel counts of this complex over GF(char) (Q for 0), or None."""
         return self._memo and self._memo[0].get((self._memo[1], char))
 
-    def _keep(self, char, counts):
-        """Memoize the kernel's counts over GF(char) if the pairings stay within _MEMO_BYTES."""
+    def _keep(self, char, triples):
+        """Memoize the kernel's flat (i, label id, count) triples over GF(char) in 16 bits,
+        if this complex has a `_memo` and the pairings stay within _MEMO_BYTES."""
         global _pairings_held
+        if self._memo is None:
+            return
         pairings, labelling = self._memo
+        counts = array("H", triples)
         size = len(labelling) + counts.itemsize * len(counts)
         with _memo_lock:  # another thread may have kept them first
             if (_pairings_held + size <= _MEMO_BYTES

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 
-from .complexes import _vertices_of
 from .errors import ValidationError, check_budget
 from .monomials import Monomial, MonomialIdeal
 
@@ -69,14 +68,13 @@ class Hypergraph:
                      for v in vertices for i in index.get(v, ())
                      if i != k and masks[i] | masks[k] == masks[k]), default=None)
         if first is not None:
-            a, b = masks[first[0]], masks[first[1]]
+            a, b = (masks[k] for k in first)
+            va, vb = (sorted(edge_vertices[k]) for k in first)
             if a == b:
-                raise ValidationError(f"duplicate edge {list(_vertices_of(a, 1))}")
+                raise ValidationError(f"duplicate edge {va}")
             if a | b == b:
-                raise ValidationError(
-                    f"edge {list(_vertices_of(a, 1))} contained in {list(_vertices_of(b, 1))}")
-            raise ValidationError(
-                f"edge {list(_vertices_of(b, 1))} contained in {list(_vertices_of(a, 1))}")
+                raise ValidationError(f"edge {va} contained in {vb}")
+            raise ValidationError(f"edge {vb} contained in {va}")
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import threading
+from array import array
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -334,6 +335,30 @@ class TestGradedBetti:
             assert table.entries == hochster_betti(h), name
 
 
+class TestFieldDependentTable:
+    # data/rp2-6.json: the 10 triples of {1..6} that are not triangles of the
+    # 6-vertex RP^2 of TestPairingMemo, so its edge ideal is the Stanley-Reisner
+    # ideal of RP^2, whose H_1 = Z/2 shows in the table over GF(2) only
+    first = {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+
+    @pytest.mark.parametrize("char, torsion, reg", [
+        (0, {}, 2), (3, {}, 2), (2, {(3, 6): 1, (4, 6): 1}, 3)])
+    def test_first_power(self, data_dir, char, torsion, reg):
+        ideal = edge_ideal(Hypergraph.load(data_dir / "rp2-6.json"))
+        for cx in (faridi_complex(ideal, 1), lyubeznik_complex(power_generators(ideal, 1))):
+            table = graded_betti(cx, char=char, power=1)
+            assert table.entries == {**self.first, **torsion} and table.regularity() == reg
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_second_power_is_the_same_in_every_field(self, data_dir, char):
+        ideal = edge_ideal(Hypergraph.load(data_dir / "rp2-6.json"))
+        with pytest.raises(ResourceCapError, match="facet with 45 vertices"):
+            faridi_complex(ideal, 2)
+        table = graded_betti(lyubeznik_complex(power_generators(ideal, 2)), char=char)
+        assert table.entries == {(0, 0): 1, (1, 6): 55, (2, 7): 144, (3, 8): 150,
+                                 (4, 9): 80, (5, 10): 21, (6, 12): 1}
+
+
 class TestBoundarySigns:
     # the square of this 5-edge graph is a support-complex table that changes
     # when every boundary sign is +1 (it gains (2, 7) and loses one at (4, 7));
@@ -539,16 +564,16 @@ class TestPairingMemo:
         assert table == dense_table(plain, char)
 
     def test_labelling_replays_the_label_ids(self, empty_memo, example39):
-        # the labelling is each block's joined ids in the order its step takes
-        # the distinct parent ids, so replaying it on the skeleton gives back
-        # every face's label id
+        # the labelling is each block's joined ids, as 16-bit bytes, in the
+        # order its step takes the distinct parent ids, so replaying it on the
+        # skeleton gives back every face's label id
         rng = random.Random(3)
         ideal = edge_ideal(example39)
         cxs = [faridi_complex(ideal, 2), taylor_complex(power_generators(ideal, 2))]
         for cx in cxs + [self.plane(rng, 2) for _ in range(20)]:
             pairings, labelling = cx._memo
             _, blocks, _, _ = next(kept for kept in empty_memo.values() if kept[3] is pairings)
-            lids, joins = [0], iter(labelling)
+            lids, joins = [0], iter(array("H", labelling))
             for _, parents in blocks:
                 parent_ids = parents(lids)
                 step = {lid: next(joins) for lid in set(parent_ids)}
@@ -655,21 +680,32 @@ class TestPairingMemo:
         assert complexes._pairings_held == bytes_held(empty_memo) > 0
 
     def test_complexes_without_a_key(self, monkeypatch, empty_memo, kernel_runs, four_cycle):
-        # Lyubeznik's complex, a skeleton over the skeleton memo's bound, and
-        # a complex with more than 256 labels are reduced every time
+        # Lyubeznik's complex and a skeleton over the skeleton memo's bound
+        # are reduced every time; a complex on a kept skeleton is memoized
+        # whatever its label count, here 512 labels, ids past one byte
         gens = power_generators(edge_ideal(four_cycle), 2)
         free = [((v,), Monomial(tuple(int(k == v) for k in range(9)))) for v in range(9)]
         monkeypatch.setattr(complexes, "_MEMO_FACES", 8)
         unkept = LabelledComplex(gens, _support_facets([b for b, _ in gens], 2))
         monkeypatch.setattr(complexes, "_MEMO_FACES", 1 << 16)
-        simplex = LabelledComplex(free, [range(9)])
-        assert len(simplex._codes) == 512
-        # 256 labels, ids 0..255, still get a key
-        assert LabelledComplex(free[:8], [range(8)])._memo is not None
-        for cx in (lyubeznik_complex(gens), unkept, simplex):
+        for cx in (lyubeznik_complex(gens), unkept):
             assert cx._memo is None
             assert graded_betti(cx).entries == graded_betti(cx).entries
-        assert len(kernel_runs) == 6 and not kept_pairings(empty_memo)
+        assert len(kernel_runs) == 4 and not kept_pairings(empty_memo)
+        simplex = LabelledComplex(free, [range(9)])
+        assert len(simplex._codes) == 512 and simplex._memo is not None
+        assert graded_betti(simplex).entries == graded_betti(simplex).entries
+        assert kernel_runs[4:] == [simplex] and len(kept_pairings(empty_memo)) == 1
+
+    def test_unkept_label_ids_past_16_bits(self, empty_memo, kernel_runs):
+        # only a kept skeleton's pairings are packed in 16 bits: the unkept
+        # 2^17-face simplex on 17 free generators has 2^17 label ids, and its
+        # table is the Koszul complex's, beta_{i,i} = C(17, i)
+        free = [((v,), Monomial(tuple(int(k == v) for k in range(17)))) for v in range(17)]
+        simplex = LabelledComplex(free, [range(17)])
+        assert simplex._memo is None and len(simplex._codes) == 1 << 17
+        assert graded_betti(simplex).entries == {(i, i): comb(17, i) for i in range(18)}
+        assert kernel_runs == [simplex] and not kept_pairings(empty_memo)
 
     def test_no_pairing_outlives_its_skeleton(self, empty_memo, kernel_runs, four_cycle):
         # the pairings sit on the skeleton's memo entry: once the skeleton

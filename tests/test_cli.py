@@ -21,6 +21,8 @@ def run_cli(capsys, *args):
     (["verify", "--random", "1", "--n", "5", "--m", "3", "--d", "2", "--t-max", "0"],
      "--t-max"),
     (["matchings", "--size-cap", "-2", "PATH5"], "--size-cap"),
+    (["matchings", "--list", "induced", "--size", "0", "PATH5"], "--size"),
+    (["matchings", "--list", "matching", "--union-size", "-1", "PATH5"], "--union-size"),
 ])
 def test_count_flag_below_one_is_input_error(capsys, data_dir, args, flag):
     args = [str(data_dir / "path5.json") if a == "PATH5" else a for a in args]
@@ -58,8 +60,11 @@ class TestBettiCommand:
 
     @pytest.mark.parametrize("char", ["0", "2"])
     def test_lyubeznik_matches_taylor(self, capsys, data_dir, char):
+        # at t = 2, but at t = 1 on rp2-6, whose Taylor simplex at t = 2 has
+        # 55 vertices, over the cap
         for path in sorted(data_dir.glob("*.json")):
-            outs = [run_cli(capsys, "betti", "--json", "-t", "2", "--char", char,
+            t = "1" if path.name == "rp2-6.json" else "2"
+            outs = [run_cli(capsys, "betti", "--json", "-t", t, "--char", char,
                             "--complex", kind, str(path)) for kind in ("lyubeznik", "taylor")]
             assert outs[0] == outs[1] and outs[0][0] == 0, path.name
 
@@ -207,6 +212,13 @@ class TestMatchingsCommand:
         code, out, _ = run_cli(capsys, "matchings", str(data_dir / "path5.json"))
         assert code == 0
         assert "matching_number" in out and " 1" in out
+
+    @pytest.mark.parametrize("args", [["--size", "2"], ["--union-size", "4", "--json"],
+                                      ["--size", "1", "--union-size", "3"]])
+    def test_filters_need_list(self, capsys, data_dir, args):
+        # a filter with no listing to filter would be ignored
+        code, out, err = run_cli(capsys, "matchings", *args, str(data_dir / "path5.json"))
+        assert code == 2 and out == "" and "--size and --union-size need --list" in err
 
     def test_duplicate_long_edge_exits_quickly(self, capsys, tmp_path):
         # the message lists the vertices of a 2^20-bit edge mask
