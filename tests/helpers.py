@@ -260,7 +260,7 @@ def hilbert_numerator(hypergraph, t):
     n = hypergraph.n
     edges = [tuple(int(v + 1 in edge) for v in range(n)) for edge in hypergraph.edge_sets()]
     products = (tuple(map(sum, zip(*combo))) for combo in combinations_with_replacement(edges, t))
-    return _k_polynomial(_minimal(products))
+    return dict(_k_polynomial(_minimal(products)))  # the memoized dict stays unshared
 
 
 def alternating_sums(entries):
