@@ -78,6 +78,8 @@ def cmd_betti(args):
 def cmd_matchings(args):
     if args.list_kind is None and (args.size, args.union_size) != (None, None):
         raise DomainError("--size and --union-size need --list")
+    if None not in (args.size, args.size_cap) and args.size > args.size_cap:
+        raise DomainError(f"--size {args.size} is over --size-cap {args.size_cap}")
     hypergraph = Hypergraph.load(args.file)
     exhaustive = args.size_cap is None or args.size_cap >= hypergraph.num_edges
     listed = []

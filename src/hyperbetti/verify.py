@@ -13,8 +13,9 @@ import json
 import operator
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
 from .betti import bound_applicability, graded_betti, survivor_face_sets
@@ -58,7 +59,7 @@ def describe(hypergraph):
 
 
 class ComputeCache:
-    """One memo of the edge ideal and family walk per hypergraph, of the
+    """One memo of the edge ideal and family facts per hypergraph, of the
     support complex and Betti table per (ideal, power), and of subideals;
     the generators of a power are read off its support complex.
     A build over a resource cap is kept as its message, and each lookup
@@ -108,9 +109,22 @@ class ComputeCache:
             return 0
         return self.table_for(ideal, t).regularity() + 1
 
-    def families(self, hypergraph):
-        """Every (indices, classification) pair of the hypergraph, walked once."""
-        return self._get(("families", hypergraph), lambda: list(families(hypergraph)))
+    def family_facts(self, hypergraph):
+        """(types, matchings, invariants), folded from one walk of the families:
+        the self-semi-induced families by type (size, union size), each list in
+        walk order; the number of matchings of each size; and the matching
+        invariants.  No list of every family is kept."""
+        def fold():
+            types, matchings = {}, Counter()
+
+            def walk():
+                for idx, cls in families(hypergraph):
+                    if cls.is_self_semi_induced:
+                        types.setdefault(cls.family_type, []).append(idx)
+                    matchings[len(idx)] += cls.is_matching
+                    yield idx, cls
+            return types, matchings, invariants_of(walk(), True)
+        return self._get(("families", hypergraph), fold)
 
 
 class _Unmet(Exception):
@@ -174,12 +188,12 @@ def check_second_power(hypergraph, ideal, cache):
     d = hypergraph.uniform_size()
     cx = cache.complex_for(ideal, 2)
     table = cache.table_for(ideal, 2)
-    walk = cache.families(hypergraph)
+    _, matchings, _ = cache.family_facts(hypergraph)
     cases = []
     for i in range(2, cx.dim + 2):
         applies = bound_applicability(cx, i, 2 * d * i)
         case = _survivor_case(cx, table, i, 2 * d * i, applies)
-        n_matchings = sum(1 for idx, cls in walk if len(idx) == i and cls.is_matching)
+        n_matchings = matchings[i]
         ok = applies.upper and applies.lower and case["ok"]
         if n_matchings < 2 ** i:
             ok = ok and case["beta"] == 0
@@ -195,11 +209,7 @@ def check_lower_bounds(hypergraph, ideal, cache, t):
     regularity chain for uniform hypergraphs."""
     d = hypergraph.uniform_size()
     table = cache.table_for(ideal, t)
-    walk = cache.families(hypergraph)
-    types = {}  # self-semi-induced families by type (size, union size)
-    for idx, cls in walk:
-        if cls.is_self_semi_induced:
-            types.setdefault(cls.family_type, []).append(idx)
+    types, _, inv = cache.family_facts(hypergraph)
     cases = []
     seen = set()
     for (i, j), fams in sorted(types.items()):
@@ -226,7 +236,6 @@ def check_lower_bounds(hypergraph, ideal, cache, t):
             cases.append({"kind": "count", "i": i, "j": d * (t - 1) + j,
                           "beta": beta, "bound": s * i, "ok": ok})
     if d is not None:
-        inv = invariants_of(walk, True)
         reg = table.regularity()
         low_induced = (d - 1) * inv.induced_matching_number
         low_excess = inv.self_semi_induced_excess
@@ -245,19 +254,19 @@ def check_min_gens(hypergraph, ideal, cache, k):
         raise DomainError(f"power must be >= 1, got {k}")
     generators = {mono for _, mono in cache.generators_for(ideal, k)}
     edge_monos = list(ideal.generators)
-    holds = True
+    types, _, _ = cache.family_facts(hypergraph)
+    is_generator = {}  # combo -> whether its product is a generator, one product each
     checked = 0
     missing = []
-    for idx, cls in cache.families(hypergraph):
-        if not cls.is_self_semi_induced:
-            continue
+    for idx in chain.from_iterable(types.values()):
         for combo in combinations_with_replacement(idx, k):
-            prod = functools.reduce(operator.mul, (edge_monos[e] for e in combo))
+            if combo not in is_generator:
+                is_generator[combo] = functools.reduce(
+                    operator.mul, (edge_monos[e] for e in combo)) in generators
             checked += 1
-            if prod not in generators:
-                holds = False
+            if not is_generator[combo]:
                 missing.append({"family": list(idx), "combo": list(combo)})
-    return holds, {"k": k, "products_checked": checked, "missing": missing}
+    return not missing, {"k": k, "products_checked": checked, "missing": missing}
 
 
 @_check("regularity_upper_bounds", needs="uniform")
@@ -301,9 +310,7 @@ def check_vanishing(hypergraph, ideal, cache, t, r, s):
     cx = cache.complex_for(ideal, t)
     table = cache.table_for(ideal, t)
     window_clear = r not in cx._degree_groups(s - 1) and r not in cx._degree_groups(s + 1)
-    target_type = (s + 1, r - d * (t - 1))
-    family_exists = any(cls.is_self_semi_induced and cls.family_type == target_type
-                        for _, cls in cache.families(hypergraph))
+    family_exists = (s + 1, r - d * (t - 1)) in cache.family_facts(hypergraph)[0]
     if not (window_clear and family_exists):
         raise _Unmet({"t": t, "r": r, "s": s, "window_clear": window_clear,
                       "family_exists": family_exists})
@@ -493,19 +500,13 @@ def run_checks(hypergraph, t_max=3, cache=None, label=None, min_gen_powers=(2, 3
     d = hypergraph.uniform_size()
     if d is not None:
         try:
-            walk = cache.families(hypergraph)
+            types, _, _ = cache.family_facts(hypergraph)
         except ResourceCapError:
-            walk = ()
-        seen = set()
-        for _, cls in walk:
-            if not cls.is_self_semi_induced:
-                continue
-            i, j = cls.family_type
+            types = {}
+        for i, j in types:  # in first-occurrence order
             for t in range(1, t_max + 1):
-                key = (t, d * (t - 1) + j, i - 1)
-                if key not in seen:
-                    seen.add(key)
-                    reports.append(check_vanishing(hypergraph, *key, cache=cache, label=label))
+                reports.append(check_vanishing(hypergraph, t, d * (t - 1) + j, i - 1,
+                                               cache=cache, label=label))
     return reports
 
 

@@ -63,22 +63,27 @@ def hochster_betti(hypergraph, rank=fraction_rank):
             mask = sum(1 << v for v in face)
             if not any(e & mask == e for e in edges):
                 faces[len(face)].append(face)
-        # down[s] is the rank of the boundary from s-vertex faces to (s-1)-vertex ones
-        down = [0] * (len(support) + 2)
-        for s in range(1, len(support) + 1):
-            row_of = {face: r for r, face in enumerate(faces[s - 1])}
-            matrix = [[0] * len(faces[s]) for _ in faces[s - 1]]
-            for c, face in enumerate(faces[s]):
-                for k in range(s):
-                    matrix[row_of[face[:k] + face[k + 1:]]][c] = (-1) ** k
-            down[s] = rank(matrix)
-        for s in range(len(support) + 1):
+        for s, h in enumerate(_reduced_homology(faces, rank)):
             # reduced homology in dimension s-1 sits at i = |W| - s, j = |W|
-            h = len(faces[s]) - down[s] - down[s + 1]
             if h:
                 key = (len(support) - s, len(support))
                 entries[key] = entries.get(key, 0) + h
     return entries
+
+
+def _reduced_homology(faces, rank):
+    """dim H~_{s-1} for each face size s of a complex, from its faces by size
+    as sorted tuples (size 0 is the empty face) and plain boundary matrices."""
+    # down[s] is the rank of the boundary from s-vertex faces to (s-1)-vertex ones
+    down = [0] * (len(faces) + 1)
+    for s in range(1, len(faces)):
+        row_of = {face: r for r, face in enumerate(faces[s - 1])}
+        matrix = [[0] * len(faces[s]) for _ in faces[s - 1]]
+        for c, face in enumerate(faces[s]):
+            for k in range(s):
+                matrix[row_of[face[:k] + face[k + 1:]]][c] = (-1) ** k
+        down[s] = rank(matrix)
+    return [len(faces[s]) - down[s] - down[s + 1] for s in range(len(faces))]
 
 
 def survivor_oracle(cx, i, j):
@@ -240,13 +245,21 @@ def _add(p, q):
     return {d: c for d, c in out.items() if c}
 
 
+def _power_exponents(hypergraph, t):
+    """The minimal generators of I^t as exponent tuples: the minimal products
+    of every t of the edges' 0/1 exponent vectors."""
+    n = hypergraph.n
+    edges = [tuple(int(v + 1 in edge) for v in range(n)) for edge in hypergraph.edge_sets()]
+    return _minimal(tuple(map(sum, zip(*combo)))
+                    for combo in combinations_with_replacement(edges, t))
+
+
 def hilbert_numerator(hypergraph, t):
     """{j: coefficient of z^j} of the K-polynomial of R/I^t, the numerator of
     its Hilbert series over (1 - z)^n, zero coefficients left out.
 
     For every j it equals sum_i (-1)^i beta_{i,j}(R/I^t), over every field.
-    The generators of I^t come from multiplying every t of the edges'
-    0/1 exponent vectors and keeping the minimal products; the polynomial
+    The generators of I^t come from `_power_exponents`; the polynomial
     from Bigatti's pivoting on exponent tuples (Bigatti, J. Pure Appl.
     Algebra 119, 1997), memoized on the frozen minimal generating set.
     Nothing is shared with the library's monomials, complexes or kernel.
@@ -257,10 +270,50 @@ def hilbert_numerator(hypergraph, t):
     stay hidden, as GF(2)'s torsion beta_{3,6} = beta_{4,6} = 1 does on
     the 6-vertex RP^2 ideal.
     """
+    return dict(_k_polynomial(_power_exponents(hypergraph, t)))  # the memoized dict stays unshared
+
+
+def koszul_betti(hypergraph, t, rank=fraction_rank, max_faces=1 << 13):
+    """Betti table of R/I^t by upper Koszul simplicial complexes, as {(i, j): beta}.
+
+    beta_{i,b}(I^t) = dim H~_{i-1}(K^b), where K^b is the complex of the
+    squarefree F inside supp b with x^(b - F) in I^t (Miller-Sturmfels,
+    Combinatorial Commutative Algebra, Thm 1.34), and it vanishes off the
+    lcm lattice of I^t's generators.  So beta_{i+1,j}(R/I^t) sums dim
+    H~_{i-1}(K^b) over the lattice elements b of degree j, and (0, 0) is
+    1.  The reduced homology comes from the augmented chain complex, so
+    H~_{-1}(K^b) is 1 exactly when K^b is the empty face alone.  The
+    generators come from `_power_exponents` and the lattice is their
+    closure under joins, all as exponent tuples.  As in `hochster_betti`,
+    nothing is shared with the library's monomials, complexes or kernel;
+    `rank` picks the field.  More than `max_faces` subsets of the lattice
+    elements' supports raise ResourceCapError before any homology is taken.
+    """
     n = hypergraph.n
-    edges = [tuple(int(v + 1 in edge) for v in range(n)) for edge in hypergraph.edge_sets()]
-    products = (tuple(map(sum, zip(*combo))) for combo in combinations_with_replacement(edges, t))
-    return dict(_k_polynomial(_minimal(products)))  # the memoized dict stays unshared
+    gens = _power_exponents(hypergraph, t)
+    lattice, frontier = set(gens), set(gens)
+    while frontier:
+        frontier = {tuple(map(max, a, g)) for a in frontier for g in gens} - lattice
+        lattice |= frontier
+    cost = sum(1 << sum(1 for a in b if a) for b in lattice)
+    if cost > max_faces:
+        raise ResourceCapError(f"{cost} Koszul faces, over the cap of {max_faces}")
+    entries = {(0, 0): 1}
+    for b in lattice:
+        support = [v for v in range(n) if b[v]]
+        # faces of K^b by size, as sorted tuples of variables; size 0 is the empty face
+        faces = [[] for _ in range(len(support) + 1)]
+        for size in range(len(support) + 1):
+            for face in combinations(support, size):
+                rest = tuple(a - (v in face) for v, a in enumerate(b))
+                if any(all(map(int.__le__, g, rest)) for g in gens):
+                    faces[size].append(face)
+        for s, h in enumerate(_reduced_homology(faces, rank)):
+            # H~_{s-1}(K^b) is beta_{s,b}(I^t), which is beta_{s+1,b}(R/I^t)
+            if h:
+                key = (s + 1, sum(b))
+                entries[key] = entries.get(key, 0) + h
+    return entries
 
 
 def alternating_sums(entries):

@@ -220,6 +220,15 @@ class TestMatchingsCommand:
         code, out, err = run_cli(capsys, "matchings", *args, str(data_dir / "path5.json"))
         assert code == 2 and out == "" and "--size and --union-size need --list" in err
 
+    def test_size_over_size_cap(self, capsys, data_dir):
+        # the capped walk never reaches size 3, where [1, 2, 3] is a matching
+        code, out, err = run_cli(capsys, "matchings", "--list", "matching", "--size", "3",
+                                 "--size-cap", "2", str(data_dir / "example39.json"))
+        assert code == 2 and out == "" and "--size 3 is over --size-cap 2" in err
+        code, out, _ = run_cli(capsys, "matchings", "--list", "matching", "--size", "3",
+                               "--size-cap", "3", str(data_dir / "example39.json"))
+        assert code == 0 and "[1, 2, 3] type (3, 9)" in out
+
     def test_duplicate_long_edge_exits_quickly(self, capsys, tmp_path):
         # the message lists the vertices of a 2^20-bit edge mask
         n = 1 << 20
