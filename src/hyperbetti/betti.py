@@ -27,9 +27,10 @@ or reduces to zero is counted as unpaired on the spot.
 The pairing depends on the labelled complex only through which faces
 share a label, so many queries repeat one: `graded_betti` memoizes its
 unpaired counts by (index, label id) per labelling and characteristic on
-the complex's memoized skeleton (see `LabelledComplex`), and grades them
-by each querying complex's own degrees.  The memo, its byte bound and
-its lock live in `complexes`.
+the complex's memo entry, its skeleton's or, for a Lyubeznik complex, its
+exponent columns' (see `LabelledComplex`), and grades them by each
+querying complex's own degrees.  The memo, its bounds and its lock live
+in `complexes`.
 """
 
 from __future__ import annotations
@@ -297,11 +298,12 @@ def graded_betti(cx, char=0, power=None):
 
     The pass reads only the face index, the label ids and the
     characteristic, so its unpaired counts are memoized under (labelling,
-    char) on the complex's skeleton, as 16-bit (i, label id, count)
+    char) on the complex's memo entry, as 16-bit (i, label id, count)
     triples, by the rule of `LabelledComplex` that `_pairing` and `_keep`
-    apply.  The skeleton fixes the index, and the labelling every face's
-    label id, so two complexes with one key have the same store and the
-    same pairing: the memo is exact.  Degrees are not in it: computed and
+    apply.  A skeleton fixes the index, and the labelling every face's
+    label id; a Lyubeznik complex's exponent columns fix both, and its
+    labelling is empty.  So two complexes with one key have the same
+    store and the same pairing: the memo is exact.  Degrees are not in it: computed and
     memoized triples go through one loop that grades them by the complex's
     own `_degrees`, as a hit is for an ideal with every exponent doubled.
     New triples are kept only while all pairings hold at most `_MEMO_BYTES`

@@ -30,13 +30,14 @@ from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCap
                      check_budget, format_count)
 from .monomials import power_generators
 
-_MEMO_FACES = 1 << 16  # faces held by all memoized skeletons, so their pairings pack in 16 bits
+_MEMO_FACES = 1 << 16  # faces held by all memo entries, so their pairings pack in 16 bits
 _MEMO_BYTES = 1 << 19  # bytes of labellings and counts held by all memoized pairings together
-# sorted facet masks -> (face count, blocks, index, pairings), kept while within _MEMO_FACES;
+# sorted facet masks -> (face count, blocks, index, pairings), and ("lyubeznik", r, exponent
+# columns) -> (face count, (lids, recipe), index, pairings), kept while within _MEMO_FACES;
 # pairings maps (labelling, char) to the Betti kernel's counts, kept while within _MEMO_BYTES
 _skeletons = {}
-_pairings_held = 0  # the bytes that all skeletons' pairings hold
-_memo_lock = Lock()  # held to test either bound and add a skeleton or a pairing
+_pairings_held = 0  # the bytes that all entries' pairings hold
+_memo_lock = Lock()  # held to test either bound and add an entry or a pairing
 
 
 def _mask_of(face):
@@ -93,6 +94,26 @@ def _index_of(masks, top):
     for number, mask in enumerate(masks):
         index[mask.bit_count()][mask] = number
     return index
+
+
+def _memoized(key, build, max_faces):
+    """The memo's entry under key, else build()'s with a new pairings dict.
+
+    A new entry is kept while all entries hold at most _MEMO_FACES faces;
+    one not kept comes back with pairings None.  An entry over max_faces was
+    kept under a larger cap, and is refused with a fresh build's message.
+    """
+    entry = _skeletons.get(key)
+    if entry is None:
+        entry = *build(), {}
+        with _memo_lock:  # another thread may have kept this key first
+            held = sum(kept[0] for kept in _skeletons.values())
+            if key in _skeletons or held + entry[0] <= _MEMO_FACES:
+                return _skeletons.setdefault(key, entry)
+        return (*entry[:3], None)
+    if entry[0] > max_faces:
+        raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+    return entry
 
 
 def _skeleton(facets, max_faces):
@@ -156,8 +177,9 @@ class LabelledComplex:
     id, and the ids give it, so two complexes on one skeleton have equal
     labellings exactly when their faces have equal ids.  Exponents do not
     enter: doubling them all keeps the labelling.  The one memo rule: a
-    complex has a `_memo` exactly when its skeleton is memoized, so none
-    from `lyubeznik_complex` has.
+    complex has a `_memo` exactly when its face source is kept: the skeleton
+    for support and Taylor complexes, the exponent columns for Lyubeznik
+    complexes, whose key fixes every label id, so their labelling is b"".
 
     At the API (`faces`, `label_exps`, `degree`) a face is a sorted tuple
     of vertex indices; these tuples are built from the masks when asked for
@@ -178,18 +200,7 @@ class LabelledComplex:
                     f"over the cap of {max_faces}")
         width, vertex_codes = _unary_codes(vertices)
         key = tuple(sorted(canonical))
-        skeleton = _skeletons.get(key)
-        if skeleton is None:
-            skeleton = *_skeleton(key, max_faces), {}
-            with _memo_lock:  # another thread may have kept this skeleton first
-                held = sum(kept[0] for kept in _skeletons.values())
-                if key in _skeletons or held + skeleton[0] <= _MEMO_FACES:
-                    skeleton = _skeletons.setdefault(key, skeleton)
-                else:
-                    key = None
-        elif skeleton[0] > max_faces:  # memoized under a larger cap
-            raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
-        _, blocks, index, pairings = skeleton
+        _, blocks, index, pairings = _memoized(key, partial(_skeleton, key, max_faces), max_faces)
         codes = [0]
         ids = {0: 0}  # label code -> id
         lids = [0]  # label id of each face, by face number
@@ -207,7 +218,7 @@ class LabelledComplex:
             joins += step.values()
             lids += map(step.__getitem__, parent_ids)
         self._store(vertices, width, codes, index, lids,
-                    None if key is None else (pairings, array("H", joins).tobytes()))
+                    None if pairings is None else (pairings, array("H", joins).tobytes()))
 
     def _store(self, vertices, width, codes, index, lids, memo=None):
         """Keep index[k], {mask: face number} of the k-vertex faces, and lids by number."""
@@ -302,6 +313,45 @@ def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
     return LabelledComplex(gens, [tuple(range(len(gens)))], max_faces)
 
 
+def _admissible(vertex_codes, max_faces):
+    """(face count, (lids, recipe), index) of Lyubeznik's complex on the vertex codes, where
+    recipe[k - 1] is (parent label id, generator) for label id k: its code is their OR."""
+    r = len(vertex_codes)
+
+    def first_divisor(code):
+        return next((q for q, c in enumerate(vertex_codes) if c | code == code), r)
+
+    codes = [0]
+    ids = {0: 0}  # label code -> id
+    first = [first_divisor(0)]  # label id -> index of the first generator dividing it
+    joins = [{} for _ in vertex_codes]  # per generator: label id -> id of the joined label
+    recipe = []
+    masks, lids, tests, start = [0], [0], 0, 0  # faces by number; the last size's from start
+    while start < len(masks):
+        fronts = [(mask, lid, (mask & -mask).bit_length() - 1 if mask else r)
+                  for mask, lid in zip(masks[start:], lids[start:])]
+        start = len(masks)
+        tests += sum(low for _, _, low in fronts)
+        check_budget(tests, f"front-extension tests on {r} generators")
+        for mask, lid, low in fronts:
+            for i in range(low):
+                step = joins[i]
+                new = step.get(lid)
+                if new is None:
+                    joined = codes[lid] | vertex_codes[i]
+                    new = step[lid] = ids.setdefault(joined, len(codes))
+                    if new == len(codes):
+                        codes.append(joined)
+                        first.append(first_divisor(joined))
+                        recipe.append((lid, i))
+                if first[new] == i:
+                    masks.append(mask | 1 << i)
+                    lids.append(new)
+                    if len(lids) > max_faces:
+                        raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+    return len(masks), (lids, recipe), _index_of(masks, masks[-1].bit_count())
+
+
 def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     """Lyubeznik's subcomplex of the simplex on the given (tuple, monomial)
     generator pairs, in the order given.
@@ -321,42 +371,25 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     cap is tested per face.  Faces are listed (see `LabelledComplex`) as
     added, each size in increasing mask order: F1 < F2 one size down gives
     F1 | 1 << i1 < F2 | 1 << i2, as F2's top bit not in F1 is above min F1.
+
+    Admissibility, label equality and first divisors compare exponents one
+    variable at a time, so faces and label ids depend only on r and the set
+    of nonzero exponent columns (one variable's exponents over the generators,
+    in the given order): permuting, repeating or adding a zero variable keeps
+    them.  That key memoizes the complex (see `LabelledComplex`) with a label
+    recipe, replayed on each complex's own codes, as degrees change.
     """
     vertices = _generators(gens)
-    width, vertex_codes = _unary_codes(vertices)
-    r = len(vertices)
-
-    def first_divisor(code):
-        return next((q for q, c in enumerate(vertex_codes) if c | code == code), r)
-
+    width, vertex_codes = _unary_codes(vertices)  # refuses mixed rings before zip cuts them
+    columns = {col for col in zip(*(mono.exps for _, mono in vertices)) if any(col)}
+    key = "lyubeznik", len(vertices), tuple(sorted(columns))
+    _, (lids, recipe), index, pairings = _memoized(
+        key, partial(_admissible, vertex_codes, max_faces), max_faces)
     codes = [0]
-    ids = {0: 0}  # label code -> id
-    first = [first_divisor(0)]  # label id -> index of the first generator dividing it
-    joins = [{} for _ in vertex_codes]  # per generator: label id -> id of the joined label
-    masks, lids, tests, start = [0], [0], 0, 0  # faces by number; the last size's from start
-    while start < len(masks):
-        fronts = [(mask, lid, (mask & -mask).bit_length() - 1 if mask else r)
-                  for mask, lid in zip(masks[start:], lids[start:])]
-        start = len(masks)
-        tests += sum(low for _, _, low in fronts)
-        check_budget(tests, f"front-extension tests on {r} generators")
-        for mask, lid, low in fronts:
-            for i in range(low):
-                step = joins[i]
-                new = step.get(lid)
-                if new is None:
-                    joined = codes[lid] | vertex_codes[i]
-                    new = step[lid] = ids.setdefault(joined, len(codes))
-                    if new == len(codes):
-                        codes.append(joined)
-                        first.append(first_divisor(joined))
-                if first[new] == i:
-                    masks.append(mask | 1 << i)
-                    lids.append(new)
-                    if len(lids) > max_faces:
-                        raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+    for lid, i in recipe:
+        codes.append(codes[lid] | vertex_codes[i])
     cx = object.__new__(LabelledComplex)
-    cx._store(vertices, width, codes, _index_of(masks, masks[-1].bit_count()), lids)
+    cx._store(vertices, width, codes, index, lids, None if pairings is None else (pairings, b""))
     return cx
 
 

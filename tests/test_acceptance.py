@@ -104,11 +104,26 @@ def test_criterion_2_golden_three_triples_with_transversal(data_dir):
                      f"Hochster oracle agrees: {oracle_agrees} time={elapsed:.3f}s")
 
 
-def test_verify_stream_is_pinned(corpus_run):
-    reports, summary, _ = corpus_run
+def stream_digest(reports, summary):
+    """sha256 of the `verify` stdout that prints these reports and summary."""
     stream = "".join(r.to_json() + "\n" for r in reports)
     stream += json.dumps({"summary": summary}, sort_keys=True, separators=(",", ":")) + "\n"
-    assert hashlib.sha256(stream.encode()).hexdigest() == VERIFY_STREAM_SHA256
+    return hashlib.sha256(stream.encode()).hexdigest()
+
+
+def test_verify_stream_is_pinned(corpus_run):
+    reports, summary, _ = corpus_run
+    assert stream_digest(reports, summary) == VERIFY_STREAM_SHA256
+
+
+def test_verify_stream_from_an_empty_and_a_warm_memo(empty_memo):
+    # the second run in one process finds every complex of the first memoized
+    digests, kept = [], []
+    for _ in range(2):
+        digests.append(stream_digest(*run_corpus(builtin_corpus(), t_max=3)))
+        kept.append(len(empty_memo))
+    assert digests == [VERIFY_STREAM_SHA256] * 2
+    assert kept[0] == kept[1] > 0
 
 
 @pytest.mark.parametrize("args", PINNED_STREAMS)

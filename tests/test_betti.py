@@ -680,22 +680,29 @@ class TestPairingMemo:
         assert complexes._pairings_held == bytes_held(empty_memo) > 0
 
     def test_complexes_without_a_key(self, monkeypatch, empty_memo, kernel_runs, four_cycle):
-        # Lyubeznik's complex and a skeleton over the skeleton memo's bound
-        # are reduced every time; a complex on a kept skeleton is memoized
-        # whatever its label count, here 512 labels, ids past one byte
+        # a skeleton or a Lyubeznik complex over the memo's bound is reduced
+        # every time; a kept Lyubeznik complex is memoized, and so is a complex
+        # on a kept skeleton whatever its label count, here 512 labels, ids
+        # past one byte
         gens = power_generators(edge_ideal(four_cycle), 2)
         free = [((v,), Monomial(tuple(int(k == v) for k in range(9)))) for v in range(9)]
         monkeypatch.setattr(complexes, "_MEMO_FACES", 8)
-        unkept = LabelledComplex(gens, _support_facets([b for b, _ in gens], 2))
+        unkept = [LabelledComplex(gens, _support_facets([b for b, _ in gens], 2)),
+                  lyubeznik_complex(gens)]
         monkeypatch.setattr(complexes, "_MEMO_FACES", 1 << 16)
-        for cx in (lyubeznik_complex(gens), unkept):
+        for cx in unkept:
             assert cx._memo is None
             assert graded_betti(cx).entries == graded_betti(cx).entries
-        assert len(kernel_runs) == 4 and not kept_pairings(empty_memo)
+        assert len(kernel_runs) == 4 and not empty_memo
+        kept = lyubeznik_complex(gens)
+        assert kept._memo is not None and kept._lids == unkept[1]._lids
+        table = graded_betti(kept).entries
+        assert graded_betti(lyubeznik_complex(gens)).entries == table  # an equal key
+        assert kernel_runs[4:] == [kept] and len(kept_pairings(empty_memo)) == 1
         simplex = LabelledComplex(free, [range(9)])
         assert len(simplex._codes) == 512 and simplex._memo is not None
         assert graded_betti(simplex).entries == graded_betti(simplex).entries
-        assert kernel_runs[4:] == [simplex] and len(kept_pairings(empty_memo)) == 1
+        assert kernel_runs[5:] == [simplex] and len(kept_pairings(empty_memo)) == 2
 
     def test_unkept_label_ids_past_16_bits(self, empty_memo, kernel_runs):
         # only a kept skeleton's pairings are packed in 16 bits: the unkept

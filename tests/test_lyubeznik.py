@@ -1,6 +1,6 @@
 """Lyubeznik's subcomplex of the Taylor simplex: its faces against the
 definition applied to every subset, its shape, its tables against the
-recorded pool tables, and its face cap and test budget."""
+recorded pool tables, its face cap and test budget, and its memo."""
 
 import json
 import os
@@ -13,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import hyperbetti
+from hyperbetti import complexes, verify
 from hyperbetti.betti import graded_betti
 from hyperbetti.complexes import lyubeznik_complex, taylor_complex
-from hyperbetti.errors import DomainError, ResourceCapError
+from hyperbetti.errors import DimensionError, DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.monomials import Monomial, power_generators
-from hyperbetti.verify import random_hypergraph
+from hyperbetti.verify import builtin_corpus, random_hypergraph, run_corpus
 from helpers import lyubeznik_oracle
 
 POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "data"
@@ -138,3 +139,113 @@ class TestCosts:
         assert proc.returncode in (0, 3) and b"Traceback" not in proc.stderr
         assert proc.stderr == (b"resource cap: 12591757 front-extension tests on 210 "
                                b"generators, over the cap of 1048576\n")
+
+
+def assert_fresh(monkeypatch, cx, gens, max_faces=complexes.DEFAULT_MAX_FACES):
+    """cx equals a build of gens from an empty memo: the same faces, label
+    ids and codes, and the same tables over Q and GF(2)."""
+    memo = complexes._skeletons
+    monkeypatch.setattr(complexes, "_skeletons", {})
+    fresh = lyubeznik_complex(gens, max_faces)
+    monkeypatch.setattr(complexes, "_skeletons", memo)
+    assert cx.faces == fresh.faces and cx._lids == fresh._lids and cx._codes == fresh._codes
+    for char in (0, 2):
+        assert graded_betti(cx, char=char).entries == graded_betti(fresh, char=char).entries
+
+
+def variable_changes(gens, rng):
+    """gens with its variables permuted, with one variable repeated, and with
+    an all-zero variable added."""
+    nvars = len(gens[0][1].exps)
+    order, k = rng.sample(range(nvars), nvars), rng.randrange(nvars)
+    changes = (lambda e: tuple(e[i] for i in order), lambda e: e + (e[k],),
+               lambda e: e[:k] + (0,) + e[k:])
+    return [[(b, Monomial(change(mono.exps))) for b, mono in gens] for change in changes]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The vertex codes of each Lyubeznik complex built afresh, in order."""
+    built = []
+    real = complexes._admissible
+    monkeypatch.setattr(complexes, "_admissible",
+                        lambda codes, max_faces: built.append(codes) or real(codes, max_faces))
+    return built
+
+
+class TestMemo:
+    # a Lyubeznik complex is memoized under r and its set of nonzero exponent
+    # columns; a hit replays the label recipe with the complex's own codes
+    def test_every_corpus_list_from_a_warm_memo(self, monkeypatch, empty_memo, builds):
+        # every generator list the Taylor check builds over the builtin corpus
+        # at t <= 3 within the corpus cap: served from the memo the corpus run
+        # left, with its GF(2) pairings kept too, each equals a fresh build
+        lists = []
+        monkeypatch.setattr(verify, "lyubeznik_complex", lambda gens, cap: (
+            lists.append((gens, cap)) or lyubeznik_complex(gens, cap)))
+        run_corpus(builtin_corpus(), t_max=3)
+        lists = list(dict.fromkeys(lists))
+        assert len(lists) > 200 and len(builds) < len(lists)
+        for gens, cap in lists:
+            graded_betti(lyubeznik_complex(gens, cap), char=2)
+        built, kept = len(builds), len(empty_memo)
+        warm = [lyubeznik_complex(gens, cap) for gens, cap in lists]
+        assert len(builds) == built and len(empty_memo) == kept
+        for cx, (gens, cap) in zip(warm, lists):
+            assert cx._memo is not None
+            assert_fresh(monkeypatch, cx, gens, cap)
+
+    @pytest.mark.parametrize("seed", range(0, 60, 3))
+    def test_variable_changes_hit_one_entry(self, monkeypatch, empty_memo, kernel_runs, seed):
+        gens = random_generators(seed)
+        base = lyubeznik_complex(gens)
+        for char in (0, 2):
+            graded_betti(base, char=char)
+        changed = [(other, lyubeznik_complex(other))
+                   for other in variable_changes(gens, random.Random(seed))]
+        for _, cx in changed:
+            for char in (0, 2):
+                graded_betti(cx, char=char)
+        assert kernel_runs == [base, base] and len(empty_memo) == 1
+        for other, cx in changed:
+            assert_fresh(monkeypatch, cx, other)
+
+    def test_swapping_two_generators_misses(self, monkeypatch, empty_memo, builds):
+        # the path x1x2, x2x3, x3x4: with x2x3 first, {x1x2, x3x4} is not
+        # admissible, so the swapped list is a complex of its own
+        gens = power_generators(edge_ideal(Hypergraph(4, [[1, 2], [2, 3], [3, 4]])), 1)
+        swapped = [gens[1], gens[0], gens[2]]
+        assert [mono.exps for _, mono in swapped][0] == (0, 1, 1, 0)
+        cxs = [lyubeznik_complex(gens), lyubeznik_complex(swapped)]
+        assert len(builds) == len(empty_memo) == 2 and cxs[0].faces != cxs[1].faces
+        for other, cx in zip((gens, swapped), cxs):
+            assert_fresh(monkeypatch, cx, other)
+        for seed in range(20):  # hit or miss, a swap gives the fresh build
+            gens = random_generators(seed)
+            i, j = random.Random(seed).sample(range(len(gens)), 2) if len(gens) > 1 else (0, 0)
+            gens[i], gens[j] = gens[j], gens[i]
+            assert_fresh(monkeypatch, lyubeznik_complex(gens), gens)
+
+    def test_cap_and_refusals_on_a_hit(self, monkeypatch, empty_memo, builds, four_cycle):
+        # memoized under the default cap, the complex is refused under a lower
+        # one with a fresh build's message; bad lists are refused before the key
+        gens = power_generators(edge_ideal(four_cycle), 2)
+        count = lyubeznik_complex(gens).face_count
+        monkeypatch.setattr(complexes, "_skeletons", {})
+        messages = []
+        for _ in range(2):  # from an empty memo, then from a warm one
+            with pytest.raises(ResourceCapError) as caught:
+                lyubeznik_complex(gens, max_faces=count - 1)
+            messages.append(str(caught.value))
+            monkeypatch.setattr(complexes, "_skeletons", empty_memo)
+        assert messages == [f"complex exceeds the cap of {count - 1} faces"] * 2
+        assert len(builds) == 2 and len(empty_memo) == 1
+        with pytest.raises(DomainError, match="no generators"):
+            lyubeznik_complex([])
+        with pytest.raises(DomainError, match="generators must be distinct"):
+            lyubeznik_complex([gens[0], gens[1], gens[0]])
+        # a fifth variable on all but the first: cut short by zip, the key is the memoized one
+        mixed = gens[:1] + [(b, Monomial(mono.exps + (0,))) for b, mono in gens[1:]]
+        with pytest.raises(DimensionError):
+            lyubeznik_complex(mixed)
+        assert len(builds) == 2
