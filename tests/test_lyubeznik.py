@@ -215,7 +215,7 @@ class TestMemo:
         # admissible, so the swapped list is a complex of its own
         gens = power_generators(edge_ideal(Hypergraph(4, [[1, 2], [2, 3], [3, 4]])), 1)
         swapped = [gens[1], gens[0], gens[2]]
-        assert [mono.exps for _, mono in swapped][0] == (0, 1, 1, 0)
+        assert swapped[0][1].exps == (0, 1, 1, 0)
         cxs = [lyubeznik_complex(gens), lyubeznik_complex(swapped)]
         assert len(builds) == len(empty_memo) == 2 and cxs[0].faces != cxs[1].faces
         for other, cx in zip((gens, swapped), cxs):
