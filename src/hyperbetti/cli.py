@@ -12,37 +12,31 @@ import sys
 from dataclasses import asdict
 
 from .betti import graded_betti, validate_characteristic
-from .complexes import faridi_complex, lyubeznik_complex, taylor_complex
 from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCapError,
                      ValidationError)
 from .hypergraph import Hypergraph, edge_ideal
 from .matchings import KINDS, families, invariants_of
-from .monomials import power_generators
-from .verify import CORPUS_MAX_FACES, builtin_corpus, random_entries, run_corpus
+from .verify import (COMPLEXES, CORPUS_MAX_FACES, ComputeCache, builtin_corpus,
+                     random_entries, run_corpus)
 
 
 def _add_common(parser):
     parser.add_argument("-t", "--power", type=int, default=1,
                         help="power of the edge ideal (default 1)")
-    parser.add_argument("--complex", dest="complex_kind",
-                        choices=("taylor", "faridi", "lyubeznik"),
+    parser.add_argument("--complex", dest="complex_kind", choices=tuple(COMPLEXES),
                         default="faridi", help="supporting complex (default faridi)")
     parser.add_argument("--max-faces", type=int, default=DEFAULT_MAX_FACES,
                         help=f"face budget for built complexes (default {DEFAULT_MAX_FACES})")
 
 
-def _build_complex(args, ideal):
-    if args.complex_kind == "faridi":
-        return faridi_complex(ideal, args.power, max_faces=args.max_faces)
-    build = taylor_complex if args.complex_kind == "taylor" else lyubeznik_complex
-    return build(power_generators(ideal, args.power), max_faces=args.max_faces)
-
-
-def _load(args):
+def _complex(args, char=0):
+    """The chosen complex; the file, power and characteristic are checked in that order."""
     hypergraph = Hypergraph.load(args.file)
     if args.power < 1:
         raise DomainError(f"power must be >= 1, got {args.power}")
-    return hypergraph
+    validate_characteristic(char)
+    cache = ComputeCache(max_faces=args.max_faces)
+    return cache.complex_for(edge_ideal(hypergraph), args.power, args.complex_kind)
 
 
 def _render_betti(table):
@@ -61,11 +55,7 @@ def _render_betti(table):
 
 
 def cmd_betti(args):
-    hypergraph = _load(args)
-    validate_characteristic(args.char)
-    ideal = edge_ideal(hypergraph)
-    cx = _build_complex(args, ideal)
-    table = graded_betti(cx, char=args.char, power=args.power)
+    table = graded_betti(_complex(args, args.char), char=args.char, power=args.power)
     if args.json:
         print(json.dumps(table.to_json_dict(), sort_keys=True, separators=(",", ":")))
     else:
@@ -120,9 +110,7 @@ def _family_selected(cls, args):
 
 
 def cmd_complex(args):
-    hypergraph = _load(args)
-    ideal = edge_ideal(hypergraph)
-    cx = _build_complex(args, ideal)
+    cx = _complex(args)
     dump = {
         "complex": args.complex_kind,
         "t": args.power,

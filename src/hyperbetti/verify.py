@@ -19,13 +19,23 @@ from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
 from .betti import bound_applicability, graded_betti, survivor_face_sets
-from .complexes import faridi_complex, lyubeznik_complex
-from .errors import DomainError, ResourceCapError, format_count
+from .complexes import faridi_complex, lyubeznik_complex, taylor_complex
+from .errors import DomainError, ResourceCapError, check_budget, format_count
 from .hypergraph import Hypergraph, edge_ideal
 from .matchings import families, invariants_of
 from .monomials import power_generators
 
 CORPUS_MAX_FACES = 1 << 14
+
+# Supporting complexes of I^t by name, built as build(cache, ideal, t); each
+# lambda reads its builder's module global at call time, so a rebinding is seen.
+COMPLEXES = {
+    "taylor": lambda cache, ideal, t: taylor_complex(cache.generators_for(ideal, t),
+                                                     cache.max_faces),
+    "faridi": lambda cache, ideal, t: faridi_complex(ideal, t, max_faces=cache.max_faces),
+    "lyubeznik": lambda cache, ideal, t: lyubeznik_complex(cache.generators_for(ideal, t),
+                                                           cache.max_faces),
+}
 
 
 @dataclass
@@ -59,9 +69,9 @@ def describe(hypergraph):
 
 
 class ComputeCache:
-    """One memo of the edge ideal and family facts per hypergraph, of the
-    support complex and Betti table per (ideal, power), and of subideals;
-    the generators of a power are read off its support complex.
+    """One memo of the edge ideal and family facts per hypergraph, of each
+    complex in COMPLEXES and the Betti table per (ideal, power), and of
+    subideals; the generators of a power are read off its support complex.
     A build over a resource cap is kept as its message, and each lookup
     raises a fresh ResourceCapError with it: a kept exception would hold
     the traceback of its build and, through it, the cache.  Labels decide
@@ -89,14 +99,13 @@ class ComputeCache:
     def ideal_for(self, hypergraph):
         return self._get(("ideal", hypergraph), lambda: edge_ideal(hypergraph))
 
-    def complex_for(self, ideal, t):
-        return self._get(("complex", ideal, t),
-                         lambda: faridi_complex(ideal, t, max_faces=self.max_faces))
+    def complex_for(self, ideal, t, kind="faridi"):
+        return self._get(("complex", ideal, t, kind), lambda: COMPLEXES[kind](self, ideal, t))
 
     def generators_for(self, ideal, t):
         """The minimal generators of the t-th power: the vertices of the
         memoized support complex, walked afresh only when there is none."""
-        cx = self._memo.get(("complex", ideal, t))
+        cx = self._memo.get(("complex", ideal, t, "faridi"))
         return power_generators(ideal, t) if cx is None else cx.vertices
 
     def table_for(self, ideal, t):
@@ -335,12 +344,12 @@ def check_taylor_agreement(hypergraph, ideal, cache, t):
     cap still gates the check.
     """
     table = cache.table_for(ideal, t)
-    gens = cache.complex_for(ideal, t).vertices
+    gens = cache.generators_for(ideal, t)
     if len(gens) >= cache.max_faces.bit_length():
         raise ResourceCapError(
             f"simplex on {len(gens)} vertices has {format_count(1 << len(gens))} faces, "
             f"over the cap of {cache.max_faces}")
-    taylor_table = graded_betti(lyubeznik_complex(gens, cache.max_faces),
+    taylor_table = graded_betti(cache.complex_for(ideal, t, "lyubeznik"),
                                 char=cache.char, power=t)
     holds = taylor_table.entries == table.entries
     witness = {"t": t, "faces_taylor": 1 << len(gens)}
@@ -376,16 +385,17 @@ def check_survivor_sandwich(hypergraph, ideal, cache, t):
 
 
 def _subset_of_rank(n, d, rank):
-    """The d-subset of 1..n at 0-based position `rank` in combinations() order."""
-    out = []
-    v = 1
-    while len(out) < d:
-        taking_v = comb(n - v, d - len(out) - 1)  # subsets that take v next
-        if rank < taking_v:
-            out.append(v)
-        else:
-            rank -= taking_v
-        v += 1
+    """The d-subset of 1..n at 0-based position `rank` in combinations() order,
+    each element by binary search: with k elements left to pick, C(n - w + 1, k)
+    subsets have their next element at w or above."""
+    out, left = [], comb(n, d) - rank  # subsets from the wanted one on
+    for k in range(d, 0, -1):
+        lo, hi = (out[-1] if out else 0) + 1, n - k + 1
+        while lo < hi:  # the largest next element w with C(n - w + 1, k) >= left
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if comb(n - mid + 1, k) >= left else (lo, mid - 1)
+        left -= comb(n - lo, k)  # the subsets whose next element is above lo
+        out.append(lo)
     return tuple(out)
 
 
@@ -407,6 +417,7 @@ def random_hypergraph(n, m, d, seed):
     if pool > sys.maxsize:
         raise ResourceCapError(
             f"{d}-subsets of {n} vertices number more than {sys.maxsize}, too many to sample")
+    check_budget(m, "edges to sample")  # each costs the constructor a containment test
     rng = random.Random(seed)
     return Hypergraph(n, sorted(_subset_of_rank(n, d, r) for r in rng.sample(range(pool), m)))
 

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from hyperbetti.cli import _build_parser
+from hyperbetti.verify import COMPLEXES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +33,11 @@ def test_command_line_flags_exist():
     options = {flag for sub in subparsers.choices.values()
                for action in sub._actions for flag in action.option_strings}
     assert named and named <= options, sorted(named - options)
+
+
+def test_complex_kinds_match_the_table():
+    # the README lists every supporting complex the command line accepts
+    text = README.read_text(encoding="utf-8")
+    listed, default = re.search(r"`--complex ([a-z|]+)` \(default `([a-z]+)`\)", text).groups()
+    assert set(listed.split("|")) == set(COMPLEXES)
+    assert default == "faridi"

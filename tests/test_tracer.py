@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import hyperbetti
+from hyperbetti.hypergraph import edge_ideal
 from hyperbetti.verify import ComputeCache, run_checks
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -45,3 +46,17 @@ def test_tracer_wraps_and_restores_the_library(path5):
         assert self_times.get(name, 0) > 0, name
     assert hyperbetti_bindings() == before
     assert ComputeCache.table_for is table_for
+
+
+def test_tracer_sees_every_complex_the_cache_builds(path5):
+    # the cache's table reads each builder by name, so the tracer's rebinding is seen
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install(hyperbetti)
+        for kind in ("faridi", "taylor"):
+            ComputeCache().complex_for(edge_ideal(path5), 1, kind)
+    finally:
+        tracer.uninstall()
+    self_times = tracer.self_times()
+    for name in ("complexes.faridi", "complexes.taylor"):
+        assert self_times.get(name, 0) > 0, name

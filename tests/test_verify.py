@@ -3,6 +3,7 @@ import gc
 import json
 import operator
 import random
+import time
 import tracemalloc
 import weakref
 from itertools import combinations
@@ -54,6 +55,42 @@ class TestRandomHypergraph:
             random_hypergraph(4, 7, 2, seed=0)
         with pytest.raises(DomainError):
             random_hypergraph(3, 1, 4, seed=0)
+
+    def test_unranks_every_position(self):
+        for n in range(2, 10):
+            for d in range(2, n + 1):
+                listed = list(combinations(range(1, n + 1), d))
+                assert [verify._subset_of_rank(n, d, r) for r in range(len(listed))] == listed
+
+    def test_unranks_as_the_value_by_value_walk(self):
+        def walk(n, d, rank):  # the reference: one comb per value of 1..n
+            out = []
+            for v in range(1, n + 1):
+                if len(out) == d:
+                    break
+                taking_v = comb(n - v, d - len(out) - 1)  # subsets that take v next
+                if rank < taking_v:
+                    out.append(v)
+                else:
+                    rank -= taking_v
+            return tuple(out)
+
+        rng = random.Random(3)
+        for _ in range(2000):
+            n = rng.randint(2, 300)
+            d = rng.randint(2, min(n, 12))
+            rank = rng.choice((0, comb(n, d) - 1, rng.randrange(comb(n, d))))
+            assert verify._subset_of_rank(n, d, rank) == walk(n, d, rank), (n, d, rank)
+
+    def test_many_edges_refused_in_bounded_time(self):
+        # 50,000 edges unrank at once and then fail the containment budget;
+        # over 2^20 edges are refused before any is sampled
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="edge containment tests"):
+            random_hypergraph(2000, 50000, 2, 0)
+        with pytest.raises(ResourceCapError, match="3000000 edges to sample"):
+            random_hypergraph(3000, 3000000, 2, 0)
+        assert time.perf_counter() - start < 2
 
 
 class TestEnumeration:
@@ -156,6 +193,20 @@ class TestIndividualChecks:
             report = check_taylor_agreement(path5, t)
             assert report.hypothesis_satisfied and report.conclusion_holds
 
+    def test_taylor_agreement_builds_through_the_cache(self, monkeypatch):
+        # the Lyubeznik complex is memoized with the support complex, on its vertices
+        h = dict(builtin_corpus())["two-triples-sharing-one"]
+        calls = []
+        build = verify.lyubeznik_complex
+        monkeypatch.setattr(verify, "lyubeznik_complex",
+                            lambda *args: calls.append(args) or build(*args))
+        cache = ComputeCache()
+        first, again = (check_taylor_agreement(h, 2, cache=cache) for _ in range(2))
+        assert first.conclusion_holds and first == again and len(calls) == 1
+        ideal = cache.ideal_for(h)
+        assert (cache.complex_for(ideal, 2, "lyubeznik").vertices
+                == cache.complex_for(ideal, 2).vertices)
+
     def test_taylor_agreement_gated_by_cap(self, path5, monkeypatch):
         cache = ComputeCache(max_faces=8)
         report = check_taylor_agreement(path5, 3, cache=cache)
@@ -203,7 +254,7 @@ class TestIndividualChecks:
         ideal = cache.ideal_for(four_cycle)
         gens = power_generators(ideal, 1)
         boundary = list(combinations(range(len(gens)), len(gens) - 1))
-        cache._memo[("complex", ideal, 1)] = complexes.LabelledComplex(gens, boundary)
+        cache._memo[("complex", ideal, 1, "faridi")] = complexes.LabelledComplex(gens, boundary)
         report = check_first_power_simplex(four_cycle, cache=cache)
         assert report.hypothesis_satisfied and not report.conclusion_holds
         assert report.witness == {"faces": (1 << len(gens)) - 1}
