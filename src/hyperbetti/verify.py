@@ -22,7 +22,7 @@ from .betti import bound_applicability, graded_betti, survivor_face_sets
 from .complexes import faridi_complex, lyubeznik_complex, taylor_complex
 from .errors import DomainError, ResourceCapError, check_budget, format_count
 from .hypergraph import Hypergraph, edge_ideal
-from .matchings import families, invariants_of
+from .matchings import families
 from .monomials import power_generators
 
 CORPUS_MAX_FACES = 1 << 14
@@ -119,20 +119,22 @@ class ComputeCache:
         return self.table_for(ideal, t).regularity() + 1
 
     def family_facts(self, hypergraph):
-        """(types, matchings, invariants), folded from one walk of the families:
-        the self-semi-induced families by type (size, union size), each list in
-        walk order; the number of matchings of each size; and the matching
-        invariants.  No list of every family is kept."""
+        """(types, matchings, induced), folded from one walk of the self
+        matchings: the self-semi-induced families by type (size, union size),
+        each list in walk order; the number of matchings of each size; and the
+        induced matching number, all over self matchings.  No other family is
+        read: a matching's vertices are all private, and a self-semi-induced or
+        induced family is by definition a self matching or a matching.  No list
+        of the families is kept."""
         def fold():
-            types, matchings = {}, Counter()
-
-            def walk():
-                for idx, cls in families(hypergraph):
-                    if cls.is_self_semi_induced:
-                        types.setdefault(cls.family_type, []).append(idx)
-                    matchings[len(idx)] += cls.is_matching
-                    yield idx, cls
-            return types, matchings, invariants_of(walk(), True)
+            types, matchings, induced = {}, Counter(), 0
+            for idx, cls in families(hypergraph, kind="self_matching"):
+                if cls.is_self_semi_induced:
+                    types.setdefault(cls.family_type, []).append(idx)
+                matchings[len(idx)] += cls.is_matching
+                if cls.is_induced:
+                    induced = len(idx)  # the walk goes by size
+            return types, matchings, induced
         return self._get(("families", hypergraph), fold)
 
 
@@ -218,36 +220,24 @@ def check_lower_bounds(hypergraph, ideal, cache, t):
     regularity chain for uniform hypergraphs."""
     d = hypergraph.uniform_size()
     table = cache.table_for(ideal, t)
-    types, _, inv = cache.family_facts(hypergraph)
+    types, _, induced = cache.family_facts(hypergraph)
     cases = []
-    seen = set()
+    targets = dict.fromkeys((i, size * (t - 1) + j)
+                            for (i, j), fams in sorted(types.items()) for fam in fams
+                            for size in sorted({hypergraph.edge_size(k) for k in fam}))
+    for i, j in targets:
+        beta = table.betti(i, j)
+        cases.append({"kind": "nonvanishing", "i": i, "j": j, "beta": beta, "ok": beta > 0})
     for (i, j), fams in sorted(types.items()):
-        for fam in fams:
-            for size in sorted({hypergraph.edge_size(k) for k in fam}):
-                target = (i, size * (t - 1) + j)
-                if target in seen:
-                    continue
-                seen.add(target)
-                beta = table.betti(*target)
-                ok = beta > 0
-                cases.append({"kind": "nonvanishing", "i": target[0], "j": target[1],
-                              "beta": beta, "ok": ok})
-    for (i, j), fams in sorted(types.items()):
-        s = len(fams)
-        if t == 1:
-            beta = table.betti(i, j)
-            ok = beta >= s
-            cases.append({"kind": "count", "i": i, "j": j, "beta": beta,
-                          "bound": s, "ok": ok})
-        elif d is not None:
-            beta = table.betti(i, d * (t - 1) + j)
-            ok = beta >= s * i
-            cases.append({"kind": "count", "i": i, "j": d * (t - 1) + j,
-                          "beta": beta, "bound": s * i, "ok": ok})
+        if t == 1 or d is not None:
+            degree, bound = (j, len(fams)) if t == 1 else (d * (t - 1) + j, len(fams) * i)
+            beta = table.betti(i, degree)
+            cases.append({"kind": "count", "i": i, "j": degree, "beta": beta,
+                          "bound": bound, "ok": beta >= bound})
     if d is not None:
         reg = table.regularity()
-        low_induced = (d - 1) * inv.induced_matching_number
-        low_excess = inv.self_semi_induced_excess
+        low_induced = (d - 1) * induced
+        low_excess = max(j - i for i, j in types)  # each edge is a family of type (1, |e|)
         ok = low_induced <= low_excess and d * (t - 1) + low_excess <= reg
         cases.append({"kind": "regularity", "reg": reg,
                       "induced_bound": d * (t - 1) + low_induced,

@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -166,6 +167,37 @@ class TestIndividualChecks:
             tracemalloc.stop()
         assert peak < 2 << 20
 
+    @pytest.mark.parametrize("source", ["builtin", "random"])
+    def test_family_facts_equal_a_recount_of_every_family(self, source):
+        # the fold walks only self matchings; every fact it keeps, and the
+        # regularity bounds read from them, must equal a recount over all
+        # families and the exhaustive invariants
+        if source == "builtin":
+            hypergraphs = [h for _, h in builtin_corpus()]
+        else:
+            rng = random.Random(0)
+            hypergraphs = [random_hypergraph(rng.randint(5, 8), rng.randint(1, 10),
+                                             2 + seed % 2, seed) for seed in range(30)]
+        for h in hypergraphs:
+            cache = ComputeCache()
+            types, counts, induced = cache.family_facts(h)
+            want_types, want_counts = {}, Counter()
+            for idx, cls in matchings.families(h):
+                if cls.is_self_semi_induced:
+                    want_types.setdefault(cls.family_type, []).append(idx)
+                want_counts[len(idx)] += cls.is_matching
+            inv = matchings.invariants(h)
+            assert list(types.items()) == list(want_types.items())
+            assert [counts[i] for i in range(1, h.num_edges + 1)] == [
+                want_counts[i] for i in range(1, h.num_edges + 1)]
+            assert induced == inv.induced_matching_number
+            d = h.uniform_size()
+            if d is not None:
+                case = check_lower_bounds(h, 1, cache=cache).witness["cases"][-1]
+                assert case["kind"] == "regularity"
+                assert case["excess_bound"] == inv.self_semi_induced_excess
+                assert case["induced_bound"] == (d - 1) * inv.induced_matching_number
+
     def test_second_power_two_disjoint(self):
         report = check_second_power(Hypergraph(4, [[1, 2], [3, 4]]))
         assert report.hypothesis_satisfied and report.conclusion_holds
@@ -292,28 +324,19 @@ class TestHarness:
         assert "betti_vanishing_window" in names
 
     def test_one_family_walk_per_instance(self, example39, path5, monkeypatch):
-        classified, folded = [], []
+        classified = []
         classify_indices = matchings._classify_indices
-        invariants_of = verify.invariants_of
 
         def counted(hypergraph, idx, starting):
             classified.append(idx)
             return classify_indices(hypergraph, idx, starting)
 
-        def fold(walk, exhaustive):
-            folded.append(exhaustive)
-            return invariants_of(walk, exhaustive)
-
         monkeypatch.setattr(matchings, "_classify_indices", counted)
-        monkeypatch.setattr(verify, "invariants_of", fold)
-        # each nonempty edge subset is classified once per instance, and the
-        # invariants are folded from that one walk
+        # each nonempty edge subset is classified once per instance
         for h in (example39, path5):
             classified.clear()
-            folded.clear()
             run_checks(h, t_max=3)
             assert len(classified) == 2 ** h.num_edges - 1
-            assert folded == [True]
 
     def test_one_edge_ideal_per_instance(self, example39, path5, monkeypatch):
         built = []
