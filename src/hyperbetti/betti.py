@@ -27,10 +27,11 @@ or reduces to zero is counted as unpaired on the spot.
 The pairing depends on the labelled complex only through which faces
 share a label, so many queries repeat one: `graded_betti` memoizes its
 unpaired counts by (index, label id) per labelling and characteristic on
-the complex's memo entry, its skeleton's or, for a Lyubeznik complex, its
-exponent columns' (see `LabelledComplex`), and grades them by each
-querying complex's own degrees.  The memo, its bounds and its lock live
-in `complexes`.
+the complex's memo entry, its skeleton's (also for a complex from a shape
+hit, which keeps its skeleton's labelling) or, for a Lyubeznik complex,
+its exponent columns' (see `LabelledComplex`), and grades them by each
+querying complex's own degrees, the only store a pairing hit reads.  The
+memo, its bounds and its lock live in `complexes`.
 """
 
 from __future__ import annotations

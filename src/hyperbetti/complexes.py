@@ -15,6 +15,10 @@ by face number is the only store of the labels.  A label is interned as a
 unary code: exponent e is e ones in a fixed-width field per variable, so
 the lcm of two labels is the OR of their codes and a degree is a bit
 count.  At the public API a face is a sorted tuple of vertex indices.
+
+Faces and label ids compare exponents one variable at a time, so each
+construction is memoized by its generator count, t and set of nonzero
+exponent columns; a hit takes only its degrees from its own generators.
 """
 
 from __future__ import annotations
@@ -22,21 +26,27 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from functools import partial, reduce
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import itemgetter, or_
+from struct import pack
 from threading import Lock
 
 from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCapError,
                      check_budget, format_count)
-from .monomials import power_generators
+from .monomials import power_generators, products
 
 _MEMO_FACES = 1 << 16  # faces held by all memo entries, so their pairings pack in 16 bits
-_MEMO_BYTES = 1 << 19  # bytes of labellings and counts held by all memoized pairings together
+_MEMO_BYTES = 1 << 19  # bytes held by all memoized pairings and shapes together
 # sorted facet masks -> (face count, blocks, index, pairings), and ("lyubeznik", r, exponent
 # columns) -> (face count, (lids, recipe), index, pairings), kept while within _MEMO_FACES;
-# pairings maps (labelling, char) to the Betti kernel's counts, kept while within _MEMO_BYTES
+# pairings maps (labelling, char) to the Betti kernel's counts
 _skeletons = {}
+# ("faridi", m, t, columns) and ("taylor", r, columns) -> (bytes, facet sizes, skeleton key,
+# tuples, recipe, labelling), or (bytes, facet sizes, None, width, cap) for a refusal (see
+# `_shape_hit`); pairings and shapes are kept while within _MEMO_BYTES
+_shapes = {}
 _pairings_held = 0  # the bytes that all entries' pairings hold
+_shapes_held = 0  # the bytes that all shapes hold
 _memo_lock = Lock()  # held to test either bound and add an entry or a pairing
 
 
@@ -63,9 +73,9 @@ def _unary_codes(vertices):
 
     A code holds variable i in bits i * width .. (i + 1) * width - 1,
     exponent e as e ones; width is the largest vertex exponent, at least
-    1.  Its binary digits are joined from one field string per exponent
-    that occurs.  A code over 2^20 64-bit words is refused before any is
-    built.
+    1.  The binary digits of all codes are joined in one string from one
+    field string per exponent that occurs.  A code over 2^20 64-bit words
+    is refused before any is built.
     """
     nvars = len(vertices[0][1].exps) if vertices else 0
     for _, mono in vertices:
@@ -74,11 +84,56 @@ def _unary_codes(vertices):
     vertex_labels = [mono.exps for _, mono in vertices]
     exponents = set().union(*vertex_labels)
     width = max(exponents | {1})
+    _check_width(nvars, width)
+    fields = {e: "0" * (width - e) + "1" * e for e in exponents}
+    digits = "".join(map(fields.__getitem__, chain.from_iterable(map(reversed, vertex_labels))))
+    size = nvars * width
+    return width, [int(digits[k * size:(k + 1) * size] or "0", 2)
+                   for k in range(len(vertex_labels))]
+
+
+def _check_width(nvars, width):
     # at most as many words as an exponent tuple at the edge ideal's cap
     check_budget(-(-nvars * width // 64), "64-bit words per label code")
-    fields = {e: "0" * (width - e) + "1" * e for e in exponents}
-    return width, [int("0" + "".join(map(fields.__getitem__, reversed(exps))), 2)
-                   for exps in vertex_labels]
+
+
+def _columns(rows):
+    """The distinct nonzero columns of a list of exponent rows (one variable's exponents, row
+    by row), sorted and joined in one bytes object, or a tuple when an exponent is over 255."""
+    try:
+        columns = set(map(bytes, zip(*rows)))
+        columns.discard(bytes(len(rows)))
+        return b"".join(sorted(columns))
+    except ValueError:
+        return tuple(sorted(set(zip(*rows)) - {(0,) * len(rows)}))
+
+
+def _replay(recipe, vertex_codes):
+    """Label codes by id from a recipe of flat (parent id, vertex) pairs, one per id after 0:
+    the OR of that parent's code and that vertex's."""
+    codes = [0]
+    pairs = iter(recipe)
+    for lid, v in zip(pairs, pairs):
+        codes.append(codes[lid] | vertex_codes[v])
+    return codes
+
+
+def _u16(values):
+    """Ints below 2^16 as native 16-bit bytes, the layout of array("H")."""
+    return pack(f"{len(values)}H", *values)
+
+
+def _over_cap(max_faces):
+    return ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+
+
+def _refuse_facets(sizes, max_faces):
+    """Refuse the first of the facet sizes whose faces alone exceed max_faces."""
+    for size in sizes:
+        if size >= max_faces.bit_length():
+            raise ResourceCapError(
+                f"facet with {size} vertices yields {format_count(1 << size)} faces, "
+                f"over the cap of {max_faces}")
 
 
 def _picker(at):
@@ -112,8 +167,59 @@ def _memoized(key, build, max_faces):
                 return _skeletons.setdefault(key, entry)
         return (*entry[:3], None)
     if entry[0] > max_faces:
-        raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+        raise _over_cap(max_faces)
     return entry
+
+
+def _keep_shape(key, entry):
+    """Keep (its bytes, ...) under key, in place of any entry there, while all pairings and
+    shapes hold at most _MEMO_BYTES bytes."""
+    global _shapes_held
+    with _memo_lock:
+        size = entry[0] - _shapes.get(key, (0,))[0]
+        if _pairings_held + _shapes_held + size <= _MEMO_BYTES:
+            _shapes[key] = entry
+            _shapes_held += size
+
+
+def _shape_hit(key, nvars, max_faces, vertices_of):
+    """The complex memoized under a shape key, refused as a fresh build would be, or None.
+
+    A shape fixes the facets, the skeleton and every label id.  Its entry
+    keeps the facet sizes in first-occurrence order, the skeleton's key (it
+    is read only while that skeleton is kept), the factorization tuples one
+    byte each, the label recipe as 16-bit (parent id, vertex) pairs and the
+    labelling; the vertices rebuilt by vertices_of(tuples) replay the recipe
+    on their own codes.  A refusal keeps the facet sizes, the label width and
+    the cap the skeleton exceeded (0 if none): a larger cap misses.  Refusals
+    come in a build's order: facets, label-code budget (for nvars variables,
+    never memoized), face count.
+    """
+    entry = _shapes.get(key)
+    if entry is None:
+        return None
+    _, sizes, facets, *rest = entry
+    _refuse_facets(sizes, max_faces)
+    if facets is None:
+        width, cap = rest
+        if max_faces > cap:
+            return None
+        _check_width(nvars, width)
+        raise _over_cap(max_faces)
+    skeleton = _skeletons.get(facets)
+    if skeleton is None:
+        return None
+    tuples, recipe, labelling = rest
+    vertices = vertices_of(tuples)
+    width, vertex_codes = _unary_codes(vertices)
+    count, blocks, index, pairings = skeleton
+    if count > max_faces:
+        raise _over_cap(max_faces)
+    cx = object.__new__(_Replayed)
+    cx._store(vertices, width, _replay(memoryview(recipe).cast("H"), vertex_codes), index, None,
+              (pairings, labelling))
+    cx._blocks = blocks
+    return cx
 
 
 def _skeleton(facets, max_faces):
@@ -131,7 +237,7 @@ def _skeleton(facets, max_faces):
         links = {facet & below for facet in facets if facet & bit}
         if below in links:
             if 2 * start > max_faces:
-                raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+                raise _over_cap(max_faces)
             parents, positions = masks, range(start)
         else:
             parents = set()
@@ -141,7 +247,7 @@ def _skeleton(facets, max_faces):
                     subsets += list(map((1 << u).__or__, subsets))
                 parents.update(subsets)
                 if start + len(parents) > max_faces:
-                    raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
+                    raise _over_cap(max_faces)
             parents = sorted(parents)
             positions = list(map(partial(bisect_left, masks), parents))
         blocks.append((v, _picker(positions)))
@@ -180,6 +286,9 @@ class LabelledComplex:
     complex has a `_memo` exactly when its face source is kept: the skeleton
     for support and Taylor complexes, the exponent columns for Lyubeznik
     complexes, whose key fixes every label id, so their labelling is b"".
+    A complex from a kept shape (`_shape_hit`) replays its `_lids` from the
+    labelling when first read, so a query that finds its pairing reads only
+    `_degrees`.
 
     At the API (`faces`, `label_exps`, `degree`) a face is a sorted tuple
     of vertex indices; these tuples are built from the masks when asked for
@@ -190,21 +299,31 @@ class LabelledComplex:
                  "_memo")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
-        vertices = tuple(vertices)
+        self._build(tuple(vertices), facets, max_faces)
+
+    def _build(self, vertices, facets, max_faces, shape=None, tuples=b""):
+        """Label the facets' skeleton; under a shape key (see `_shape_hit`), keep the shape
+        with its kept skeleton, or keep its refusal."""
         # empty and repeated facets are dropped, first occurrence order kept
         canonical = [f for f in dict.fromkeys(map(_mask_of, facets)) if f]
-        for size in map(int.bit_count, canonical):
-            if size >= max_faces.bit_length():
-                raise ResourceCapError(
-                    f"facet with {size} vertices yields {format_count(1 << size)} faces, "
-                    f"over the cap of {max_faces}")
-        width, vertex_codes = _unary_codes(vertices)
-        key = tuple(sorted(canonical))
-        _, blocks, index, pairings = _memoized(key, partial(_skeleton, key, max_faces), max_faces)
+        sizes = array("I", map(int.bit_count, canonical))
+        width = cap = 0  # a refusal before the skeleton says nothing of the face count
+        try:
+            _refuse_facets(sizes, max_faces)
+            width, vertex_codes = _unary_codes(vertices)
+            key, cap = tuple(sorted(canonical)), max_faces
+            skeleton = _memoized(key, partial(_skeleton, key, max_faces), max_faces)
+        except ResourceCapError:
+            if shape is not None:
+                _keep_shape(shape, (sizes.itemsize * len(sizes), sizes, None, width, cap))
+            raise
+        _, blocks, index, pairings = skeleton
         codes = [0]
         ids = {0: 0}  # label code -> id
         lids = [0]  # label id of each face, by face number
         joins = []  # each block's joined ids, in the order its step takes them: the labelling
+        recipe = []  # flat (parent id, vertex) pairs, one per label id after 0
+        add = recipe.append
         for v, parents in blocks:
             code = vertex_codes[v]
             parent_ids = parents(lids)
@@ -214,16 +333,27 @@ class LabelledComplex:
                 if joined not in ids:
                     ids[joined] = len(codes)
                     codes.append(joined)
+                    add(lid)
+                    add(v)
                 step[lid] = ids[joined]
             joins += step.values()
             lids += map(step.__getitem__, parent_ids)
-        self._store(vertices, width, codes, index, lids,
-                    None if pairings is None else (pairings, array("H", joins).tobytes()))
+        memo = None
+        if pairings is not None:
+            memo = pairings, _u16(joins)
+            if shape is not None:  # ids and vertices fit in 16 bits on a kept skeleton
+                recipe = _u16(recipe)
+                nbytes = len(tuples) + len(recipe) + len(memo[1]) + sizes.itemsize * len(sizes)
+                _keep_shape(shape, (nbytes, sizes, key, tuples, recipe, memo[1]))
+        self._store(vertices, width, codes, index, lids, memo)
 
     def _store(self, vertices, width, codes, index, lids, memo=None):
-        """Keep index[k], {mask: face number} of the k-vertex faces, and lids by number."""
+        """Keep index[k], {mask: face number} of the k-vertex faces, and lids by number (None:
+        replayed when read)."""
         self.vertices = vertices
-        self._index, self._lids = index, lids
+        self._index = index
+        if lids is not None:
+            self._lids = lids
         self._codes = codes
         self._width = width
         self._degrees = list(map(int.bit_count, codes))
@@ -244,7 +374,7 @@ class LabelledComplex:
         counts = array("H", triples)
         size = len(labelling) + counts.itemsize * len(counts)
         with _memo_lock:  # another thread may have kept them first
-            if (_pairings_held + size <= _MEMO_BYTES
+            if (_pairings_held + _shapes_held + size <= _MEMO_BYTES
                     and pairings.setdefault((labelling, char), counts) is counts):
                 _pairings_held += size
 
@@ -254,7 +384,7 @@ class LabelledComplex:
 
     @property
     def face_count(self):
-        return len(self._lids)
+        return sum(map(len, self._index))
 
     @property
     def faces(self):
@@ -297,6 +427,23 @@ class LabelledComplex:
         return f"LabelledComplex({len(self.vertices)} vertices, faces by dim {sizes})"
 
 
+class _Replayed(LabelledComplex):
+    """A complex from a shape hit, whose `_lids` replay its labelling on its skeleton's
+    blocks when first read; a subclass, so that no other complex pays for `__getattr__`."""
+
+    __slots__ = ("_blocks",)
+
+    def __getattr__(self, name):
+        if name != "_lids":
+            raise AttributeError(name)
+        lids, joins = [0], iter(array("H", self._memo[1]))
+        for _, parents in self._blocks:
+            parent_ids = parents(lids)
+            lids += map(dict(zip(set(parent_ids), joins)).__getitem__, parent_ids)
+        self._lids = lids
+        return lids
+
+
 def _generators(gens):
     """The given (tuple, monomial) generator pairs as a tuple, refused if none or repeated."""
     gens = tuple(gens)
@@ -308,14 +455,20 @@ def _generators(gens):
 
 
 def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
-    """The full simplex on the given (tuple, monomial) generator pairs."""
+    """The full simplex on the given (tuple, monomial) generator pairs, memoized by r and
+    its set of nonzero exponent columns (see `lyubeznik_complex` and `_shape_hit`)."""
     gens = _generators(gens)
-    return LabelledComplex(gens, [tuple(range(len(gens)))], max_faces)
+    shape = "taylor", len(gens), _columns([mono.exps for _, mono in gens])
+    cx = _shape_hit(shape, len(gens[0][1].exps), max_faces, lambda tuples: gens)
+    if cx is None:
+        cx = object.__new__(LabelledComplex)
+        cx._build(gens, [range(len(gens))], max_faces, shape)
+    return cx
 
 
 def _admissible(vertex_codes, max_faces):
     """(face count, (lids, recipe), index) of Lyubeznik's complex on the vertex codes, where
-    recipe[k - 1] is (parent label id, generator) for label id k: its code is their OR."""
+    recipe holds flat (parent label id, generator) pairs, one per label id after 0."""
     r = len(vertex_codes)
 
     def first_divisor(code):
@@ -325,7 +478,7 @@ def _admissible(vertex_codes, max_faces):
     ids = {0: 0}  # label code -> id
     first = [first_divisor(0)]  # label id -> index of the first generator dividing it
     joins = [{} for _ in vertex_codes]  # per generator: label id -> id of the joined label
-    recipe = []
+    recipe = []  # flat (parent id, generator) pairs
     masks, lids, tests, start = [0], [0], 0, 0  # faces by number; the last size's from start
     while start < len(masks):
         fronts = [(mask, lid, (mask & -mask).bit_length() - 1 if mask else r)
@@ -343,13 +496,13 @@ def _admissible(vertex_codes, max_faces):
                     if new == len(codes):
                         codes.append(joined)
                         first.append(first_divisor(joined))
-                        recipe.append((lid, i))
+                        recipe += lid, i
                 if first[new] == i:
                     masks.append(mask | 1 << i)
                     lids.append(new)
                     if len(lids) > max_faces:
-                        raise ResourceCapError(f"complex exceeds the cap of {max_faces} faces")
-    return len(masks), (lids, recipe), _index_of(masks, masks[-1].bit_count())
+                        raise _over_cap(max_faces)
+    return len(masks), (lids, array("I", recipe)), _index_of(masks, masks[-1].bit_count())
 
 
 def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
@@ -381,15 +534,12 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     """
     vertices = _generators(gens)
     width, vertex_codes = _unary_codes(vertices)  # refuses mixed rings before zip cuts them
-    columns = {col for col in zip(*(mono.exps for _, mono in vertices)) if any(col)}
-    key = "lyubeznik", len(vertices), tuple(sorted(columns))
+    key = "lyubeznik", len(vertices), _columns([mono.exps for _, mono in vertices])
     _, (lids, recipe), index, pairings = _memoized(
         key, partial(_admissible, vertex_codes, max_faces), max_faces)
-    codes = [0]
-    for lid, i in recipe:
-        codes.append(codes[lid] | vertex_codes[i])
     cx = object.__new__(LabelledComplex)
-    cx._store(vertices, width, codes, index, lids, None if pairings is None else (pairings, b""))
+    cx._store(vertices, width, _replay(recipe, vertex_codes), index, lids,
+              None if pairings is None else (pairings, b""))
     return cx
 
 
@@ -425,7 +575,19 @@ def faridi_complex(ideal, t, max_faces=DEFAULT_MAX_FACES):
     in tuple order; faces are the subsets lying inside a spread or
     concentrated facet.  For t = 1 every concentrated facet is the whole
     vertex set, so the result is the Taylor simplex.
+
+    The walk, the facets and the label ids depend only on m, t and the set
+    of nonzero exponent columns of I's generators, which memoize the complex
+    or its refusal before the walk (`_shape_hit`), for t < 256.
     """
-    gens = power_generators(ideal, t)
-    facets = _support_facets([b for b, _ in gens], t)
-    return LabelledComplex(gens, facets, max_faces)
+    gens = ideal.generators
+    shape = ("faridi", len(gens), t, _columns([g.exps for g in gens])) if t < 256 else None
+    cx = _shape_hit(shape, ideal.n, max_faces, lambda tuples: products(
+        ideal, zip(*[iter(tuples)] * len(gens))))
+    if cx is None:
+        vertices = power_generators(ideal, t)
+        tuples = [b for b, _ in vertices]
+        cx = object.__new__(LabelledComplex)
+        cx._build(tuple(vertices), _support_facets(tuples, t), max_faces, shape,
+                  shape and bytes(chain.from_iterable(tuples)))
+    return cx

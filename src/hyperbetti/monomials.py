@@ -179,3 +179,18 @@ def power_generators(ideal, t):
     survivors = [(tuple_of[mono], mono) for mono in minimal_generators(tuple_of)]
     survivors.sort(key=lambda pair: pair[0], reverse=True)
     return survivors
+
+
+def products(ideal, tuples):
+    """(tuple, monomial) per factorization tuple over the ideal's generators,
+    the product as power_generators computes it."""
+    nonzero = [[(i, e) for i, e in enumerate(g.exps) if e] for g in ideal.generators]
+    pairs = []
+    for b in tuples:
+        exps = [0] * ideal.n
+        for gen, c in zip(nonzero, b):
+            if c:
+                for i, e in gen:
+                    exps[i] += e * c
+        pairs.append((b, Monomial(exps)))
+    return tuple(pairs)

@@ -38,9 +38,13 @@ def kernel_runs(monkeypatch):
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    """A fresh, empty skeleton memo for one test, and with it no memoized
-    pairing: graded_betti runs the kernel on the first query of each
+    """A fresh, empty memo for one test: no skeleton, Lyubeznik complex or
+    shape, and with them no memoized pairing, and nothing held against the
+    byte bound.  Each first build of a skeleton, Lyubeznik key or shape
+    misses, and graded_betti runs the kernel on the first query of each
     labelled skeleton."""
     monkeypatch.setattr(complexes, "_skeletons", {})
+    monkeypatch.setattr(complexes, "_shapes", {})
     monkeypatch.setattr(complexes, "_pairings_held", 0)
+    monkeypatch.setattr(complexes, "_shapes_held", 0)
     return complexes._skeletons

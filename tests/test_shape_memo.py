@@ -1,0 +1,282 @@
+"""The shape memo of support and Taylor complexes.  A complex is memoized
+under its kind, its generator count, t (support complexes) and the set of
+nonzero exponent columns of its generators; a hit rebuilds the vertices from
+the kept factorization tuples, replays the label recipe on their own codes
+and replays the label ids only when read.  These tests pin every hit
+against a build from an empty memo, its refusals against a fresh build's,
+and the memo's emptying between tests."""
+
+import json
+import random
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from hyperbetti import complexes
+from hyperbetti.betti import graded_betti
+from hyperbetti.complexes import faridi_complex, taylor_complex
+from hyperbetti.errors import ResourceCapError
+from hyperbetti.hypergraph import Hypergraph, edge_ideal
+from hyperbetti.monomials import Monomial, MonomialIdeal, power_generators
+from hyperbetti.verify import CORPUS_MAX_FACES, builtin_corpus
+
+POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+EMPTY = (("_skeletons", dict), ("_shapes", dict), ("_pairings_held", int), ("_shapes_held", int))
+
+
+def cold(monkeypatch, build):
+    """build()'s result from an empty memo; the memo in use is put back after."""
+    kept = {name: getattr(complexes, name) for name, _ in EMPTY}
+    for name, empty in EMPTY:
+        monkeypatch.setattr(complexes, name, empty())
+    try:
+        return build()
+    finally:
+        for name, value in kept.items():
+            monkeypatch.setattr(complexes, name, value)
+
+
+def outcome(build):
+    """The complex that build() returns, or its ResourceCapError message."""
+    try:
+        return build()
+    except ResourceCapError as exc:
+        return str(exc)
+
+
+def assert_as_cold(monkeypatch, build):
+    """build() from the memo in use equals build() from an empty memo: the
+    same vertices, faces and face numbers, label ids, codes and width, and
+    the same tables over Q and GF(2), or the same refusal.  True when the
+    warm build was a shape hit."""
+    warm, fresh = outcome(build), cold(monkeypatch, lambda: outcome(build))
+    if isinstance(fresh, str):
+        assert warm == fresh
+        return False
+    assert warm.vertices == fresh.vertices and warm._index == fresh._index
+    assert warm._lids == fresh._lids
+    assert warm._codes == fresh._codes and warm._width == fresh._width
+    assert warm._degrees == fresh._degrees
+    for char in (0, 2):
+        table = cold(monkeypatch, lambda: graded_betti(fresh, char=char))
+        assert graded_betti(warm, char=char) == table
+    return isinstance(warm, complexes._Replayed)
+
+
+def builders(ideal, t, max_faces):
+    """The support complex of I^t and, when it has at most 10 vertices, the
+    Taylor simplex on the generators of I^t."""
+    yield lambda: faridi_complex(ideal, t, max_faces)
+    gens = power_generators(ideal, t)
+    if len(gens) <= 10:
+        yield lambda: taylor_complex(gens, max_faces)
+
+
+def relabelled(ideal, change):
+    """The ideal with change applied to each generator's exponent tuple."""
+    return MonomialIdeal(len(change(ideal.generators[0].exps)),
+                         [Monomial(change(g.exps)) for g in ideal.generators])
+
+
+def variants(ideal):
+    """The ideal with its variables reversed, with an isolated vertex (a zero
+    column), with a twin of its first vertex (a repeated column: same label
+    ids, other degrees) and with every exponent doubled (another key)."""
+    return [relabelled(ideal, lambda e: e[::-1]),
+            relabelled(ideal, lambda e: e + (0,)),
+            relabelled(ideal, lambda e: e[:1] + e),
+            relabelled(ideal, lambda e: tuple(2 * x for x in e))]
+
+
+def test_a_build_after_the_fixture_misses(empty_memo, monkeypatch, four_cycle):
+    # the fixture empties the skeletons, the Lyubeznik complexes and the
+    # shapes, and resets both byte counts: each first build walks and labels
+    assert not complexes._shapes and complexes._pairings_held == complexes._shapes_held == 0
+    walks = []
+    walk = complexes.power_generators
+    monkeypatch.setattr(complexes, "power_generators",
+                        lambda ideal, t: walks.append(t) or walk(ideal, t))
+    ideal = edge_ideal(four_cycle)
+    first, again = faridi_complex(ideal, 2), faridi_complex(ideal, 2)
+    assert walks == [2] and type(first) is complexes.LabelledComplex
+    assert isinstance(again, complexes._Replayed) and again._index is first._index
+    gens = power_generators(ideal, 2)
+    assert type(taylor_complex(gens)) is complexes.LabelledComplex
+    assert isinstance(taylor_complex(gens), complexes._Replayed)
+    assert len(complexes._shapes) == 2 and complexes._shapes_held > 0
+
+
+class TestExactness:
+    # a warm-memo build equals a cold one; nearly every warm build is a hit
+    def test_builtin_corpus(self, empty_memo, monkeypatch):
+        queries = [(edge_ideal(h), t) for _, h in builtin_corpus() for t in (1, 2, 3)]
+        for ideal, t in queries:
+            for build in builders(ideal, t, CORPUS_MAX_FACES):
+                outcome(build)
+        hits = [assert_as_cold(monkeypatch, build)
+                for ideal, t in queries for build in builders(ideal, t, CORPUS_MAX_FACES)]
+        assert len(hits) > 1000 and sum(hits) > 0.9 * len(hits)
+
+    @pytest.mark.parametrize("pool", ["queries-char0.json", "queries-charp.json"])
+    def test_recorded_pools(self, empty_memo, monkeypatch, pool):
+        # all 2400 queries, 400 and 2000, each built twice from one memo
+        recorded = json.loads((POOLS / pool).read_text(encoding="utf-8"))
+        builds = []
+        for q in recorded["queries"]:
+            ideal = edge_ideal(Hypergraph(q["n"], q["edges"]))
+            if q["complex"] == "taylor":
+                gens = power_generators(ideal, q["t"])
+                builds.append(lambda gens=gens: taylor_complex(gens, recorded["max_faces"]))
+            else:
+                builds.append(lambda ideal=ideal, t=q["t"]: faridi_complex(
+                    ideal, t, recorded["max_faces"]))
+        for build in builds:
+            build()
+        hits = [assert_as_cold(monkeypatch, build) for build in builds]
+        assert sum(hits) > 0.9 * len(hits)
+
+    def test_variants_of_every_class(self, empty_memo, monkeypatch):
+        # relabelled, isolated and twin vertices keep the key and hit; doubled
+        # exponents change it, and the skeleton and labelling are reused
+        seen = set()
+        for _, h in builtin_corpus():
+            ideal = edge_ideal(h)
+            if ideal.generators in seen:
+                continue
+            seen.add(ideal.generators)
+            for t in (1, 2):
+                for build in builders(ideal, t, CORPUS_MAX_FACES):
+                    outcome(build)
+                for k, other in enumerate(variants(ideal)):
+                    for build in builders(other, t, CORPUS_MAX_FACES):
+                        assert assert_as_cold(monkeypatch, build) or k == 3, (h, t, k)
+
+    def test_generator_order_and_count_are_in_the_key(self, empty_memo, monkeypatch):
+        # the paths x1x2, x2x3, x3x4 and x2x3, x1x2, x3x4 have the same
+        # columns as value multisets; the next two ideals, and x1 x2^2 alone
+        # and x1, x1^2, have the same columns joined, and other counts
+        path = edge_ideal(Hypergraph(4, [[1, 2], [2, 3], [3, 4]]))
+        swapped = MonomialIdeal(4, [path.generators[k] for k in (1, 0, 2)])
+        four = MonomialIdeal(3, [Monomial(e) for e in ((2, 1, 0), (2, 0, 2), (0, 1, 2),
+                                                       (1, 1, 1))])
+        three = MonomialIdeal(4, [Monomial(e) for e in ((1, 2, 1, 0), (1, 0, 1, 2),
+                                                        (2, 1, 0, 2))])
+        assert complexes._columns([g.exps for g in four.generators]) == complexes._columns(
+            [g.exps for g in three.generators])
+        for t in (1, 2, 3):
+            for ideal in (path, swapped, four, three):
+                for build in builders(ideal, t, CORPUS_MAX_FACES):
+                    assert_as_cold(monkeypatch, build)
+        one, two = [((0,), Monomial((1, 2)))], [((0,), Monomial((1,))), ((1,), Monomial((2,)))]
+        for gens in (one, two, one):
+            assert_as_cold(monkeypatch, lambda gens=gens: taylor_complex(gens))
+
+
+class TestRefusals:
+    # a hit under a smaller cap, and a repeated refusal, raise the fresh
+    # build's message, in the fresh build's order, with no generator walk
+    def refusals(self, monkeypatch, build, caps):
+        """build(cap)'s message for each cap, from the memo in use, after
+        checking it against a fresh build's; and the number of walks."""
+        walks = []
+        walk = complexes.power_generators
+        monkeypatch.setattr(complexes, "power_generators",
+                            lambda ideal, t: walks.append(t) or walk(ideal, t))
+        messages = []
+        for cap in caps:
+            before = len(walks)
+            fresh = cold(monkeypatch, lambda: outcome(lambda: build(cap)))
+            del walks[before:]  # the fresh build's walk
+            messages.append(outcome(lambda: build(cap)))
+            assert messages[-1] == fresh if isinstance(fresh, str) else messages[-1] == fresh
+        return messages, len(walks)
+
+    def test_face_count_and_facets_of_a_support_complex(self, empty_memo, monkeypatch,
+                                                        four_cycle):
+        ideal = edge_ideal(four_cycle)
+        count = faridi_complex(ideal, 2).face_count
+        assert count == 56
+        complexes._shapes.clear()
+        messages, walks = self.refusals(monkeypatch, lambda cap: faridi_complex(ideal, 2, cap),
+                                        [55, 55, 40, 3, 3, 56, 55, 3])
+        over = "complex exceeds the cap of {} faces"
+        facet = messages[3]
+        assert facet.startswith("facet with ") and facet.endswith(" faces, over the cap of 3")
+        assert messages[:5] == [over.format(55)] * 2 + [over.format(40)] + [facet] * 2
+        assert messages[6:] == [over.format(55), facet]
+        assert walks == 2  # the refusal at 55, then the build at 56
+
+    def test_facets_of_a_taylor_simplex(self, empty_memo, monkeypatch, four_cycle):
+        gens = power_generators(edge_ideal(four_cycle), 2)
+        assert len(gens) == 9
+        messages, _ = self.refusals(monkeypatch, lambda cap: taylor_complex(gens, cap),
+                                    [512, 100, 511, 511, 512])
+        assert messages[1:4] == [f"facet with 9 vertices yields 512 faces, over the cap of {cap}"
+                                 for cap in (100, 511, 511)]
+        assert messages[0].face_count == messages[4].face_count == 512
+
+    def test_label_code_budget_is_never_memoized(self, empty_memo, monkeypatch):
+        # the 4-cycle with every exponent 2^16, so labels 2^17 bits wide per
+        # variable at t = 2: in 4 variables the codes fit the budget; with
+        # each variable repeated 129 times the key is the same, and the codes
+        # of 516 variables are over it, both after the complex is kept and
+        # after its shape is refused for its face count
+        base = edge_ideal(Hypergraph(4, [[1, 2], [2, 3], [3, 4], [1, 4]]))
+        base = relabelled(base, lambda e: tuple(x << 16 for x in e))
+        twins = relabelled(base, lambda e: tuple(x for x in e for _ in range(129)))
+        budget = "1056768 64-bit words per label code, over the cap of 1048576"
+        for cap in (55, 56):
+            messages = []
+            for ideal in (base, twins, base, twins):
+                messages.append(outcome(lambda ideal=ideal: faridi_complex(ideal, 2, cap)))
+                fresh = cold(monkeypatch, lambda ideal=ideal: outcome(
+                    lambda: faridi_complex(ideal, 2, cap)))
+                assert messages[-1] == fresh if isinstance(fresh, str) else (
+                    messages[-1].face_count == fresh.face_count)
+            assert messages[1] == messages[3] == budget
+            assert isinstance(messages[0], str) == (cap == 55)
+            complexes._shapes.clear()
+
+
+def test_threads_keep_the_shape_bytes(empty_memo, monkeypatch):
+    # threads that build and refuse shapes at once count each kept shape
+    # once, keep pairings and shapes within the byte bound, and build what a
+    # cold build does
+    queries = list(dict.fromkeys((edge_ideal(h), t) for _, h in builtin_corpus()[::4]
+                                 for t in (1, 2, 3)))
+    expected = {q: cold(monkeypatch, lambda q=q: outcome(
+        lambda: faridi_complex(q[0], q[1], 1 << 10))) for q in queries}
+    bound = 6000
+    monkeypatch.setattr(complexes, "_MEMO_BYTES", bound)
+    wrong = []
+
+    def build(seed):
+        for ideal, t in random.Random(seed).sample(queries, len(queries)):
+            got = outcome(lambda: faridi_complex(ideal, t, 1 << 10))
+            want = expected[ideal, t]
+            if isinstance(want, str) or isinstance(got, str):
+                if got != want:
+                    wrong.append((ideal, t))
+            elif got.vertices != want.vertices or got._lids != want._lids:
+                wrong.append((ideal, t))
+            elif graded_betti(got).entries != graded_betti(want).entries:
+                wrong.append((ideal, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(seed,)) for seed in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    assert complexes._shapes_held == sum(entry[0] for entry in complexes._shapes.values()) > 0
+    assert complexes._pairings_held + complexes._shapes_held <= bound
+    assert 0 < len(complexes._shapes) < len(queries)
+    assert any(isinstance(want, str) for want in expected.values())

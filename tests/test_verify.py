@@ -352,7 +352,7 @@ class TestHarness:
             run_checks(h, t_max=3)
             assert built == [h]
 
-    def test_one_generator_walk_per_power(self, example39, path5, monkeypatch):
+    def test_one_generator_walk_per_power(self, example39, path5, monkeypatch, empty_memo):
         walked = []
         power_generators = complexes.power_generators
 
@@ -363,9 +363,12 @@ class TestHarness:
         monkeypatch.setattr(complexes, "power_generators", counted)
         monkeypatch.setattr(verify, "power_generators", counted)
         # check_min_gens reads the generators off the memoized support
-        # complex, so each (ideal, t) whose complex is built is walked once
+        # complex, so each (ideal, t) whose complex is built is walked once;
+        # the memo starts empty for each instance, as x1x2x3 at t = 1, say,
+        # is one shape in both, and a shape hit walks nothing
         for h in (example39, path5):
             walked.clear()
+            empty_memo.clear()
             cache = ComputeCache()
             run_checks(h, t_max=3, cache=cache)
             built = {(key[1], key[2]) for key in cache._memo if key[0] == "complex"}
