@@ -17,8 +17,8 @@ the lcm of two labels is the OR of their codes and a degree is a bit
 count.  At the public API a face is a sorted tuple of vertex indices.
 
 Faces and label ids compare exponents one variable at a time, so each
-construction is memoized by its generator count, t and set of nonzero
-exponent columns; a hit takes only its degrees from its own generators.
+construction is memoized by its generator count, t and exponent columns
+less their minimum (`_columns`); a hit computes only its degrees afresh.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from functools import partial, reduce
-from itertools import chain, compress, count
-from operator import itemgetter, or_
+from itertools import chain, compress, count, repeat
+from operator import contains, itemgetter, or_
 from struct import pack
 from threading import Lock
 
@@ -42,10 +42,10 @@ _MEMO_BYTES = 1 << 19  # bytes held by all memoized pairings and shapes together
 # pairings maps (labelling, char) to the Betti kernel's counts
 _skeletons = {}
 # ("faridi", m, t, columns) and ("taylor", r, columns) -> (bytes, facet sizes, skeleton key,
-# tuples, recipe, labelling), or (bytes, facet sizes, None, width, cap) for a refusal (see
+# tuples, recipe, labelling), or (bytes, facet sizes, None, cap) for a refusal (see
 # `_shape_hit`); pairings and shapes are kept while within _MEMO_BYTES
 _shapes = {}
-_pairings_held = 0  # the bytes that all entries' pairings hold
+_pairings_held = 0  # the bytes that all entries' pairings hold, less labellings kept shapes hold
 _shapes_held = 0  # the bytes that all shapes hold
 _memo_lock = Lock()  # held to test either bound and add an entry or a pairing
 
@@ -84,7 +84,7 @@ def _unary_codes(vertices):
     vertex_labels = [mono.exps for _, mono in vertices]
     exponents = set().union(*vertex_labels)
     width = max(exponents | {1})
-    _check_width(nvars, width)
+    check_budget(_words(nvars, width), "64-bit words per label code")
     fields = {e: "0" * (width - e) + "1" * e for e in exponents}
     digits = "".join(map(fields.__getitem__, chain.from_iterable(map(reversed, vertex_labels))))
     size = nvars * width
@@ -92,20 +92,32 @@ def _unary_codes(vertices):
                    for k in range(len(vertex_labels))]
 
 
-def _check_width(nvars, width):
-    # at most as many words as an exponent tuple at the edge ideal's cap
-    check_budget(-(-nvars * width // 64), "64-bit words per label code")
+def _words(nvars, width):
+    # at most as many words as an exponent tuple at the edge ideal's cap (check_budget)
+    return -(-nvars * width // 64)
 
 
 def _columns(rows):
-    """The distinct nonzero columns of a list of exponent rows (one variable's exponents, row
-    by row), sorted and joined in one bytes object, or a tuple when an exponent is over 255."""
+    """(columns, flag), the memo key of exponent rows, one per generator: the distinct columns
+    (one variable's exponents, row by row) less their minimum, nonzero, sorted and joined in
+    one bytes object (a tuple when an exponent is over 255).  A zero row is a generator equal
+    to 1, whose faces can share the empty face's label id; the columns tell it from unshifted
+    nonzero rows, and the flag from a row that the shift made zero (a generator dividing all
+    others), so a key with nothing to shift costs one C-level test."""
     try:
         columns = set(map(bytes, zip(*rows)))
+        shift = not all(map(contains, columns, repeat(0)))
+        if shift:  # each byte is at least min(c): less min(c) * 0x0101... borrows nothing
+            ones = int.from_bytes(b"\1" * len(rows))
+            columns = {c if 0 in c else (int.from_bytes(c) - min(c) * ones).to_bytes(len(c))
+                       for c in columns}
         columns.discard(bytes(len(rows)))
-        return b"".join(sorted(columns))
+        return b"".join(sorted(columns)), shift and 0 in reduce(  # a byte zero in every column
+            or_, map(int.from_bytes, columns), 0).to_bytes(len(rows))
     except ValueError:
-        return tuple(sorted(set(zip(*rows)) - {(0,) * len(rows)}))
+        lows = tuple(map(min, zip(*rows)))
+        columns = {tuple(map(low.__rsub__, c)) for low, c in zip(lows, zip(*rows))}
+        return tuple(sorted(columns - {(0,) * len(rows)})), any(lows) and lows in rows
 
 
 def _replay(recipe, vertex_codes):
@@ -172,17 +184,19 @@ def _memoized(key, build, max_faces):
 
 
 def _keep_shape(key, entry):
-    """Keep (its bytes, ...) under key, in place of any entry there, while all pairings and
-    shapes hold at most _MEMO_BYTES bytes."""
+    """Keep (its bytes, ...) under key, in place of a refusal there, while all pairings and
+    shapes hold at most _MEMO_BYTES bytes; the complete entry then under key, or None."""
     global _shapes_held
     with _memo_lock:
-        size = entry[0] - _shapes.get(key, (0,))[0]
-        if _pairings_held + _shapes_held + size <= _MEMO_BYTES:
-            _shapes[key] = entry
+        kept = _shapes.get(key, (0, None, None))
+        size = entry[0] - kept[0]
+        if kept[2] is None and _pairings_held + _shapes_held + size <= _MEMO_BYTES:
+            _shapes[key] = kept = entry
             _shapes_held += size
+        return None if kept[2] is None else kept
 
 
-def _shape_hit(key, nvars, max_faces, vertices_of):
+def _shape_hit(key, rows, t, max_faces, vertices_of):
     """The complex memoized under a shape key, refused as a fresh build would be, or None.
 
     A shape fixes the facets, the skeleton and every label id.  Its entry
@@ -190,10 +204,11 @@ def _shape_hit(key, nvars, max_faces, vertices_of):
     is read only while that skeleton is kept), the factorization tuples one
     byte each, the label recipe as 16-bit (parent id, vertex) pairs and the
     labelling; the vertices rebuilt by vertices_of(tuples) replay the recipe
-    on their own codes.  A refusal keeps the facet sizes, the label width and
-    the cap the skeleton exceeded (0 if none): a larger cap misses.  Refusals
-    come in a build's order: facets, label-code budget (for nvars variables,
-    never memoized), face count.
+    on their own codes.  A refusal keeps the facet sizes and the cap the
+    skeleton exceeded (0 if none): a larger cap misses.  Refusals come in a
+    build's order: facets, label-code budget, face count.  The label width
+    moves with the columns' minimum, so a refusal misses when the codes of
+    width t times the largest exponent of the rows are over the budget.
     """
     entry = _shapes.get(key)
     if entry is None:
@@ -201,10 +216,9 @@ def _shape_hit(key, nvars, max_faces, vertices_of):
     _, sizes, facets, *rest = entry
     _refuse_facets(sizes, max_faces)
     if facets is None:
-        width, cap = rest
-        if max_faces > cap:
-            return None
-        _check_width(nvars, width)
+        width = t * max({1}.union(*rows))  # at least the codes' width in a fresh build
+        if max_faces > rest[0] or _words(len(rows[0]), width) > DEFAULT_MAX_FACES:
+            return None  # a larger cap, or codes perhaps over the budget: a fresh build decides
         raise _over_cap(max_faces)
     skeleton = _skeletons.get(facets)
     if skeleton is None:
@@ -217,7 +231,7 @@ def _shape_hit(key, nvars, max_faces, vertices_of):
         raise _over_cap(max_faces)
     cx = object.__new__(_Replayed)
     cx._store(vertices, width, _replay(memoryview(recipe).cast("H"), vertex_codes), index, None,
-              (pairings, labelling))
+              (pairings, labelling), True)
     cx._blocks = blocks
     return cx
 
@@ -288,7 +302,8 @@ class LabelledComplex:
     complexes, whose key fixes every label id, so their labelling is b"".
     A complex from a kept shape (`_shape_hit`) replays its `_lids` from the
     labelling when first read, so a query that finds its pairing reads only
-    `_degrees`.
+    `_degrees`.  A labelling is counted against `_MEMO_BYTES` once: by the
+    kept shape that holds it (`_shared`), else by each pairing kept under it.
 
     At the API (`faces`, `label_exps`, `degree`) a face is a sorted tuple
     of vertex indices; these tuples are built from the masks when asked for
@@ -296,7 +311,7 @@ class LabelledComplex:
     """
 
     __slots__ = ("vertices", "_index", "_lids", "_codes", "_width", "_degrees", "_slices",
-                 "_memo")
+                 "_memo", "_shared")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
         self._build(tuple(vertices), facets, max_faces)
@@ -307,7 +322,7 @@ class LabelledComplex:
         # empty and repeated facets are dropped, first occurrence order kept
         canonical = [f for f in dict.fromkeys(map(_mask_of, facets)) if f]
         sizes = array("I", map(int.bit_count, canonical))
-        width = cap = 0  # a refusal before the skeleton says nothing of the face count
+        cap = 0  # a refusal before the skeleton says nothing of the face count
         try:
             _refuse_facets(sizes, max_faces)
             width, vertex_codes = _unary_codes(vertices)
@@ -315,7 +330,7 @@ class LabelledComplex:
             skeleton = _memoized(key, partial(_skeleton, key, max_faces), max_faces)
         except ResourceCapError:
             if shape is not None:
-                _keep_shape(shape, (sizes.itemsize * len(sizes), sizes, None, width, cap))
+                _keep_shape(shape, (sizes.itemsize * len(sizes), sizes, None, cap))
             raise
         _, blocks, index, pairings = skeleton
         codes = [0]
@@ -338,18 +353,19 @@ class LabelledComplex:
                 step[lid] = ids[joined]
             joins += step.values()
             lids += map(step.__getitem__, parent_ids)
-        memo = None
+        memo = kept = None
         if pairings is not None:
             memo = pairings, _u16(joins)
             if shape is not None:  # ids and vertices fit in 16 bits on a kept skeleton
                 recipe = _u16(recipe)
                 nbytes = len(tuples) + len(recipe) + len(memo[1]) + sizes.itemsize * len(sizes)
-                _keep_shape(shape, (nbytes, sizes, key, tuples, recipe, memo[1]))
-        self._store(vertices, width, codes, index, lids, memo)
+                kept = _keep_shape(shape, (nbytes, sizes, key, tuples, recipe, memo[1]))
+                memo = memo if kept is None else (pairings, kept[5])  # its labelling, held once
+        self._store(vertices, width, codes, index, lids, memo, kept is not None)
 
-    def _store(self, vertices, width, codes, index, lids, memo=None):
+    def _store(self, vertices, width, codes, index, lids, memo=None, shared=False):
         """Keep index[k], {mask: face number} of the k-vertex faces, and lids by number (None:
-        replayed when read)."""
+        replayed when read); shared: a kept shape holds the labelling."""
         self.vertices = vertices
         self._index = index
         if lids is not None:
@@ -359,6 +375,7 @@ class LabelledComplex:
         self._degrees = list(map(int.bit_count, codes))
         self._slices = {}
         self._memo = memo
+        self._shared = shared
 
     def _pairing(self, char):
         """The memoized Betti kernel counts of this complex over GF(char) (Q for 0), or None."""
@@ -371,8 +388,8 @@ class LabelledComplex:
         if self._memo is None:
             return
         pairings, labelling = self._memo
-        counts = array("H", triples)
-        size = len(labelling) + counts.itemsize * len(counts)
+        counts = array("H", _u16(triples))  # a bytes initializer is copied, not parsed per int
+        size = counts.itemsize * len(counts) + (not self._shared) * len(labelling)
         with _memo_lock:  # another thread may have kept them first
             if (_pairings_held + _shapes_held + size <= _MEMO_BYTES
                     and pairings.setdefault((labelling, char), counts) is counts):
@@ -456,10 +473,11 @@ def _generators(gens):
 
 def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
     """The full simplex on the given (tuple, monomial) generator pairs, memoized by r and
-    its set of nonzero exponent columns (see `lyubeznik_complex` and `_shape_hit`)."""
+    its exponent columns less their minimum (see `lyubeznik_complex` and `_shape_hit`)."""
     gens = _generators(gens)
-    shape = "taylor", len(gens), _columns([mono.exps for _, mono in gens])
-    cx = _shape_hit(shape, len(gens[0][1].exps), max_faces, lambda tuples: gens)
+    rows = [mono.exps for _, mono in gens]
+    shape = "taylor", len(gens), _columns(rows)
+    cx = _shape_hit(shape, rows, 1, max_faces, lambda tuples: gens)
     if cx is None:
         cx = object.__new__(LabelledComplex)
         cx._build(gens, [range(len(gens))], max_faces, shape)
@@ -526,11 +544,12 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     F1 | 1 << i1 < F2 | 1 << i2, as F2's top bit not in F1 is above min F1.
 
     Admissibility, label equality and first divisors compare exponents one
-    variable at a time, so faces and label ids depend only on r and the set
-    of nonzero exponent columns (one variable's exponents over the generators,
-    in the given order): permuting, repeating or adding a zero variable keeps
-    them.  That key memoizes the complex (see `LabelledComplex`) with a label
-    recipe, replayed on each complex's own codes, as degrees change.
+    variable at a time, so faces and label ids depend only on r and the
+    exponent columns (one variable's exponents over the generators, in the
+    given order): permuting, repeating or adding a zero variable keeps them,
+    and so does one in every generator, none being 1.  That key (`_columns`)
+    memoizes the complex (see `LabelledComplex`) with a label recipe, replayed
+    on each complex's own codes, as degrees change.
     """
     vertices = _generators(gens)
     width, vertex_codes = _unary_codes(vertices)  # refuses mixed rings before zip cuts them
@@ -576,13 +595,14 @@ def faridi_complex(ideal, t, max_faces=DEFAULT_MAX_FACES):
     concentrated facet.  For t = 1 every concentrated facet is the whole
     vertex set, so the result is the Taylor simplex.
 
-    The walk, the facets and the label ids depend only on m, t and the set
-    of nonzero exponent columns of I's generators, which memoize the complex
-    or its refusal before the walk (`_shape_hit`), for t < 256.
+    The walk, the facets and the label ids depend only on m, t and the key
+    of I's generators (`_columns`, `lyubeznik_complex`), which memoizes the
+    complex or its refusal before the walk (`_shape_hit`), for t < 256.
     """
     gens = ideal.generators
-    shape = ("faridi", len(gens), t, _columns([g.exps for g in gens])) if t < 256 else None
-    cx = _shape_hit(shape, ideal.n, max_faces, lambda tuples: products(
+    rows = [g.exps for g in gens]
+    shape = ("faridi", len(gens), t, _columns(rows)) if t < 256 else None
+    cx = _shape_hit(shape, rows, t, max_faces, lambda tuples: products(
         ideal, zip(*[iter(tuples)] * len(gens))))
     if cx is None:
         vertices = power_generators(ideal, t)

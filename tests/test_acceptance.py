@@ -37,10 +37,13 @@ VERIFY_STREAM_SHA256 = "c55f393bf582d7a576b1f4938e3601a218b57ed7292c2db97f27921d
 # or face budget, and two random runs.  The second is of two 12-edge graphs,
 # whose 850 self-semi-induced families among 8190 exercise the family facts.
 # Over GF(2) the stream is the one over Q.  At t_max 10 most support
-# complexes past t = 3 are refused, and most refusals repeat a shape.
+# complexes past t = 3 are refused, and most refusals repeat a shape; at
+# t_max 20 thousands do, so it pins which refusals a shape key shares.
 PINNED_STREAMS = {
     "--corpus builtin --t-max 10":
         "8deb452c7956314b067486f680552c7c86d3985b994f0fd44c3ee2fd5a5a13d0",
+    "--corpus builtin --t-max 20":
+        "c876ea2a496f6fa27aff801f98279cf1f33779558fbee9824245af783112f8cd",
     "--corpus builtin --t-max 3 --char 2": VERIFY_STREAM_SHA256,
     "--corpus builtin --t-max 3 --max-faces 4096":
         "ba756a3099e7b8af4ce97f8db9f4a0a3dc0c4839186757aa2dfae6e6dbe39588",
