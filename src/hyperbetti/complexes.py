@@ -84,7 +84,7 @@ def _unary_codes(vertices):
     vertex_labels = [mono.exps for _, mono in vertices]
     exponents = set().union(*vertex_labels)
     width = max(exponents | {1})
-    check_budget(_words(nvars, width), "64-bit words per label code")
+    _check_width(nvars, width)
     fields = {e: "0" * (width - e) + "1" * e for e in exponents}
     digits = "".join(map(fields.__getitem__, chain.from_iterable(map(reversed, vertex_labels))))
     size = nvars * width
@@ -92,28 +92,27 @@ def _unary_codes(vertices):
                    for k in range(len(vertex_labels))]
 
 
-def _words(nvars, width):
-    # at most as many words as an exponent tuple at the edge ideal's cap (check_budget)
-    return -(-nvars * width // 64)
+def _check_width(nvars, width):
+    # at most as many words as an exponent tuple at the edge ideal's cap
+    check_budget(-(-nvars * width // 64), "64-bit words per label code")
 
 
 def _columns(rows):
     """(columns, flag), the memo key of exponent rows, one per generator: the distinct columns
     (one variable's exponents, row by row) less their minimum, nonzero, sorted and joined in
-    one bytes object (a tuple when an exponent is over 255).  A zero row is a generator equal
-    to 1, whose faces can share the empty face's label id; the columns tell it from unshifted
-    nonzero rows, and the flag from a row that the shift made zero (a generator dividing all
-    others), so a key with nothing to shift costs one C-level test."""
+    one bytes object (a tuple when an exponent is over 255).  A zero row is a generator 1,
+    whose faces can share the empty face's label id; the columns tell it from unshifted nonzero
+    rows, and the flag from a row that the shift made zero (a generator dividing all others)."""
     try:
         columns = set(map(bytes, zip(*rows)))
-        shift = not all(map(contains, columns, repeat(0)))
+        shift = not all(map(contains, columns, repeat(0)))  # nothing to shift: one C-level test
         if shift:  # each byte is at least min(c): less min(c) * 0x0101... borrows nothing
-            ones = int.from_bytes(b"\1" * len(rows))
-            columns = {c if 0 in c else (int.from_bytes(c) - min(c) * ones).to_bytes(len(c))
-                       for c in columns}
+            ones = int.from_bytes(b"\1" * len(rows), "big")
+            columns = {c if 0 in c else (int.from_bytes(c, "big") - min(c) * ones).to_bytes(
+                len(c), "big") for c in columns}
         columns.discard(bytes(len(rows)))
         return b"".join(sorted(columns)), shift and 0 in reduce(  # a byte zero in every column
-            or_, map(int.from_bytes, columns), 0).to_bytes(len(rows))
+            or_, map(int.from_bytes, columns, repeat("big")), 0).to_bytes(len(rows), "big")
     except ValueError:
         lows = tuple(map(min, zip(*rows)))
         columns = {tuple(map(low.__rsub__, c)) for low, c in zip(lows, zip(*rows))}
@@ -205,10 +204,9 @@ def _shape_hit(key, rows, t, max_faces, vertices_of):
     byte each, the label recipe as 16-bit (parent id, vertex) pairs and the
     labelling; the vertices rebuilt by vertices_of(tuples) replay the recipe
     on their own codes.  A refusal keeps the facet sizes and the cap the
-    skeleton exceeded (0 if none): a larger cap misses.  Refusals come in a
-    build's order: facets, label-code budget, face count.  The label width
-    moves with the columns' minimum, so a refusal misses when the codes of
-    width t times the largest exponent of the rows are over the budget.
+    skeleton exceeded (0 if none): a larger cap misses, and so do codes
+    perhaps over the budget, whose width moves with the columns' minimum.
+    Refusals come in a build's order: facets, label-code budget, face count.
     """
     entry = _shapes.get(key)
     if entry is None:
@@ -216,9 +214,12 @@ def _shape_hit(key, rows, t, max_faces, vertices_of):
     _, sizes, facets, *rest = entry
     _refuse_facets(sizes, max_faces)
     if facets is None:
-        width = t * max({1}.union(*rows))  # at least the codes' width in a fresh build
-        if max_faces > rest[0] or _words(len(rows[0]), width) > DEFAULT_MAX_FACES:
-            return None  # a larger cap, or codes perhaps over the budget: a fresh build decides
+        try:  # t times the rows' largest exponent is at least the codes' width in a fresh build
+            _check_width(len(rows[0]), t * max({1}.union(*rows)))
+        except ResourceCapError:
+            return None  # codes perhaps over the budget: a fresh build decides
+        if max_faces > rest[0]:
+            return None  # a larger cap: a fresh build decides
         raise _over_cap(max_faces)
     skeleton = _skeletons.get(facets)
     if skeleton is None:
@@ -374,8 +375,7 @@ class LabelledComplex:
         self._width = width
         self._degrees = list(map(int.bit_count, codes))
         self._slices = {}
-        self._memo = memo
-        self._shared = shared
+        self._memo, self._shared = memo, shared
 
     def _pairing(self, char):
         """The memoized Betti kernel counts of this complex over GF(char) (Q for 0), or None."""

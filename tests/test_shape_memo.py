@@ -200,6 +200,15 @@ class TestExactness:
         for ideal in (MonomialIdeal(2, [Monomial((1, 1))]), MonomialIdeal(2, [one])) * 2:
             assert_as_cold(monkeypatch, lambda ideal=ideal: faridi_complex(ideal, 2))
         assert len(complexes._shapes) == 4
+        # the same with an exponent over 255, whose key is a tuple: 1 and x1^300,
+        # and x2 and x1^300 x2, have the same columns less their minimum
+        x2, big = Monomial((0, 1)), Monomial((300, 1))
+        units = [((0,), one), ((1,), Monomial((300, 0)))], [((0,), x2), ((1,), big)]
+        assert complexes._columns([one.exps, (300, 0)]) != complexes._columns([x2.exps, big.exps])
+        for gens in units * 2:
+            for build in (taylor_complex, lyubeznik_complex):
+                assert_as_cold(monkeypatch, lambda gens=gens, build=build: build(gens))
+        assert len(complexes._shapes) == 6
 
 
 class TestRefusals:
