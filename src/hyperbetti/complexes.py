@@ -18,16 +18,20 @@ count.  At the public API a face is a sorted tuple of vertex indices.
 
 Faces and label ids compare exponents one variable at a time, so each
 construction is memoized by its generator count, t and exponent columns
-less their minimum (`_columns`); a hit computes only its degrees afresh.
+less their minimum (`_columns`).  Under one key a label's degree is a
+kept one plus t times the change in the summed column minima whenever the
+shifted columns repeat alike, so a support or Taylor hit takes its degrees
+from the shape and builds its vertices, codes and label ids only when
+they are read (`_shape_hit`).
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import partial, reduce
 from itertools import chain, compress, count, repeat
-from operator import contains, itemgetter, or_
+from operator import contains, eq, itemgetter, or_
 from struct import pack
 from threading import Lock
 
@@ -42,8 +46,8 @@ _MEMO_BYTES = 1 << 19  # bytes held by all memoized pairings and shapes together
 # pairings maps (labelling, char) to the Betti kernel's counts
 _skeletons = {}
 # ("faridi", m, t, columns) and ("taylor", r, columns) -> (bytes, facet sizes, skeleton key,
-# tuples, recipe, labelling), or (bytes, facet sizes, None, cap) for a refusal (see
-# `_shape_hit`); pairings and shapes are kept while within _MEMO_BYTES
+# tuples, labelling, {signature: degrees}), or (bytes, facet sizes, None, cap) for a refusal
+# (see `_shape_hit`); pairings and shapes are kept while within _MEMO_BYTES
 _shapes = {}
 _pairings_held = 0  # the bytes that all entries' pairings hold, less labellings kept shapes hold
 _shapes_held = 0  # the bytes that all shapes hold
@@ -97,29 +101,38 @@ def _check_width(nvars, width):
     check_budget(-(-nvars * width // 64), "64-bit words per label code")
 
 
+def _shifted(rows):
+    """((columns, flag), signature, lift) of exponent rows, one per generator, in one pass.
+
+    The memo key (columns, flag) holds the distinct columns (one variable's
+    exponents, row by row) less their minimum, nonzero, sorted and joined in
+    one tuple.  A zero row is a generator 1, whose faces can share the empty
+    face's label id; the columns tell it from unshifted nonzero rows, and
+    the flag from a row that the shift made zero (a generator dividing all
+    others).  The signature tells which of the sorted nonzero columns equal
+    the one before, so with the key it is their multiset, and the lift is
+    the sum of the minima: with the key they fix every label's degree
+    (`_shape_hit`).
+    """
+    columns = sorted(zip(*rows))
+    lift = 0
+    if not all(map(contains, columns, repeat(0))):  # nothing to shift: one C-level test
+        lows = list(map(min, columns))
+        lift = sum(lows)
+        columns = sorted([tuple(map(low.__rsub__, c)) if low else c
+                          for low, c in zip(lows, columns)])
+    flag = bool(lift) and (0,) * len(columns) in zip(*columns)  # a row zero after the shift
+    del columns[:bisect_right(columns, (0,) * len(rows))]  # the zero columns sort first
+    return ((tuple(chain.from_iterable(dict.fromkeys(columns))), flag),
+            tuple(map(eq, columns, columns[1:])), lift)
+
+
 def _columns(rows):
-    """(columns, flag), the memo key of exponent rows, one per generator: the distinct columns
-    (one variable's exponents, row by row) less their minimum, nonzero, sorted and joined in
-    one bytes object (a tuple when an exponent is over 255).  A zero row is a generator 1,
-    whose faces can share the empty face's label id; the columns tell it from unshifted nonzero
-    rows, and the flag from a row that the shift made zero (a generator dividing all others)."""
-    try:
-        columns = set(map(bytes, zip(*rows)))
-        shift = not all(map(contains, columns, repeat(0)))  # nothing to shift: one C-level test
-        if shift:  # each byte is at least min(c): less min(c) * 0x0101... borrows nothing
-            ones = int.from_bytes(b"\1" * len(rows), "big")
-            columns = {c if 0 in c else (int.from_bytes(c, "big") - min(c) * ones).to_bytes(
-                len(c), "big") for c in columns}
-        columns.discard(bytes(len(rows)))
-        return b"".join(sorted(columns)), shift and 0 in reduce(  # a byte zero in every column
-            or_, map(int.from_bytes, columns, repeat("big")), 0).to_bytes(len(rows), "big")
-    except ValueError:
-        lows = tuple(map(min, zip(*rows)))
-        columns = {tuple(map(low.__rsub__, c)) for low, c in zip(lows, zip(*rows))}
-        return tuple(sorted(columns - {(0,) * len(rows)})), any(lows) and lows in rows
+    """The memo key (columns, flag) of exponent rows (`_shifted`)."""
+    return _shifted(rows)[0]
 
 
-def _replay(recipe, vertex_codes):
+def _replay_recipe(recipe, vertex_codes):
     """Label codes by id from a recipe of flat (parent id, vertex) pairs, one per id after 0:
     the OR of that parent's code and that vertex's."""
     codes = [0]
@@ -127,6 +140,27 @@ def _replay(recipe, vertex_codes):
     for lid, v in zip(pairs, pairs):
         codes.append(codes[lid] | vertex_codes[v])
     return codes
+
+
+def _replay(blocks, labelling, vertex_codes=()):
+    """(lids, codes): each face's label id by number, from a labelling replayed on its skeleton's
+    blocks, and with vertex_codes the label codes by id, [0] without.
+
+    Each block joins its distinct parent ids, in the order its set takes
+    them, with the ids the labelling lists next; an id new to the list is
+    the next one, and its code the OR of its parent's and the block vertex's.
+    """
+    lids, codes, joins = [0], [0], iter(memoryview(labelling).cast("H"))
+    for v, parents in blocks:
+        parent_ids = parents(lids)
+        step = dict(zip(set(parent_ids), joins))
+        if vertex_codes:
+            code = vertex_codes[v]
+            for lid, joined in step.items():
+                if joined == len(codes):
+                    codes.append(codes[lid] | code)
+        lids += map(step.__getitem__, parent_ids)
+    return lids, codes
 
 
 def _u16(values):
@@ -182,6 +216,25 @@ def _memoized(key, build, max_faces):
     return entry
 
 
+def _lowered(degrees, lift):
+    """Label degrees less lift, but the empty face's id 0, packed in 16 bits where they fit."""
+    lowered = [0, *map(lift.__rsub__, degrees[1:])]
+    return array("H", _u16(lowered)) if max(lowered) < 1 << 16 else array("I", lowered)
+
+
+def _keep_degrees(key, signature, degrees):
+    """Add degrees (`_lowered`) under signature to the complete shape under key, while all
+    pairings and shapes hold at most _MEMO_BYTES bytes."""
+    global _shapes_held
+    size = len(signature) + degrees.itemsize * len(degrees)
+    with _memo_lock:
+        entry = _shapes.get(key)
+        if signature not in entry[5] and _pairings_held + _shapes_held + size <= _MEMO_BYTES:
+            entry[5][signature] = degrees
+            _shapes[key] = (entry[0] + size, *entry[1:])
+            _shapes_held += size
+
+
 def _keep_shape(key, entry):
     """Keep (its bytes, ...) under key, in place of a refusal there, while all pairings and
     shapes hold at most _MEMO_BYTES bytes; the complete entry then under key, or None."""
@@ -195,45 +248,63 @@ def _keep_shape(key, entry):
         return None if kept[2] is None else kept
 
 
-def _shape_hit(key, rows, t, max_faces, vertices_of):
-    """The complex memoized under a shape key, refused as a fresh build would be, or None.
+def _shape_hit(shape, rows, t, max_faces, vertices_of):
+    """The complex memoized under a shape (key, signature, t * lift), refused as a fresh build
+    would be, or None.
 
-    A shape fixes the facets, the skeleton and every label id.  Its entry
+    A key fixes the facets, the skeleton and every label id.  Its entry
     keeps the facet sizes in first-occurrence order, the skeleton's key (it
     is read only while that skeleton is kept), the factorization tuples one
-    byte each, the label recipe as 16-bit (parent id, vertex) pairs and the
-    labelling; the vertices rebuilt by vertices_of(tuples) replay the recipe
-    on their own codes.  A refusal keeps the facet sizes and the cap the
-    skeleton exceeded (0 if none): a larger cap misses, and so do codes
-    perhaps over the budget, whose width moves with the columns' minimum.
+    byte each, the labelling, and label degrees less t * lift per signature
+    (`_columns`): adding a to a column adds t * a to every nonempty label's
+    degree, and the signature fixes the rest.  So a hit under a kept
+    signature sets only `_degrees`, and `_Replayed` builds the vertices
+    (vertices_of(tuples)), codes and label ids when they are read; it tests
+    at once what they would refuse: mixed rings, and the label-code budget
+    on t times the rows' largest exponent, at least the width of a fresh
+    build's codes.  A hit under a new signature, or over that bound, builds
+    them at once, which refuses as a fresh build does, and adds its degrees.
+    A refusal keeps the facet sizes and the cap the skeleton exceeded (0 if
+    none): a larger cap misses, and so do codes perhaps over the budget.
     Refusals come in a build's order: facets, label-code budget, face count.
     """
+    key, signature, lift = shape
     entry = _shapes.get(key)
     if entry is None:
         return None
     _, sizes, facets, *rest = entry
     _refuse_facets(sizes, max_faces)
+    if len(set(map(len, rows))) > 1:
+        raise DimensionError("vertex labels in different rings")
+    try:
+        _check_width(len(rows[0]), t * max({1}.union(*rows)))
+        fits = True
+    except ResourceCapError:
+        fits = False
     if facets is None:
-        try:  # t times the rows' largest exponent is at least the codes' width in a fresh build
-            _check_width(len(rows[0]), t * max({1}.union(*rows)))
-        except ResourceCapError:
-            return None  # codes perhaps over the budget: a fresh build decides
-        if max_faces > rest[0]:
-            return None  # a larger cap: a fresh build decides
+        if not fits or max_faces > rest[0]:
+            return None  # codes perhaps over the budget, or a larger cap: a fresh build decides
         raise _over_cap(max_faces)
     skeleton = _skeletons.get(facets)
     if skeleton is None:
         return None
-    tuples, recipe, labelling = rest
-    vertices = vertices_of(tuples)
-    width, vertex_codes = _unary_codes(vertices)
+    tuples, labelling, kept = rest
     count, blocks, index, pairings = skeleton
+    cx = object.__new__(_Replayed)
+    cx._source, cx._blocks = partial(vertices_of, tuples), blocks
+    lowered = kept.get(signature) if fits else None
+    if lowered is None:  # the codes now, so that the budget refuses before the face count
+        cx._width, vertex_codes = _unary_codes(cx.vertices)
     if count > max_faces:
         raise _over_cap(max_faces)
-    cx = object.__new__(_Replayed)
-    cx._store(vertices, width, _replay(memoryview(recipe).cast("H"), vertex_codes), index, None,
-              (pairings, labelling), True)
-    cx._blocks = blocks
+    if lowered is None:
+        cx._lids, cx._codes = _replay(blocks, labelling, vertex_codes)
+        degrees = list(map(int.bit_count, cx._codes))
+        _keep_degrees(key, signature, _lowered(degrees, lift))
+    else:
+        degrees = [d + lift for d in lowered] if lift else list(lowered)
+        degrees[0] = 0
+    cx._store(index, degrees, (pairings, labelling), True)
     return cx
 
 
@@ -301,9 +372,9 @@ class LabelledComplex:
     complex has a `_memo` exactly when its face source is kept: the skeleton
     for support and Taylor complexes, the exponent columns for Lyubeznik
     complexes, whose key fixes every label id, so their labelling is b"".
-    A complex from a kept shape (`_shape_hit`) replays its `_lids` from the
-    labelling when first read, so a query that finds its pairing reads only
-    `_degrees`.  A labelling is counted against `_MEMO_BYTES` once: by the
+    A complex from a kept shape (`_shape_hit`) builds its vertices, codes
+    and `_lids` when first read, so a query that finds its pairing reads
+    only `_degrees`.  A labelling is counted against `_MEMO_BYTES` once: by the
     kept shape that holds it (`_shared`), else by each pairing kept under it.
 
     At the API (`faces`, `label_exps`, `degree`) a face is a sorted tuple
@@ -318,8 +389,8 @@ class LabelledComplex:
         self._build(tuple(vertices), facets, max_faces)
 
     def _build(self, vertices, facets, max_faces, shape=None, tuples=b""):
-        """Label the facets' skeleton; under a shape key (see `_shape_hit`), keep the shape
-        with its kept skeleton, or keep its refusal."""
+        """Label the facets' skeleton; under a shape (key, signature, t * lift) (see
+        `_shape_hit`), keep the shape with its kept skeleton, or keep its refusal."""
         # empty and repeated facets are dropped, first occurrence order kept
         canonical = [f for f in dict.fromkeys(map(_mask_of, facets)) if f]
         sizes = array("I", map(int.bit_count, canonical))
@@ -331,15 +402,13 @@ class LabelledComplex:
             skeleton = _memoized(key, partial(_skeleton, key, max_faces), max_faces)
         except ResourceCapError:
             if shape is not None:
-                _keep_shape(shape, (sizes.itemsize * len(sizes), sizes, None, cap))
+                _keep_shape(shape[0], (sizes.itemsize * len(sizes), sizes, None, cap))
             raise
         _, blocks, index, pairings = skeleton
         codes = [0]
         ids = {0: 0}  # label code -> id
         lids = [0]  # label id of each face, by face number
         joins = []  # each block's joined ids, in the order its step takes them: the labelling
-        recipe = []  # flat (parent id, vertex) pairs, one per label id after 0
-        add = recipe.append
         for v, parents in blocks:
             code = vertex_codes[v]
             parent_ids = parents(lids)
@@ -349,31 +418,29 @@ class LabelledComplex:
                 if joined not in ids:
                     ids[joined] = len(codes)
                     codes.append(joined)
-                    add(lid)
-                    add(v)
                 step[lid] = ids[joined]
             joins += step.values()
             lids += map(step.__getitem__, parent_ids)
+        degrees = list(map(int.bit_count, codes))
         memo = kept = None
         if pairings is not None:
-            memo = pairings, _u16(joins)
-            if shape is not None:  # ids and vertices fit in 16 bits on a kept skeleton
-                recipe = _u16(recipe)
-                nbytes = len(tuples) + len(recipe) + len(memo[1]) + sizes.itemsize * len(sizes)
-                kept = _keep_shape(shape, (nbytes, sizes, key, tuples, recipe, memo[1]))
-                memo = memo if kept is None else (pairings, kept[5])  # its labelling, held once
-        self._store(vertices, width, codes, index, lids, memo, kept is not None)
+            memo = pairings, _u16(joins)  # ids fit in 16 bits on a kept skeleton
+            if shape is not None:
+                shape_key, signature, lift = shape
+                lowered = _lowered(degrees, lift)
+                nbytes = (len(tuples) + len(memo[1]) + sizes.itemsize * len(sizes)
+                          + len(signature) + lowered.itemsize * len(lowered))
+                kept = _keep_shape(shape_key, (nbytes, sizes, key, tuples, memo[1],
+                                           {signature: lowered}))
+                memo = memo if kept is None else (pairings, kept[4])  # its labelling, held once
+        self.vertices, self._lids, self._codes, self._width = vertices, lids, codes, width
+        self._store(index, degrees, memo, kept is not None)
 
-    def _store(self, vertices, width, codes, index, lids, memo=None, shared=False):
-        """Keep index[k], {mask: face number} of the k-vertex faces, and lids by number (None:
-        replayed when read); shared: a kept shape holds the labelling."""
-        self.vertices = vertices
+    def _store(self, index, degrees, memo=None, shared=False):
+        """Keep index[k], {mask: face number} of the k-vertex faces, and the label degrees by
+        id; shared: a kept shape holds the labelling."""
         self._index = index
-        if lids is not None:
-            self._lids = lids
-        self._codes = codes
-        self._width = width
-        self._degrees = list(map(int.bit_count, codes))
+        self._degrees = degrees
         self._slices = {}
         self._memo, self._shared = memo, shared
 
@@ -445,20 +512,24 @@ class LabelledComplex:
 
 
 class _Replayed(LabelledComplex):
-    """A complex from a shape hit, whose `_lids` replay its labelling on its skeleton's
-    blocks when first read; a subclass, so that no other complex pays for `__getattr__`."""
+    """A complex from a shape hit (`_shape_hit`), which builds what it was not given when
+    first read: its vertices from `_source`, its `_lids` by replaying its labelling on its
+    skeleton's blocks, and its `_codes` and `_width` from both; a subclass, so that no other
+    complex pays for `__getattr__`.  The hit has refused whatever these would."""
 
-    __slots__ = ("_blocks",)
+    __slots__ = ("_blocks", "_source")
 
     def __getattr__(self, name):
-        if name != "_lids":
+        if name == "vertices":
+            self.vertices = self._source()
+        elif name == "_lids":
+            self._lids = _replay(self._blocks, self._memo[1])[0]
+        elif name in ("_codes", "_width"):
+            self._width, vertex_codes = _unary_codes(self.vertices)
+            self._lids, self._codes = _replay(self._blocks, self._memo[1], vertex_codes)
+        else:
             raise AttributeError(name)
-        lids, joins = [0], iter(array("H", self._memo[1]))
-        for _, parents in self._blocks:
-            parent_ids = parents(lids)
-            lids += map(dict(zip(set(parent_ids), joins)).__getitem__, parent_ids)
-        self._lids = lids
-        return lids
+        return getattr(self, name)
 
 
 def _generators(gens):
@@ -476,7 +547,8 @@ def taylor_complex(gens, max_faces=DEFAULT_MAX_FACES):
     its exponent columns less their minimum (see `lyubeznik_complex` and `_shape_hit`)."""
     gens = _generators(gens)
     rows = [mono.exps for _, mono in gens]
-    shape = "taylor", len(gens), _columns(rows)
+    key, signature, lift = _shifted(rows)
+    shape = ("taylor", len(gens), key), signature, lift
     cx = _shape_hit(shape, rows, 1, max_faces, lambda tuples: gens)
     if cx is None:
         cx = object.__new__(LabelledComplex)
@@ -557,8 +629,9 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     _, (lids, recipe), index, pairings = _memoized(
         key, partial(_admissible, vertex_codes, max_faces), max_faces)
     cx = object.__new__(LabelledComplex)
-    cx._store(vertices, width, _replay(recipe, vertex_codes), index, lids,
-              None if pairings is None else (pairings, b""))
+    codes = _replay_recipe(recipe, vertex_codes)
+    cx.vertices, cx._lids, cx._codes, cx._width = vertices, lids, codes, width
+    cx._store(index, list(map(int.bit_count, codes)), None if pairings is None else (pairings, b""))
     return cx
 
 
@@ -601,8 +674,11 @@ def faridi_complex(ideal, t, max_faces=DEFAULT_MAX_FACES):
     """
     gens = ideal.generators
     rows = [g.exps for g in gens]
-    shape = ("faridi", len(gens), t, _columns(rows)) if t < 256 else None
-    cx = _shape_hit(shape, rows, t, max_faces, lambda tuples: products(
+    shape = None
+    if t < 256:
+        key, signature, lift = _shifted(rows)
+        shape = ("faridi", len(gens), t, key), signature, t * lift
+    cx = shape and _shape_hit(shape, rows, t, max_faces, lambda tuples: products(
         ideal, zip(*[iter(tuples)] * len(gens))))
     if cx is None:
         vertices = power_generators(ideal, t)

@@ -4,12 +4,18 @@ Monomials are dense exponent vectors over a fixed polynomial ring
 K[x1..xn].  Ideals are presented by minimal generating sets, and the
 generators of a power I^t come from one walk over its factorization
 tuples: plain tuples of ints that record how a degree-t product splits
-over the base generators.
+over the base generators.  The walk and `products` form exponent tuples
+that are valid by construction, so they skip the public constructor's
+copy and checks (`_monomial`), and the walk drops redundant products on
+the tuples before any monomial is built, through the antichain filter
+that `minimal_generators`, and so `MonomialIdeal`, also use.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import comb
+from operator import add, itemgetter, le
 
 from .errors import DimensionError, DomainError, check_budget
 
@@ -40,7 +46,7 @@ class Monomial:
 
     def __mul__(self, other):
         self._check_ring(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return _monomial(tuple(map(add, self.exps, other.exps)))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -61,30 +67,52 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
+def _monomial(exps):
+    """The Monomial of an exponent tuple that is valid by construction: no copy, no scan."""
+    mono = object.__new__(Monomial)
+    mono.exps = exps
+    mono.degree = sum(exps)
+    return mono
+
+
+def _antichain(rows):
+    """The distinct exponent tuples `rows` less every one strictly divisible by another, in
+    their order.
+
+    Each degree is tested only against the survivors of strictly smaller
+    degree: a proper divisor has smaller degree, and a tuple dropped as
+    redundant has a surviving divisor of its own.  So a set of one degree
+    needs no divisibility test at all.
+    """
+    degrees = list(map(sum, rows))
+    if len(set(degrees)) < 2:
+        return rows
+    by_degree = {}
+    for row, degree in zip(rows, degrees):
+        by_degree.setdefault(degree, []).append(row)
+    kept = []
+    for degree in sorted(by_degree):
+        smaller = tuple(kept)
+        kept += [g for g in by_degree[degree]
+                 if not smaller or not any(all(map(le, h, g)) for h in smaller)]
+    return rows if len(kept) == len(rows) else list(filter(set(kept).__contains__, rows))
+
+
 def minimal_generators(monomials):
     """Deduplicate and drop every monomial strictly divisible by another.
 
     First-occurrence order of the survivors is preserved; the result is an
     antichain under divisibility.  An empty input gives an empty output.
-
-    Each degree is tested only against the survivors of strictly smaller
-    degree: a proper divisor has smaller degree, and a monomial dropped as
-    redundant has a surviving divisor of its own.  So a set of one degree
-    needs no divisibility test at all.
     """
     mons = list(monomials)
     for g in mons[1:]:
         mons[0]._check_ring(g)
-    unique = list(dict.fromkeys(mons))
-    by_degree = {}
-    for g in unique:
-        by_degree.setdefault(g.degree, []).append(g)
-    kept = []
-    for degree in sorted(by_degree):
-        smaller = tuple(kept)
-        kept += [g for g in by_degree[degree]
-                 if not smaller or not any(h.divides(g) for h in smaller)]
-    return unique if len(kept) == len(unique) else list(filter(set(kept).__contains__, unique))
+    rows = [g.exps for g in mons]
+    kept = _antichain(list(dict.fromkeys(rows)))
+    if len(kept) == len(mons):
+        return mons
+    first = dict(zip(rows[::-1], mons[::-1]))  # each exponent tuple's first monomial
+    return list(map(first.__getitem__, kept))
 
 
 class MonomialIdeal:
@@ -134,7 +162,8 @@ def power_generators(ideal, t):
     DEFAULT_MAX_FACES of them, C(m+t-1, t) for m generators, raise
     ResourceCapError before any is built.  Each count vector gives its
     product's exponent vector from the nonzero exponents of its generators
-    alone, and a Monomial is built only once per distinct product.
+    alone; redundant products are dropped on the exponent tuples
+    (`_antichain`), and a Monomial is built only for each survivor.
 
     Distinct tuples can collide on the same monomial, and one product of t
     generators can strictly divide another; both effects are eliminated.
@@ -151,7 +180,7 @@ def power_generators(ideal, t):
     m = len(gens)
     check_budget(comb(m + t - 1, t), f"factorization tuples of {m} generators at power {t}")
     bound = (t + 1) // 2
-    nonzero = [[(i, e) for i, e in enumerate(g.exps) if e] for g in gens]
+    nonzero = [list(compress(enumerate(g.exps), g.exps)) for g in gens]  # (i, e) for e > 0
     reps = {}  # product exponent vector -> (representative tuple, balanced)
     counts = [t] + [0] * (m - 1)
     while True:
@@ -175,16 +204,14 @@ def power_generators(ideal, t):
         rest, counts[-1] = counts[-1], 0
         counts[j] -= 1
         counts[j + 1] = rest + 1
-    tuple_of = {Monomial(exps): b for exps, (b, _) in reps.items()}
-    survivors = [(tuple_of[mono], mono) for mono in minimal_generators(tuple_of)]
-    survivors.sort(key=lambda pair: pair[0], reverse=True)
-    return survivors
+    return sorted(((reps[exps][0], _monomial(exps)) for exps in _antichain(list(reps))),
+                  key=itemgetter(0), reverse=True)
 
 
 def products(ideal, tuples):
     """(tuple, monomial) per factorization tuple over the ideal's generators,
     the product as power_generators computes it."""
-    nonzero = [[(i, e) for i, e in enumerate(g.exps) if e] for g in ideal.generators]
+    nonzero = [list(compress(enumerate(g.exps), g.exps)) for g in ideal.generators]
     pairs = []
     for b in tuples:
         exps = [0] * ideal.n
@@ -192,5 +219,5 @@ def products(ideal, tuples):
             if c:
                 for i, e in gen:
                     exps[i] += e * c
-        pairs.append((b, Monomial(exps)))
+        pairs.append((b, _monomial(tuple(exps))))
     return tuple(pairs)

@@ -1,11 +1,12 @@
 """The shape memo of support and Taylor complexes.  A complex is memoized
 under its kind, its generator count, t (support complexes), the set of
 exponent columns of its generators less their minimum, nonzero, and whether
-a generator is 1; a hit rebuilds the vertices from the kept factorization
-tuples, replays the label recipe on their own codes and replays the label
-ids only when read.  These tests pin every hit against a build from an
-empty memo, its refusals against a fresh build's, the bytes counted against
-the memo's bound, and the memo's emptying between tests."""
+a generator is 1; a hit takes its label degrees from those kept under its
+signature (the columns with their repeats), shifted by t times the change
+in the columns' summed minima, and builds its vertices, codes and label ids
+only when read.  These tests pin every hit against a build from an empty
+memo, its refusals against a fresh build's, the bytes counted against the
+memo's bound, and the memo's emptying between tests."""
 
 import json
 import random
@@ -18,7 +19,7 @@ import pytest
 from hyperbetti import complexes
 from hyperbetti.betti import graded_betti
 from hyperbetti.complexes import LabelledComplex, faridi_complex, lyubeznik_complex, taylor_complex
-from hyperbetti.errors import ResourceCapError
+from hyperbetti.errors import DimensionError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.monomials import Monomial, MonomialIdeal, power_generators
 from hyperbetti.verify import CORPUS_MAX_FACES, builtin_corpus
@@ -211,6 +212,43 @@ class TestExactness:
         assert len(complexes._shapes) == 6
 
 
+    def test_an_exponent_over_255_keys_like_the_rest(self, empty_memo, monkeypatch,
+                                                     four_cycle):
+        # the 4-cycle at t = 2 times x5^255 and times x5^256: either column
+        # less its minimum is zero, so both hit the 4-cycle's shape
+        ideal = edge_ideal(four_cycle)
+        faridi_complex(ideal, 2)
+        for power in (255, 256, 255, 256):
+            other = relabelled(ideal, lambda e, power=power: e + (power,))
+            assert assert_as_cold(monkeypatch, lambda other=other: faridi_complex(other, 2))
+        assert len(complexes._shapes) == 1
+
+    def test_a_pairing_hit_builds_nothing(self, empty_memo, monkeypatch, example39):
+        # a warm support complex and its table, on the ideal and on its twin,
+        # cone and doubled variants, once a shape and that signature are
+        # kept: no walk, no products, no codes and no replayed labels; what is
+        # read afterwards is built then, in either order, and equals a cold build
+        calls = []
+        for name in ("products", "power_generators", "_unary_codes", "_replay"):
+            real = getattr(complexes, name)
+            monkeypatch.setattr(complexes, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        ideal = edge_ideal(example39)
+        others = variants(ideal)
+        for k, other in enumerate((ideal, others[2], others[4], others[3])):
+            for _ in range(2):
+                graded_betti(faridi_complex(other, 2), char=2)
+            del calls[:]
+            warm = faridi_complex(other, 2)
+            graded_betti(warm, char=2)
+            assert calls == [] and isinstance(warm, complexes._Replayed), (k, calls)
+            fresh = cold(monkeypatch, lambda other=other: faridi_complex(other, 2))
+            names = ("vertices", "_codes", "_width", "_lids")[::1 - 2 * (k % 2)]
+            assert [getattr(warm, name) for name in names] == [
+                getattr(fresh, name) for name in names]
+            assert warm._degrees == fresh._degrees
+
+
 class TestRefusals:
     # a hit under a smaller cap, and a repeated refusal, raise the fresh
     # build's message, in the fresh build's order, with no generator walk
@@ -295,14 +333,48 @@ class TestRefusals:
                             "1064960 64-bit words per label code, over the cap of 1048576"] * 2
 
 
+    def test_a_hit_refuses_mixed_rings(self, empty_memo):
+        # x1, x2 in two variables, then x1 in two and x2 in three: the same
+        # key, as the columns are cut at the shorter row, and the hit refuses
+        # the rings as a fresh build does, before any code is built
+        kept = [((0,), Monomial((1, 0))), ((1,), Monomial((0, 1)))]
+        mixed = [((0,), Monomial((1, 0))), ((1,), Monomial((0, 1, 0)))]
+        assert complexes._columns(rows(MonomialIdeal(2, [m for _, m in kept]))) == (
+            complexes._columns([m.exps for _, m in mixed]))
+        taylor_complex(kept)
+        for _ in range(2):
+            with pytest.raises(DimensionError, match="different rings"):
+                taylor_complex(mixed)
+        assert isinstance(taylor_complex(kept), complexes._Replayed)
+
+    def test_a_hit_tests_the_label_code_budget_on_its_own_ring(self, empty_memo, monkeypatch,
+                                                               four_cycle):
+        # the 4-cycle with every exponent 2^16 fits the label-code budget at
+        # t = 2; with 512 isolated variables more it has the same key and
+        # signature, and its codes are over the budget: its hit refuses them
+        base = relabelled(edge_ideal(four_cycle), lambda e: tuple(x << 16 for x in e))
+        wide = relabelled(base, lambda e: e + (0,) * 512)
+        assert complexes._shifted(rows(base)) == complexes._shifted(rows(wide))
+        faridi_complex(base, 2)
+        for ideal in (wide, base, wide):
+            assert_as_cold(monkeypatch, lambda ideal=ideal: faridi_complex(ideal, 2))
+        assert outcome(lambda: faridi_complex(wide, 2)) == (
+            "1056768 64-bit words per label code, over the cap of 1048576")
+
+
 def held_bytes():
     """The bytes that the kept shapes and pairings hold: each shape's facet
-    sizes, and its tuples, recipe and labelling when complete; each pairing's
-    counts, and its labelling unless that very object is a kept shape's."""
-    shared = {id(entry[5]) for entry in complexes._shapes.values() if entry[2] is not None}
+    sizes, and its tuples, labelling and per signature its length and label
+    degrees when complete; each pairing's counts, and its labelling unless
+    that very object is a kept shape's."""
+    shared = {id(entry[4]) for entry in complexes._shapes.values() if entry[2] is not None}
     held = 0
     for _, sizes, facets, *rest in complexes._shapes.values():
-        held += sizes.itemsize * len(sizes) + (facets is not None and sum(map(len, rest)))
+        held += sizes.itemsize * len(sizes)
+        if facets is not None:
+            tuples, labelling, degrees = rest
+            held += len(tuples) + len(labelling) + sum(
+                len(signature) + kept.itemsize * len(kept) for signature, kept in degrees.items())
     for skeleton in complexes._skeletons.values():
         for (labelling, _), counts in skeleton[3].items():
             held += counts.itemsize * len(counts) + (id(labelling) not in shared) * len(labelling)
@@ -311,10 +383,12 @@ def held_bytes():
 
 def test_each_labelling_is_counted_once(empty_memo):
     # support, Taylor, Lyubeznik and plain complexes, over Q and GF(2), some
-    # twice, some sharing a labelling: the two byte counts add up to what the
-    # shapes and pairings hold, and pairings keep labellings of both kinds
+    # twice, some sharing a labelling, some adding a signature: the two byte
+    # counts add up to what the shapes and pairings hold, and pairings keep
+    # labellings of both kinds
     for _, h in builtin_corpus()[::3]:
-        for ideal in (edge_ideal(h), relabelled(edge_ideal(h), lambda e: e + (1,))):
+        for ideal in (edge_ideal(h), relabelled(edge_ideal(h), lambda e: e + (1,)),
+                      relabelled(edge_ideal(h), lambda e: e[:1] + e)):
             for t in (1, 2):
                 gens = power_generators(ideal, t)
                 cxs = [faridi_complex(ideal, t), lyubeznik_complex(gens)]
@@ -324,7 +398,7 @@ def test_each_labelling_is_counted_once(empty_memo):
                     for char in (0, 2):
                         graded_betti(cx, char=char)
     assert complexes._pairings_held + complexes._shapes_held == held_bytes()
-    shared = {id(entry[5]) for entry in complexes._shapes.values() if entry[2] is not None}
+    shared = {id(entry[4]) for entry in complexes._shapes.values() if entry[2] is not None}
     kinds = {id(labelling) in shared for skeleton in complexes._skeletons.values()
              for labelling, _ in skeleton[3] if labelling}
     assert kinds == {False, True}

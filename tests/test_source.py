@@ -1,0 +1,26 @@
+"""Conventions of the library source that its tests cannot see at run time."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hyperbetti"
+
+
+def test_every_byte_conversion_names_its_byte_order():
+    # int.from_bytes and int.to_bytes have no default byte order before
+    # Python 3.11, which pyproject.toml allows: every call passes one, and
+    # neither method is handed on uncalled (to map, say), where none is seen
+    calls, bare = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("from_bytes", "to_bytes")):
+                called.add(id(node.func))
+                if len(node.args) < 2 and not any(k.arg == "byteorder" for k in node.keywords):
+                    calls.append(f"{path.name}:{node.lineno}")
+        bare += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes")
+                 and id(node) not in called]
+    assert not calls and not bare, (calls, bare)
