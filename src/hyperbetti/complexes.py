@@ -631,7 +631,8 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     cx = object.__new__(LabelledComplex)
     codes = _replay_recipe(recipe, vertex_codes)
     cx.vertices, cx._lids, cx._codes, cx._width = vertices, lids, codes, width
-    cx._store(index, list(map(int.bit_count, codes)), None if pairings is None else (pairings, b""))
+    cx._store(index, list(map(int.bit_count, codes)),
+              None if pairings is None else (pairings, b""))
     return cx
 
 

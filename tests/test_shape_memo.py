@@ -231,8 +231,8 @@ class TestExactness:
         calls = []
         for name in ("products", "power_generators", "_unary_codes", "_replay"):
             real = getattr(complexes, name)
-            monkeypatch.setattr(complexes, name,
-                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+            monkeypatch.setattr(complexes, name, lambda *args, name=name, real=real: (
+                calls.append(name) or real(*args)))
         ideal = edge_ideal(example39)
         others = variants(ideal)
         for k, other in enumerate((ideal, others[2], others[4], others[3])):
