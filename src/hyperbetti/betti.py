@@ -25,13 +25,12 @@ needs it (as Ripser does, Bauer 2021), and a face whose column is empty
 or reduces to zero is counted as unpaired on the spot.
 
 The pairing depends on the labelled complex only through which faces
-share a label, so many queries repeat one: `graded_betti` memoizes its
-unpaired counts by (index, label id) per labelling and characteristic on
-the complex's memo entry, its skeleton's (also for a complex from a shape
-hit, which keeps its skeleton's labelling) or, for a Lyubeznik complex,
-its exponent columns' (see `LabelledComplex`), and grades them by each
-querying complex's own degrees, the only store a pairing hit reads.  The
-memo, its bounds and its lock live in `complexes`.
+share a label, so `graded_betti` memoizes its unpaired counts on the
+memo entry in `complexes` (see there and `LabelledComplex`) and grades
+them by each complex's own degrees, the only store a pairing hit reads.
+The survivor bounds read only which faces share a label too: one scan of
+every face's vertex removals gives all of a complex's, kept on it beside
+its degree groups (`survivor_face_sets`).
 """
 
 from __future__ import annotations
@@ -149,7 +148,8 @@ class BettiTable:
     def __init__(self, entries, power=None, char=0):
         for (i, j), value in entries.items():
             if value <= 0:
-                raise DomainError(f"stored Betti numbers must be positive, got {(i, j)} -> {value}")
+                raise DomainError(
+                    f"stored Betti numbers must be positive, got {(i, j)} -> {value}")
         self.entries = dict(entries)
         self.power = power
         self.char = char
@@ -328,46 +328,58 @@ def graded_betti(cx, char=0, power=None):
     return BettiTable(entries, power=power, char=char)
 
 
-def survivor_face_sets(cx, i, j):
-    """Faces certain / possible to survive as homology generators at (i, j).
-
-    A face of dimension i-1 and degree j qualifies at all only when every
-    vertex removal changes its label.  It is a certain survivor when no
-    one-vertex extension keeps the label; it stays possible when every
-    label-keeping extension also keeps the label after removing one of the
-    face's own vertices.  certain <= actual survivors <= possible.
-
-    The label-keeping extensions of a face F are the i-faces of degree j
-    whose label-keeping boundary column holds F, and such an extension is
-    recoverable exactly when its column holds a second face.
-    """
-    columns = [_boundary_column(cx, ext) for ext in cx._degree_groups(i).get(j, ())]
-    extended = {row for column in columns for row in column}
-    stuck = {row for column in columns if len(column) == 1 for row in column}
-    numbers = cx._size(i)
-    candidates = [face for face in cx._degree_groups(i - 1).get(j, ())
-                  if not _boundary_column(cx, face)]
-    return ({_vertices_of(face) for face in candidates if numbers[face] not in extended},
-            {_vertices_of(face) for face in candidates if numbers[face] not in stuck})
-
-
-class BoundApplicability(NamedTuple):
-    """Which of the survivor-set bounds on a Betti number are valid at (i, j)."""
+class SurvivorBounds(NamedTuple):
+    """Which survivor bounds apply at one (i, j), and the certain and possible counts."""
 
     upper: bool
     lower: bool
+    certain: int
+    possible: int
+
+
+def survivor_face_sets(cx):
+    """The survivor bounds as {(i, j): SurvivorBounds} in increasing (i, j), a key for each
+    size i and degree j of a face, from one pass kept in the complex's `_slices`.
+
+    An (i-1)-face of degree j qualifies when every vertex removal changes its label.  It is a
+    certain survivor when no one-vertex extension keeps the label, and possible when every
+    label-keeping extension keeps it also after removing one of the face's own vertices.  upper:
+    every (i-1)-face of degree j qualifies; lower: no i-face of degree j has two label-keeping
+    removals.  Then certain <= Betti number if lower, and Betti number <= possible if upper.
+    """
+    if "survivors" in cx._slices:
+        return cx._slices["survivors"]
+    index, lids, degrees = cx._index, cx._lids, cx._degrees
+    marks = bytearray(len(lids))  # by face number: 1 extended, 3 also stuck
+    tally = {}  # (size, degree) -> [upper, lower, certain, possible]
+    for k in range(len(index) - 1, -1, -1):  # from the top down, so a face is marked first
+        rows = index[k - 1]  # the empty face has no rows to read
+        for face, number in index[k].items():
+            own = lids[number]
+            key = k, degrees[own]
+            entry = tally.get(key) or tally.setdefault(key, [True, True, 0, 0])
+            kept, rest = 0, face  # each label-keeping removal marks its row extended
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                row = rows[face ^ bit]
+                if lids[row] == own:
+                    marks[row] |= 1
+                    kept += 1
+                    last = row
+            if not kept:
+                entry[2] += not marks[number]
+                entry[3] += marks[number] < 3
+            else:
+                entry[0] = False
+                if kept == 1:  # the only one marks its row stuck
+                    marks[last] = 3
+                else:  # a label-keeping removal has the face's degree, as has one size down
+                    tally.setdefault((k - 1, key[1]), [True, True, 0, 0])[1] = False
+    cx._slices["survivors"] = {key: SurvivorBounds(*e) for key, e in sorted(tally.items())}
+    return cx._slices["survivors"]
 
 
 def bound_applicability(cx, i, j):
-    """Check the hypotheses under which the survivor sets bound the Betti number.
-
-    upper: every (i-1)-face of degree j has all vertex removals label-changing,
-    so the Betti number is at most the number of possible survivors.
-    lower: no i-dimensional face of degree j has two label-equal subfaces of
-    codimension one, so the Betti number is at least the number of certain
-    survivors.
-    """
-    upper = not any(_boundary_column(cx, face) for face in cx._degree_groups(i - 1).get(j, ()))
-    lower = all(len(_boundary_column(cx, ext)) <= 1
-                for ext in cx._degree_groups(i).get(j, ()))
-    return BoundApplicability(upper, lower)
+    """The survivor bounds at (i, j); at a degree no (i-1)-face has, both apply to none."""
+    return survivor_face_sets(cx).get((i, j)) or SurvivorBounds(True, True, 0, 0)

@@ -441,7 +441,7 @@ class LabelledComplex:
         id; shared: a kept shape holds the labelling."""
         self._index = index
         self._degrees = degrees
-        self._slices = {}
+        self._slices = {}  # degree groups by dimension, and "survivors" (see `betti`)
         self._memo, self._shared = memo, shared
 
     def _pairing(self, char):

@@ -180,15 +180,13 @@ def _check(name, needs):
     return decorate
 
 
-def _survivor_case(cx, table, i, j, applies):
-    """The Betti number at (i, j) against its certain and possible survivor
-    counts; "ok" says it lies between them wherever `applies` holds."""
-    certain, possible = survivor_face_sets(cx, i, j)
+def _survivor_case(table, i, j, bounds):
+    """The Betti number at (i, j) against the survivor counts, "ok" where `bounds` apply."""
     beta = table.betti(i, j)
-    return {"i": i, "j": j, "beta": beta, "certain": len(certain), "possible": len(possible),
-            "upper_applies": applies.upper, "lower_applies": applies.lower,
-            "ok": ((not applies.upper or beta <= len(possible))
-                   and (not applies.lower or beta >= len(certain)))}
+    return {"i": i, "j": j, "beta": beta, "certain": bounds.certain, "possible": bounds.possible,
+            "upper_applies": bounds.upper, "lower_applies": bounds.lower,
+            "ok": ((not bounds.upper or beta <= bounds.possible)
+                   and (not bounds.lower or beta >= bounds.certain))}
 
 
 @_check("second_power_sandwich", needs="uniform")
@@ -202,10 +200,10 @@ def check_second_power(hypergraph, ideal, cache):
     _, matchings, _ = cache.family_facts(hypergraph)
     cases = []
     for i in range(2, cx.dim + 2):
-        applies = bound_applicability(cx, i, 2 * d * i)
-        case = _survivor_case(cx, table, i, 2 * d * i, applies)
+        bounds = bound_applicability(cx, i, 2 * d * i)
+        case = _survivor_case(table, i, 2 * d * i, bounds)
         n_matchings = matchings[i]
-        ok = applies.upper and applies.lower and case["ok"]
+        ok = bounds.upper and bounds.lower and case["ok"]
         if n_matchings < 2 ** i:
             ok = ok and case["beta"] == 0
         case.update(matchings=n_matchings, ok=ok)
@@ -308,7 +306,7 @@ def check_vanishing(hypergraph, ideal, cache, t, r, s):
     d = hypergraph.uniform_size()
     cx = cache.complex_for(ideal, t)
     table = cache.table_for(ideal, t)
-    window_clear = r not in cx._degree_groups(s - 1) and r not in cx._degree_groups(s + 1)
+    window_clear = survivor_face_sets(cx).keys().isdisjoint(((s, r), (s + 2, r)))  # (size, degree)
     family_exists = (s + 1, r - d * (t - 1)) in cache.family_facts(hypergraph)[0]
     if not (window_clear and family_exists):
         raise _Unmet({"t": t, "r": r, "s": s, "window_clear": window_clear,
@@ -364,13 +362,11 @@ def check_survivor_sandwich(hypergraph, ideal, cache, t):
     cx = cache.complex_for(ideal, t)
     table = cache.table_for(ideal, t)
     cases = []  # every failing case is kept, so the verdict reads them alone
-    for i in range(1, cx.dim + 2):
-        for j in cx._degree_groups(i - 1):
-            applies = bound_applicability(cx, i, j)
-            if applies.upper or applies.lower:
-                case = _survivor_case(cx, table, i, j, applies)
-                if not case["ok"] or case["beta"]:
-                    cases.append(case)
+    for (i, j), bounds in survivor_face_sets(cx).items():
+        if i and (bounds.upper or bounds.lower):  # i = 0 is the empty face
+            case = _survivor_case(table, i, j, bounds)
+            if not case["ok"] or case["beta"]:
+                cases.append(case)
     return all(case["ok"] for case in cases), {"t": t, "cases": cases}
 
 

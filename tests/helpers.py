@@ -88,7 +88,8 @@ def _reduced_homology(faces, rank):
 
 def survivor_oracle(cx, i, j):
     """Certain and possible survivor sets at (i, j), by searching extensions,
-    and the upper and lower flags of `bound_applicability`, by degree search.
+    and the upper and lower flags, by degree search: the oracle of
+    `betti.survivor_face_sets`, whose counts are the sizes of these sets.
 
     Reads only cx.faces and cx.degree.  An (i-1)-face of degree j whose
     every vertex removal changes the degree qualifies.  Its flat extensions
@@ -344,7 +345,8 @@ class MatrixNN:
 
     def mul(self, other):
         if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} "
+                                 f"by {other.rows}x{other.cols}")
         out = []
         for r in range(self.rows):
             row = self.entries[r]

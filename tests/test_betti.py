@@ -757,33 +757,45 @@ class TestBettiTable:
         assert {"i": 1, "j": 9, "beta": 4} in data["entries"]
 
 
+def unread(cx, name):
+    """True when the slot `name` of cx is not set yet, without building it."""
+    try:
+        getattr(LabelledComplex, name).__get__(cx)
+    except AttributeError:
+        return True
+    return False
+
+
 class TestSurvivorBounds:
     def test_path5_top_face(self, path5):
         cx = faridi_complex(edge_ideal(path5), 1)
-        certain, possible = survivor_face_sets(cx, 2, 5)
-        assert certain == possible == {(0, 1)}
+        bounds = survivor_face_sets(cx)[2, 5]
+        assert bounds.certain == bounds.possible == 1
+        assert cx._degree_groups(1)[5] == [0b11]  # the one survivor is the face (0, 1)
 
     def test_empty_degree(self, path5):
         cx = faridi_complex(edge_ideal(path5), 1)
-        assert survivor_face_sets(cx, 2, 4) == (set(), set())
+        assert (2, 4) not in survivor_face_sets(cx)
+        assert bound_applicability(cx, 2, 4) == (True, True, 0, 0)
 
     def test_disjoint_edges_top_face_is_certain(self):
         # every removal drops variables and there is nothing to extend into
         for m, d in ((2, 2), (3, 2), (2, 3)):
             h = Hypergraph(m * d, [[d * k + v for v in range(1, d + 1)] for k in range(m)])
             cx = faridi_complex(edge_ideal(h), 1)
-            certain, possible = survivor_face_sets(cx, m, d * m)
-            assert tuple(range(m)) in certain
-            assert certain <= possible
+            bounds = survivor_face_sets(cx)[m, d * m]
+            assert cx._degree_groups(m - 1) == {d * m: [(1 << m) - 1]}  # the top face alone
+            assert bounds.certain == 1
+            assert bounds.certain <= bounds.possible
 
     def test_path5_square_sandwich(self, path5):
         cx = faridi_complex(edge_ideal(path5), 2)
         table = graded_betti(cx)
-        certain, possible = survivor_face_sets(cx, 2, 8)
-        applies = bound_applicability(cx, 2, 8)
-        assert applies.upper and applies.lower
-        assert len(certain) <= table.betti(2, 8) <= len(possible)
-        assert len(certain) == 2
+        bounds = bound_applicability(cx, 2, 8)
+        assert bounds == survivor_face_sets(cx)[2, 8]
+        assert bounds.upper and bounds.lower
+        assert bounds.certain <= table.betti(2, 8) <= bounds.possible
+        assert bounds.certain == 2
 
     def test_sandwich_wherever_applicable(self):
         rng = random.Random(17)
@@ -794,36 +806,51 @@ class TestSurvivorBounds:
             for t in (1, 2):
                 cx = faridi_complex(ideal, t)
                 table = graded_betti(cx)
-                for i in range(1, cx.dim + 2):
-                    for j in cx._degree_groups(i - 1):
-                        applies = bound_applicability(cx, i, j)
-                        certain, possible = survivor_face_sets(cx, i, j)
-                        assert len(certain) <= len(possible)
-                        if applies.upper:
-                            assert table.betti(i, j) <= len(possible)
-                        if applies.lower:
-                            assert table.betti(i, j) >= len(certain)
+                bounds = survivor_face_sets(cx)
+                assert list(bounds) == sorted(
+                    (i, j) for i in range(cx.dim + 2) for j in cx._degree_groups(i - 1))
+                for (i, j), bound in bounds.items():
+                    assert bound.certain <= bound.possible
+                    if bound.upper:
+                        assert table.betti(i, j) <= bound.possible
+                    if bound.lower:
+                        assert table.betti(i, j) >= bound.certain
 
-    def test_matches_extension_search(self):
+    def test_matches_extension_search(self, empty_memo):
+        # on the support complex, its Lyubeznik complex and a shape hit of the
+        # support complex, which has built no label ids before its pass
         rng = random.Random(29)
         cases = 0
         for seed in range(40):
-            h = random_hypergraph(rng.randint(4, 6), rng.randint(2, 4),
-                                  rng.choice((2, 3)), seed)
+            d = rng.choice((2, 3))
+            h = random_hypergraph(rng.randint(4, 6), rng.randint(2, 4), d, seed)
             ideal = edge_ideal(h)
             for t in (1, 2, 3):
+                # the extension search scans every vertex per face; keep it small
+                build = partial(faridi_complex, ideal, t, max_faces=1 << 12)
                 try:
-                    # the extension search scans every vertex per face; keep it small
-                    cx = faridi_complex(ideal, t, max_faces=1 << 12)
+                    cx = build()
                 except ResourceCapError:
                     continue
-                for i in range(cx.dim + 2):
-                    for j in set(cx._degree_groups(i - 1)) | set(cx._degree_groups(i)):
-                        certain, possible, upper, lower = survivor_oracle(cx, i, j)
-                        assert survivor_face_sets(cx, i, j) == (certain, possible)
-                        assert bound_applicability(cx, i, j) == (upper, lower)
-                        cases += 1
-        assert cases > 1000
+                hit = build()
+                assert isinstance(hit, complexes._Replayed) and unread(hit, "_lids")
+                assert survivor_face_sets(hit) == survivor_face_sets(cx)
+                try:
+                    lyubeznik = [lyubeznik_complex(cx.vertices, max_faces=1 << 12)]
+                except ResourceCapError:
+                    lyubeznik = []
+                for complex_ in [cx, hit, *lyubeznik]:
+                    for i in range(complex_.dim + 2):
+                        degrees = (set(complex_._degree_groups(i - 1))
+                                   | set(complex_._degree_groups(i)))
+                        if t == 2:
+                            degrees.add(2 * d * i)  # the second-power check's degree
+                        for j in degrees:
+                            certain, possible, upper, lower = survivor_oracle(complex_, i, j)
+                            assert bound_applicability(complex_, i, j) == (
+                                upper, lower, len(certain), len(possible))
+                            cases += 1
+        assert cases > 3000
 
 
 @st.composite

@@ -65,7 +65,8 @@ class TestValidation:
 
         # 99 * 4950 tests build; 129 * 8385 are over the budget
         assert Hypergraph(100, complete(100)).num_edges == 4950
-        with pytest.raises(ResourceCapError, match="^1081665 edge containment tests, over the cap"):
+        with pytest.raises(ResourceCapError,
+                           match="^1081665 edge containment tests, over the cap"):
             Hypergraph(130, complete(130))
 
     def test_small_edge_rejected(self):

@@ -1,9 +1,11 @@
-"""Conventions of the library source that its tests cannot see at run time."""
+"""Conventions of the library and test source that no test sees at run time."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hyperbetti"
+TESTS = Path(__file__).resolve().parent
+MAX_LINE = 99
 
 
 def test_every_byte_conversion_names_its_byte_order():
@@ -24,3 +26,11 @@ def test_every_byte_conversion_names_its_byte_order():
                  if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes")
                  and id(node) not in called]
     assert not calls and not bare, (calls, bare)
+
+
+def test_no_line_is_over_the_length_limit():
+    long = [f"{path.parent.name}/{path.name}:{number}"
+            for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert not long, long

@@ -12,6 +12,7 @@ from math import comb
 
 import pytest
 
+import hyperbetti.betti as betti
 import hyperbetti.complexes as complexes
 import hyperbetti.matchings as matchings
 import hyperbetti.verify as verify
@@ -220,6 +221,28 @@ class TestIndividualChecks:
         assert report.gated
         assert report.witness["window_clear"] is False
 
+    def test_vanishing_window_reads_the_degree_groups(self, example39, path5, four_cycle):
+        # the window at (r, s) is clear when no face of dimension s - 1 or
+        # s + 1 has degree r; dimension -1 holds the empty face, of degree 0
+        clear_windows = 0
+        for h in (example39, path5, four_cycle):
+            cache = ComputeCache()
+            ideal = cache.ideal_for(h)
+            for t in (1, 2, 3):
+                try:
+                    cx = cache.complex_for(ideal, t)
+                except ResourceCapError:
+                    continue
+                present = {r for d in range(-1, cx.dim + 1) for r in cx._degree_groups(d)}
+                for s in range(cx.dim + 2):
+                    for r in sorted(present):
+                        clear = (r not in cx._degree_groups(s - 1)
+                                 and r not in cx._degree_groups(s + 1))
+                        report = check_vanishing(h, t, r, s, cache=cache)
+                        assert report.witness.get("window_clear", True) is clear, (t, r, s)
+                        clear_windows += clear
+        assert clear_windows > 50
+
     def test_taylor_agreement_path5(self, path5):
         for t in (1, 2, 3):
             report = check_taylor_agreement(path5, t)
@@ -374,6 +397,45 @@ class TestHarness:
             built = {(key[1], key[2]) for key in cache._memo if key[0] == "complex"}
             counts = {key: walked.count(key) for key in walked}
             assert built and all(counts[key] == 1 for key in built)
+
+    def test_one_survivor_pass_per_complex(self, example39, four_cycle, monkeypatch):
+        # with the support complexes and their tables warm, the survivor,
+        # second-power and vanishing checks build no boundary column and run
+        # at most one survivor pass per (ideal, t) complex, which it keeps;
+        # nothing else is kept on a complex, such as its degree groups
+        columns, writes = [], []
+        column = betti._boundary_column
+        monkeypatch.setattr(betti, "_boundary_column",
+                            lambda cx, face: columns.append(face) or column(cx, face))
+
+        class Slices(dict):
+            def __setitem__(self, key, value):
+                writes.append((id(self), key))
+                super().__setitem__(key, value)
+
+        for h in (example39, four_cycle):
+            cache = ComputeCache()
+            ideal = cache.ideal_for(h)
+            for t in (1, 2, 3):
+                try:
+                    cache.table_for(ideal, t)
+                except ResourceCapError:
+                    pass
+            built = [cx for key, cx in cache._memo.items() if key[0] == "complex"]
+            for cx in built:
+                cx._slices = Slices(cx._slices)
+            del columns[:]
+            del writes[:]
+            d = h.uniform_size()
+            reports = [check_survivor_sandwich(h, t, cache=cache) for t in (1, 2, 3)]
+            reports.append(check_second_power(h, cache=cache))
+            reports += [check_vanishing(h, t, d * (t - 1) + j, i - 1, cache=cache)
+                        for i, j in cache.family_facts(h)[0] for t in (1, 2, 3)]
+            assert [cx for key, cx in cache._memo.items() if key[0] == "complex"] == built
+            assert columns == [] and writes and {key for _, key in writes} == {"survivors"}
+            assert len(set(writes)) == len(writes)
+            assert all("survivors" in cx._slices for cx in built)
+            assert not any(r.failed for r in reports) and sum(r.gated for r in reports) < 20
 
     def test_one_truncation_per_subideal(self, example39, path5, four_cycle, monkeypatch):
         kept = []
