@@ -29,8 +29,11 @@ share a label, so `graded_betti` memoizes its unpaired counts on the
 memo entry in `complexes` (see there and `LabelledComplex`) and grades
 them by each complex's own degrees, the only store a pairing hit reads.
 The survivor bounds read only which faces share a label too: one scan of
-every face's vertex removals gives all of a complex's, kept on it beside
-its degree groups (`survivor_face_sets`).
+every face's vertex removals gives a complex's survivor records by face
+size and label id (`_survivor_records`), memoized beside its pairings
+under the same rule and byte bound, and graded by its own degrees into
+bounds kept on it beside its degree groups (`survivor_face_sets`).  The
+module keeps no memo of its own.
 """
 
 from __future__ import annotations
@@ -337,27 +340,30 @@ class SurvivorBounds(NamedTuple):
     possible: int
 
 
-def survivor_face_sets(cx):
-    """The survivor bounds as {(i, j): SurvivorBounds} in increasing (i, j), a key for each
-    size i and degree j of a face, from one pass kept in the complex's `_slices`.
+def _survivor_records(cx):
+    """The survivor pass's flat (size << 2 | flags, label id, certain, possible) records, one
+    per face size and label id, sizes from the top down.
 
-    An (i-1)-face of degree j qualifies when every vertex removal changes its label.  It is a
-    certain survivor when no one-vertex extension keeps the label, and possible when every
-    label-keeping extension keeps it also after removing one of the face's own vertices.  upper:
-    every (i-1)-face of degree j qualifies; lower: no i-face of degree j has two label-keeping
-    removals.  Then certain <= Betti number if lower, and Betti number <= possible if upper.
+    An (i-1)-face qualifies when every vertex removal changes its label.  It
+    is a certain survivor when no one-vertex extension keeps the label, and
+    possible when every label-keeping extension keeps it also after removing
+    one of the face's own vertices.  One scan of every face's vertex
+    removals, from the top size down, marks each label-keeping removal's row
+    extended, and a face's only one also stuck, in a bytearray by face
+    number, so a face is marked before it is read; a qualifying face is
+    counted certain if not extended and possible if not stuck.  Flag 1: some
+    face of the size and label has a label-keeping removal; flag 2: some
+    face has two.
     """
-    if "survivors" in cx._slices:
-        return cx._slices["survivors"]
-    index, lids, degrees = cx._index, cx._lids, cx._degrees
+    index, lids = cx._index, cx._lids
     marks = bytearray(len(lids))  # by face number: 1 extended, 3 also stuck
-    tally = {}  # (size, degree) -> [upper, lower, certain, possible]
-    for k in range(len(index) - 1, -1, -1):  # from the top down, so a face is marked first
+    records = []
+    for k in range(len(index) - 1, -1, -1):
         rows = index[k - 1]  # the empty face has no rows to read
+        tally = {}  # label id -> [flags, certain, possible]
         for face, number in index[k].items():
             own = lids[number]
-            key = k, degrees[own]
-            entry = tally.get(key) or tally.setdefault(key, [True, True, 0, 0])
+            entry = tally.get(own) or tally.setdefault(own, [0, 0, 0])
             kept, rest = 0, face  # each label-keeping removal marks its row extended
             while rest:
                 bit = rest & -rest
@@ -368,15 +374,57 @@ def survivor_face_sets(cx):
                     kept += 1
                     last = row
             if not kept:
-                entry[2] += not marks[number]
-                entry[3] += marks[number] < 3
+                entry[1] += not marks[number]
+                entry[2] += marks[number] < 3
+            elif kept == 1:  # the only one marks its row stuck
+                entry[0] |= 1
+                marks[last] = 3
             else:
-                entry[0] = False
-                if kept == 1:  # the only one marks its row stuck
-                    marks[last] = 3
-                else:  # a label-keeping removal has the face's degree, as has one size down
-                    tally.setdefault((k - 1, key[1]), [True, True, 0, 0])[1] = False
-    cx._slices["survivors"] = {key: SurvivorBounds(*e) for key, e in sorted(tally.items())}
+                entry[0] = 3
+        for own, (flags, certain, possible) in tally.items():
+            records += k << 2 | flags, own, certain, possible
+    return records
+
+
+def survivor_face_sets(cx):
+    """The survivor bounds as {(i, j): SurvivorBounds} in increasing (i, j), a key for each
+    size i and degree j of a face, kept in the complex's `_slices`.
+
+    Over the (i-1)-faces of degree j (see `_survivor_records`), upper: every
+    one qualifies; lower: no i-face of degree j has two label-keeping
+    removals.  Then certain <= Betti number if lower, and Betti number <=
+    possible if upper.
+
+    The records read only the face index and which faces share a label id,
+    as the Betti kernel's pairing does, so they are memoized beside it under
+    (labelling, "survivors"), by the same rule and within the same
+    `_MEMO_BYTES` (`graded_betti`).  Degrees are not in them: computed and
+    memoized records go through one loop that groups them by the complex's
+    own `_degrees` (a label-keeping removal has the face's degree, as has
+    one size down), so a hit reads no label id.
+    """
+    if "survivors" in cx._slices:
+        return cx._slices["survivors"]
+    records = cx._pairing("survivors")
+    if records is None:
+        records = _survivor_records(cx)
+        cx._keep("survivors", records)
+    degrees = cx._degrees
+    tally = [{} for _ in cx._index]  # by size: degree -> [upper, lower, certain, possible]
+    fields = iter(records)
+    for head, own, certain, possible in zip(fields, fields, fields, fields):
+        k, degree = head >> 2, degrees[own]
+        groups = tally[k]
+        entry = groups.get(degree) or groups.setdefault(degree, [True, True, 0, 0])
+        entry[2] += certain
+        entry[3] += possible
+        if head & 1:
+            entry[0] = False
+        if head & 2:
+            tally[k - 1].setdefault(degree, [True, True, 0, 0])[1] = False
+    cx._slices["survivors"] = {(k, degree): SurvivorBounds(*entry)
+                               for k, groups in enumerate(tally)
+                               for degree, entry in sorted(groups.items())}
     return cx._slices["survivors"]
 
 

@@ -40,10 +40,11 @@ from .errors import (DEFAULT_MAX_FACES, DimensionError, DomainError, ResourceCap
 from .monomials import power_generators, products
 
 _MEMO_FACES = 1 << 16  # faces held by all memo entries, so their pairings pack in 16 bits
-_MEMO_BYTES = 1 << 19  # bytes held by all memoized pairings and shapes together
+_MEMO_BYTES = 1 << 19  # bytes held by all memoized pairings, survivor records and shapes
 # sorted facet masks -> (face count, blocks, index, pairings), and ("lyubeznik", r, exponent
 # columns) -> (face count, (lids, recipe), index, pairings), kept while within _MEMO_FACES;
-# pairings maps (labelling, char) to the Betti kernel's counts
+# pairings maps (labelling, char) to the Betti kernel's counts and (labelling, "survivors")
+# to the survivor pass's records
 _skeletons = {}
 # ("faridi", m, t, columns) and ("taylor", r, columns) -> (bytes, facet sizes, skeleton key,
 # tuples, labelling, {signature: degrees}), or (bytes, facet sizes, None, cap) for a refusal
@@ -362,20 +363,23 @@ class LabelledComplex:
     per top vertex v, each distinct label id of the parents is joined with
     v's code once, and the faces with v take the joined ids of their parents.
 
-    A memoized skeleton also keeps the Betti kernel's pairings of its
-    labellings, and `_memo` is (that dict, labelling): the joined ids as
-    16-bit bytes, block by block in the order each block takes its distinct
-    parent ids.  Replaying it on the skeleton gives back every face's label
-    id, and the ids give it, so two complexes on one skeleton have equal
+    A memoized skeleton also keeps what `betti` computes from its labellings
+    alone, in one dict: the kernel's pairing under (labelling, char) and the
+    survivor records under (labelling, "survivors") (`_pairing`, `_keep`).
+    `_memo` is (that dict, labelling): the joined ids as 16-bit bytes, block
+    by block in the order each block takes its distinct parent ids.
+    Replaying it on the skeleton gives back every face's label id, and the
+    ids give it, so two complexes on one skeleton have equal
     labellings exactly when their faces have equal ids.  Exponents do not
     enter: doubling them all keeps the labelling.  The one memo rule: a
     complex has a `_memo` exactly when its face source is kept: the skeleton
     for support and Taylor complexes, the exponent columns for Lyubeznik
     complexes, whose key fixes every label id, so their labelling is b"".
     A complex from a kept shape (`_shape_hit`) builds its vertices, codes
-    and `_lids` when first read, so a query that finds its pairing reads
-    only `_degrees`.  A labelling is counted against `_MEMO_BYTES` once: by the
-    kept shape that holds it (`_shared`), else by each pairing kept under it.
+    and `_lids` when first read, so a query that finds its pairing or its
+    survivor records reads only `_degrees`.  A labelling is counted against
+    `_MEMO_BYTES` once: by the kept shape that holds it (`_shared`), else by
+    each pairing or survivor record set kept under it.
 
     At the API (`faces`, `label_exps`, `degree`) a face is a sorted tuple
     of vertex indices; these tuples are built from the masks when asked for
@@ -444,22 +448,24 @@ class LabelledComplex:
         self._slices = {}  # degree groups by dimension, and "survivors" (see `betti`)
         self._memo, self._shared = memo, shared
 
-    def _pairing(self, char):
-        """The memoized Betti kernel counts of this complex over GF(char) (Q for 0), or None."""
-        return self._memo and self._memo[0].get((self._memo[1], char))
+    def _pairing(self, key):
+        """The ints memoized for this complex's labelling under key, or None: the Betti
+        kernel's counts over GF(char) (Q for 0) under char, the survivor records under
+        "survivors"."""
+        return self._memo and self._memo[0].get((self._memo[1], key))
 
-    def _keep(self, char, triples):
-        """Memoize the kernel's flat (i, label id, count) triples over GF(char) in 16 bits,
-        if this complex has a `_memo` and the pairings stay within _MEMO_BYTES."""
+    def _keep(self, key, values):
+        """Memoize flat ints below 2^16 (`_pairing`) under key in 16 bits, if this complex has
+        a `_memo` and the pairings stay within _MEMO_BYTES."""
         global _pairings_held
         if self._memo is None:
             return
         pairings, labelling = self._memo
-        counts = array("H", _u16(triples))  # a bytes initializer is copied, not parsed per int
-        size = counts.itemsize * len(counts) + (not self._shared) * len(labelling)
+        kept = array("H", _u16(values))  # a bytes initializer is copied, not parsed per int
+        size = kept.itemsize * len(kept) + (not self._shared) * len(labelling)
         with _memo_lock:  # another thread may have kept them first
             if (_pairings_held + _shapes_held + size <= _MEMO_BYTES
-                    and pairings.setdefault((labelling, char), counts) is counts):
+                    and pairings.setdefault((labelling, key), kept) is kept):
                 _pairings_held += size
 
     @property
@@ -671,13 +677,16 @@ def faridi_complex(ideal, t, max_faces=DEFAULT_MAX_FACES):
 
     The walk, the facets and the label ids depend only on m, t and the key
     of I's generators (`_columns`, `lyubeznik_complex`), which memoizes the
-    complex or its refusal before the walk (`_shape_hit`), for t < 256.
+    complex or its refusal before the walk (`_shape_hit`), for t < 256.  The
+    key pass does not depend on t, so it runs once per ideal and is kept on it.
     """
     gens = ideal.generators
     rows = [g.exps for g in gens]
     shape = None
     if t < 256:
-        key, signature, lift = _shifted(rows)
+        if ideal._shifted is None:
+            ideal._shifted = _shifted(rows)
+        key, signature, lift = ideal._shifted
         shape = ("faridi", len(gens), t, key), signature, t * lift
     cx = shape and _shape_hit(shape, rows, t, max_faces, lambda tuples: products(
         ideal, zip(*[iter(tuples)] * len(gens))))

@@ -118,7 +118,7 @@ def minimal_generators(monomials):
 class MonomialIdeal:
     """A monomial ideal presented by its minimal generating set."""
 
-    __slots__ = ("n", "generators", "_hash")
+    __slots__ = ("n", "generators", "_hash", "_shifted")
 
     def __init__(self, n, generators):
         gens = tuple(generators)
@@ -134,6 +134,7 @@ class MonomialIdeal:
         self.n = n
         self.generators = gens
         self._hash = None  # computed on first use: every cache lookup hashes the ideal
+        self._shifted = None  # the support complexes' key pass, set by the first of them
 
     def truncate(self, k):
         """The subideal generated by the first k generators."""

@@ -556,3 +556,14 @@ def canonical_edges(hypergraph):
     edges = hypergraph.edge_sets()
     return min(tuple(sorted(tuple(sorted(p[v - 1] for v in edge)) for edge in edges))
                for p in permutations(range(1, hypergraph.n + 1)))
+
+
+def unread(obj, name):
+    """True when the slot `name` of obj is not set yet, read from its class's slot descriptor
+    so that no __getattr__ builds it."""
+    slot = next(vars(klass)[name] for klass in type(obj).__mro__ if name in vars(klass))
+    try:
+        slot.__get__(obj)
+    except AttributeError:
+        return True
+    return False

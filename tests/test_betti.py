@@ -21,10 +21,11 @@ from hyperbetti.complexes import (DEFAULT_MAX_FACES, LabelledComplex, _support_f
 from hyperbetti.errors import DomainError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.matchings import invariants
-from hyperbetti.monomials import Monomial, power_generators
-from hyperbetti.verify import (ComputeCache, builtin_corpus, check_taylor_agreement,
-                               random_hypergraph)
-from helpers import canonical_edges, fraction_rank, gf_rank, hochster_betti, survivor_oracle
+from hyperbetti.monomials import Monomial, MonomialIdeal, power_generators
+from hyperbetti.verify import (CORPUS_MAX_FACES, ComputeCache, builtin_corpus,
+                               check_taylor_agreement, random_hypergraph)
+from helpers import (canonical_edges, fraction_rank, gf_rank, hochster_betti, survivor_oracle,
+                     unread)
 
 
 def dense_table(cx, char):
@@ -527,24 +528,27 @@ def bytes_held(memo):
                for labelling, _, counts in kept_pairings(memo))
 
 
+PLANE = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+         (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]  # the projective plane
+
+
+def plane(rng, top):
+    """The projective plane with random vertex labels, exponents 0..top in 3 variables."""
+    exps = [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(6)]
+    return LabelledComplex([((v,), Monomial(e)) for v, e in enumerate(exps)], PLANE)
+
+
 @pytest.mark.usefixtures("empty_memo")  # a full skeleton memo would leave complexes unkeyed
 class TestPairingMemo:
     # graded_betti memoizes the unpaired counts of each (labelling, char) on
     # the complex's skeleton and grades them by the querying complex's own degrees
-    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-                 (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
-
-    def plane(self, rng, top):
-        """The projective plane with random vertex labels, exponents 0..top in 3 variables."""
-        exps = [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(6)]
-        return LabelledComplex([((v,), Monomial(e)) for v, e in enumerate(exps)], self.triangles)
 
     def test_each_field_its_own_table(self, empty_memo):
         # the projective plane of TestGradedBetti: only GF(2) sees its torsion
         vertices = [((v,), Monomial((1,))) for v in range(6)]
         tables = {0: {(0, 0): 1, (1, 1): 1}, 2: {(0, 0): 1, (1, 1): 1, (2, 1): 1, (3, 1): 1}}
         for char in (0, 2, 0, 2):
-            cx = LabelledComplex(vertices, self.triangles)
+            cx = LabelledComplex(vertices, PLANE)
             assert graded_betti(cx, char=char).entries == tables[char], char
         assert sorted(char for _, char, _ in kept_pairings(empty_memo)) == [0, 2]
 
@@ -570,7 +574,7 @@ class TestPairingMemo:
         rng = random.Random(3)
         ideal = edge_ideal(example39)
         cxs = [faridi_complex(ideal, 2), taylor_complex(power_generators(ideal, 2))]
-        for cx in cxs + [self.plane(rng, 2) for _ in range(20)]:
+        for cx in cxs + [plane(rng, 2) for _ in range(20)]:
             pairings, labelling = cx._memo
             _, blocks, _, _ = next(kept for kept in empty_memo.values() if kept[3] is pairings)
             lids, joins = [0], iter(array("H", labelling))
@@ -588,7 +592,7 @@ class TestPairingMemo:
         rng = random.Random(11)
         labellings = {}
         for _ in range(40):
-            cx = self.plane(rng, 1)
+            cx = plane(rng, 1)
             assert graded_betti(cx, char=char).entries == dense_table(cx, char)
             ids = cx._lids
             assert labellings.setdefault(cx._memo[1], ids) == ids
@@ -604,7 +608,7 @@ class TestPairingMemo:
         monkeypatch.setattr(complexes, "_MEMO_BYTES", bound)
         computed = {}
         for seed in range(12):
-            cx = self.plane(random.Random(seed), 2)
+            cx = plane(random.Random(seed), 2)
             for char in (0, 2):
                 held = complexes._pairings_held
                 table = graded_betti(cx, char=char).entries
@@ -619,7 +623,7 @@ class TestPairingMemo:
 
     def test_threads_keep_the_bound(self, monkeypatch, empty_memo):
         # threads that miss at once count each kept entry once, within the bound
-        cxs = [self.plane(random.Random(seed), 2) for seed in range(30)]
+        cxs = [plane(random.Random(seed), 2) for seed in range(30)]
         queries = [(cx, char, dense_table(cx, char)) for cx in cxs for char in (0, 2)]
         pairings = cxs[0]._memo[0]
         assert all(cx._memo[0] is pairings for cx in cxs)
@@ -666,7 +670,7 @@ class TestPairingMemo:
         cxs = [None, None]
 
         def construct(k):
-            cxs[k] = self.plane(random.Random(5), 2)
+            cxs[k] = plane(random.Random(5), 2)
 
         workers = [threading.Thread(target=construct, args=(k,)) for k in range(2)]
         for worker in workers:
@@ -757,15 +761,6 @@ class TestBettiTable:
         assert {"i": 1, "j": 9, "beta": 4} in data["entries"]
 
 
-def unread(cx, name):
-    """True when the slot `name` of cx is not set yet, without building it."""
-    try:
-        getattr(LabelledComplex, name).__get__(cx)
-    except AttributeError:
-        return True
-    return False
-
-
 class TestSurvivorBounds:
     def test_path5_top_face(self, path5):
         cx = faridi_complex(edge_ideal(path5), 1)
@@ -851,6 +846,100 @@ class TestSurvivorBounds:
                                 upper, lower, len(certain), len(possible))
                             cases += 1
         assert cases > 3000
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The complexes whose survivor records are computed, not read from the memo."""
+        runs = []
+        records = betti._survivor_records
+        monkeypatch.setattr(betti, "_survivor_records", lambda cx: runs.append(cx) or records(cx))
+        return runs
+
+    def test_kept_records_equal_a_fresh_pass(self, empty_memo, monkeypatch):
+        # every uncapped builtin support complex at t <= 3, queried again as a
+        # shape hit that grades the records kept by the first query or by an
+        # earlier labelling, against a pass with the memo emptied and kept empty
+        queries = dict.fromkeys((edge_ideal(h), t) for _, h in builtin_corpus() for t in (1, 2, 3))
+        warm, kept = {}, 0
+        for ideal, t in queries:
+            build = partial(faridi_complex, ideal, t, CORPUS_MAX_FACES)
+            try:
+                survivor_face_sets(build())
+            except ResourceCapError:
+                continue
+            hit = build()
+            kept += isinstance(hit, complexes._Replayed) and hit._pairing("survivors") is not None
+            warm[ideal, t] = survivor_face_sets(hit)
+        assert kept == len(warm) > 500
+        for name, value in (("_skeletons", {}), ("_shapes", {}), ("_pairings_held", 0),
+                            ("_shapes_held", 0), ("_MEMO_BYTES", 0)):
+            monkeypatch.setattr(complexes, name, value)
+        for (ideal, t), bounds in warm.items():
+            assert survivor_face_sets(faridi_complex(ideal, t, CORPUS_MAX_FACES)) == bounds
+        assert not any(skeleton[3] for skeleton in complexes._skeletons.values())
+
+    def test_kept_records_graded_by_own_degrees(self, empty_memo, passes, four_cycle):
+        # the square of the 4-cycle's edge ideal and the same ideal with every
+        # exponent doubled: one skeleton and labelling, other degrees, so the
+        # second query grades the first's records by its own degrees
+        ideal = edge_ideal(four_cycle)
+        doubled = MonomialIdeal(ideal.n, [Monomial(tuple(2 * e for e in g.exps))
+                                          for g in ideal.generators])
+        plain, double = faridi_complex(ideal, 2), faridi_complex(doubled, 2)
+        assert plain._memo[0] is double._memo[0] and plain._memo[1] == double._memo[1]
+        assert plain._degrees != double._degrees
+        bounds = survivor_face_sets(plain)
+        assert survivor_face_sets(double) == {
+            (i, 2 * j): b for (i, j), b in bounds.items()} != bounds
+        assert passes == [plain]
+        fresh = faridi_complex(doubled, 2)
+        fresh._lids, fresh._memo = double._lids, None
+        assert survivor_face_sets(fresh) == survivor_face_sets(double)
+        assert passes == [plain, fresh]
+
+    def test_full_hit_builds_no_label_ids(self, empty_memo, passes, example39):
+        # a shape hit whose pairing and survivor records are both kept reads
+        # its degrees alone
+        ideal = edge_ideal(example39)
+        for t in (1, 2):
+            cx = faridi_complex(ideal, t)
+            table, bounds = graded_betti(cx), survivor_face_sets(cx)
+            hit = faridi_complex(ideal, t)
+            assert isinstance(hit, complexes._Replayed)
+            assert graded_betti(hit) == table and survivor_face_sets(hit) == bounds
+            assert unread(hit, "_lids") and unread(hit, "vertices")
+        assert len(passes) == 2
+
+    def test_no_memo_keeps_nothing(self, empty_memo, monkeypatch, passes, four_cycle):
+        # a support complex and a Lyubeznik complex over the memo's face bound
+        # have no _memo: their records are computed on every pass, never kept
+        gens = power_generators(edge_ideal(four_cycle), 2)
+        facets = _support_facets([b for b, _ in gens], 2)
+        monkeypatch.setattr(complexes, "_MEMO_FACES", 8)
+        cxs = [build() for _ in range(2) for build in (partial(LabelledComplex, gens, facets),
+                                                       partial(lyubeznik_complex, gens))]
+        assert all(cx._memo is None for cx in cxs)
+        bounds = [survivor_face_sets(cx) for cx in cxs]
+        assert bounds[:2] == bounds[2:] and passes == cxs
+        assert not empty_memo and complexes._pairings_held == 0
+
+    def test_bound(self, empty_memo, monkeypatch, passes):
+        # past _MEMO_BYTES new records are computed and not kept, and stay right
+        bound = 600
+        monkeypatch.setattr(complexes, "_MEMO_BYTES", bound)
+        kept = []
+        for seed in range(12):
+            cx, fresh = plane(random.Random(seed), 2), plane(random.Random(seed), 2)
+            held = complexes._pairings_held
+            graded_betti(cx)
+            bounds = survivor_face_sets(cx)
+            fresh._memo = None
+            assert bounds == survivor_face_sets(fresh)
+            kept.append(cx._pairing("survivors") is not None)
+            if not kept[-1]:
+                assert complexes._pairings_held == held or cx._pairing(0) is not None
+            assert complexes._pairings_held == bytes_held(empty_memo) <= bound
+        assert any(kept) and not all(kept)
 
 
 @st.composite

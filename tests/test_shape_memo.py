@@ -248,6 +248,21 @@ class TestExactness:
                 getattr(fresh, name) for name in names]
             assert warm._degrees == fresh._degrees
 
+    def test_one_key_pass_per_ideal(self, empty_memo, monkeypatch, example39):
+        # the key pass does not depend on t: it runs on the first support
+        # complex of an ideal, hit or miss, and each truncation runs its own
+        calls = []
+        real = complexes._shifted
+        monkeypatch.setattr(complexes, "_shifted", lambda rows: calls.append(rows) or real(rows))
+        full = edge_ideal(example39)
+        for ideal in (full, full.truncate(3)):
+            del calls[:]
+            for _ in range(2):
+                for t in (1, 2, 3):
+                    graded_betti(faridi_complex(ideal, t))
+            rows = [g.exps for g in ideal.generators]
+            assert calls == [rows] and ideal._shifted == real(rows)
+
 
 class TestRefusals:
     # a hit under a smaller cap, and a repeated refusal, raise the fresh

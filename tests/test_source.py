@@ -34,3 +34,22 @@ def test_no_line_is_over_the_length_limit():
             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > MAX_LINE]
     assert not long, long
+
+
+def test_betti_binds_no_mutable_module_global():
+    # every kept result of the Betti kernel and the survivor pass lives in the
+    # memo of complexes.py, under its lock and its byte bound: betti.py binds
+    # only constants at module level (a literal that is no dict, list or set)
+    # and rebinds no global from a function
+    tree = ast.parse((SRC / "betti.py").read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            try:
+                value = ast.literal_eval(node.value)
+            except ValueError:
+                value = None
+            if value is None or isinstance(value, (dict, list, set)):
+                bound.append(node.lineno)
+    bound += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert not bound, bound

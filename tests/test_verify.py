@@ -26,6 +26,7 @@ from hyperbetti.verify import (CheckReport, ComputeCache, builtin_corpus,
                                check_survivor_sandwich, check_taylor_agreement,
                                check_vanishing, enumerate_hypergraphs,
                                random_hypergraph, run_checks, run_corpus, summarize)
+from helpers import unread
 
 
 class TestRandomHypergraph:
@@ -398,11 +399,14 @@ class TestHarness:
             counts = {key: walked.count(key) for key in walked}
             assert built and all(counts[key] == 1 for key in built)
 
-    def test_one_survivor_pass_per_complex(self, example39, four_cycle, monkeypatch):
+    def test_one_survivor_pass_per_complex(self, empty_memo, example39, four_cycle, monkeypatch):
         # with the support complexes and their tables warm, the survivor,
         # second-power and vanishing checks build no boundary column and run
         # at most one survivor pass per (ideal, t) complex, which it keeps;
-        # nothing else is kept on a complex, such as its degree groups
+        # nothing else is kept on a complex, such as its degree groups. A
+        # second cache on a vertex relabelling, edges in the same order, gets
+        # shape hits whose pairings and survivor records are kept: the same
+        # reports, and no complex of it builds its label ids
         columns, writes = [], []
         column = betti._boundary_column
         monkeypatch.setattr(betti, "_boundary_column",
@@ -414,28 +418,36 @@ class TestHarness:
                 super().__setitem__(key, value)
 
         for h in (example39, four_cycle):
-            cache = ComputeCache()
-            ideal = cache.ideal_for(h)
-            for t in (1, 2, 3):
-                try:
-                    cache.table_for(ideal, t)
-                except ResourceCapError:
-                    pass
-            built = [cx for key, cx in cache._memo.items() if key[0] == "complex"]
-            for cx in built:
-                cx._slices = Slices(cx._slices)
-            del columns[:]
-            del writes[:]
-            d = h.uniform_size()
-            reports = [check_survivor_sandwich(h, t, cache=cache) for t in (1, 2, 3)]
-            reports.append(check_second_power(h, cache=cache))
-            reports += [check_vanishing(h, t, d * (t - 1) + j, i - 1, cache=cache)
-                        for i, j in cache.family_facts(h)[0] for t in (1, 2, 3)]
-            assert [cx for key, cx in cache._memo.items() if key[0] == "complex"] == built
-            assert columns == [] and writes and {key for _, key in writes} == {"survivors"}
-            assert len(set(writes)) == len(writes)
-            assert all("survivors" in cx._slices for cx in built)
-            assert not any(r.failed for r in reports) and sum(r.gated for r in reports) < 20
+            moved = Hypergraph(h.n, [[h.n + 1 - v for v in e] for e in h.edge_sets()])
+            reports = []
+            for graph in (h, moved):
+                cache = ComputeCache()
+                ideal = cache.ideal_for(graph)
+                for t in (1, 2, 3):
+                    try:
+                        cache.table_for(ideal, t)
+                    except ResourceCapError:
+                        pass
+                built = [cx for key, cx in cache._memo.items() if key[0] == "complex"]
+                for cx in built:
+                    cx._slices = Slices(cx._slices)
+                del columns[:]
+                del writes[:]
+                d = graph.uniform_size()
+                checks = [functools.partial(check_survivor_sandwich, graph, t) for t in (1, 2, 3)]
+                checks.append(functools.partial(check_second_power, graph))
+                checks += [functools.partial(check_vanishing, graph, t, d * (t - 1) + j, i - 1)
+                           for i, j in cache.family_facts(graph)[0] for t in (1, 2, 3)]
+                reports.append([check(cache=cache, label="h") for check in checks])
+                assert [cx for key, cx in cache._memo.items() if key[0] == "complex"] == built
+                assert columns == [] and writes and {key for _, key in writes} == {"survivors"}
+                assert len(set(writes)) == len(writes)
+                assert all("survivors" in cx._slices for cx in built)
+                assert not any(r.failed for r in reports[-1])
+                assert sum(r.gated for r in reports[-1]) < 20
+            assert reports[0] == reports[1]
+            assert moved != h and built and all(
+                isinstance(cx, complexes._Replayed) and unread(cx, "_lids") for cx in built)
 
     def test_one_truncation_per_subideal(self, example39, path5, four_cycle, monkeypatch):
         kept = []
