@@ -20,9 +20,11 @@ Faces and label ids compare exponents one variable at a time, so each
 construction is memoized by its generator count, t and exponent columns
 less their minimum (`_columns`).  Under one key a label's degree is a
 kept one plus t times the change in the summed column minima whenever the
-shifted columns repeat alike, so a support or Taylor hit takes its degrees
-from the shape and builds its vertices, codes and label ids only when
-they are read (`_shape_hit`).
+shifted columns repeat alike, so a support, Taylor or Lyubeznik hit takes
+its degrees from the shape and builds its vertices, codes and label ids
+only when they are read (`_shape_hit`).  The support and Lyubeznik
+complexes of I^t are keyed by I's own columns, before the generators of
+I^t are walked.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ _MEMO_BYTES = 1 << 19  # bytes held by all memoized pairings, survivor records a
 # pairings maps (labelling, char) to the Betti kernel's counts and (labelling, "survivors")
 # to the survivor pass's records
 _skeletons = {}
-# ("faridi", m, t, columns) and ("taylor", r, columns) -> (bytes, facet sizes, skeleton key,
-# tuples, labelling, {signature: degrees}), or (bytes, facet sizes, None, cap) for a refusal
-# (see `_shape_hit`); pairings and shapes are kept while within _MEMO_BYTES
+# ("faridi", m, t, columns), ("lyubeznik", m, t, columns) and ("taylor", r, columns) ->
+# (bytes, facet sizes, skeleton or Lyubeznik key, tuples, labelling, {signature: degrees}), or
+# (bytes, facet sizes, None, cap) for a support or Taylor refusal (see `_shape_hit`); pairings
+# and shapes are kept while within _MEMO_BYTES
 _shapes = {}
 _pairings_held = 0  # the bytes that all entries' pairings hold, less labellings kept shapes hold
 _shapes_held = 0  # the bytes that all shapes hold
@@ -150,7 +153,12 @@ def _replay(blocks, labelling, vertex_codes=()):
     Each block joins its distinct parent ids, in the order its set takes
     them, with the ids the labelling lists next; an id new to the list is
     the next one, and its code the OR of its parent's and the block vertex's.
+    A Lyubeznik entry's labelling is empty and its blocks are (lids, recipe):
+    its key fixes every id, and the recipe gives the codes (`_replay_recipe`).
     """
+    if not labelling:
+        lids, recipe = blocks
+        return lids, _replay_recipe(recipe, vertex_codes) if vertex_codes else [0]
     lids, codes, joins = [0], [0], iter(memoryview(labelling).cast("H"))
     for v, parents in blocks:
         parent_ids = parents(lids)
@@ -258,7 +266,9 @@ def _shape_hit(shape, rows, t, max_faces, vertices_of):
     is read only while that skeleton is kept), the factorization tuples one
     byte each, the labelling, and label degrees less t * lift per signature
     (`_columns`): adding a to a column adds t * a to every nonempty label's
-    degree, and the signature fixes the rest.  So a hit under a kept
+    degree, and the signature fixes the rest.  A Lyubeznik complex of I^t
+    (`lyubeznik_power_complex`) keeps no facet sizes, its Lyubeznik key for
+    the skeleton's, an empty labelling and no refusal.  So a hit under a kept
     signature sets only `_degrees`, and `_Replayed` builds the vertices
     (vertices_of(tuples)), codes and label ids when they are read; it tests
     at once what they would refuse: mixed rings, and the label-code budget
@@ -375,9 +385,10 @@ class LabelledComplex:
     complex has a `_memo` exactly when its face source is kept: the skeleton
     for support and Taylor complexes, the exponent columns for Lyubeznik
     complexes, whose key fixes every label id, so their labelling is b"".
-    A complex from a kept shape (`_shape_hit`) builds its vertices, codes
-    and `_lids` when first read, so a query that finds its pairing or its
-    survivor records reads only `_degrees`.  A labelling is counted against
+    A shape is read only while its face source is kept, and a complex from
+    it (`_shape_hit`), support, Taylor or Lyubeznik, builds its vertices,
+    codes and `_lids` when first read, so a query that finds its pairing or
+    its survivor records reads only `_degrees`.  A labelling is counted against
     `_MEMO_BYTES` once: by the kept shape that holds it (`_shared`), else by
     each pairing or survivor record set kept under it.
 
@@ -520,8 +531,9 @@ class LabelledComplex:
 class _Replayed(LabelledComplex):
     """A complex from a shape hit (`_shape_hit`), which builds what it was not given when
     first read: its vertices from `_source`, its `_lids` by replaying its labelling on its
-    skeleton's blocks, and its `_codes` and `_width` from both; a subclass, so that no other
-    complex pays for `__getattr__`.  The hit has refused whatever these would."""
+    skeleton's blocks (a Lyubeznik complex's are kept), and its `_codes` and `_width` from both
+    (`_replay`); a subclass, so that no other complex pays for `__getattr__`.  The hit has
+    refused whatever these would."""
 
     __slots__ = ("_blocks", "_source")
 
@@ -629,16 +641,52 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     memoizes the complex (see `LabelledComplex`) with a label recipe, replayed
     on each complex's own codes, as degrees change.
     """
-    vertices = _generators(gens)
+    return _lyubeznik(_generators(gens), max_faces)
+
+
+def _lyubeznik(vertices, max_faces, shape=None, tuples=None):
+    """Lyubeznik's complex on the vertices (`lyubeznik_complex`); under a shape (key, signature,
+    t * lift), also kept as a shape with the factorization tuples, while its key is kept."""
     width, vertex_codes = _unary_codes(vertices)  # refuses mixed rings before zip cuts them
     key = "lyubeznik", len(vertices), _columns([mono.exps for _, mono in vertices])
     _, (lids, recipe), index, pairings = _memoized(
         key, partial(_admissible, vertex_codes, max_faces), max_faces)
     cx = object.__new__(LabelledComplex)
     codes = _replay_recipe(recipe, vertex_codes)
+    degrees = list(map(int.bit_count, codes))
+    if pairings is not None and shape is not None:
+        shape_key, signature, lift = shape
+        lowered = _lowered(degrees, lift)
+        _keep_shape(shape_key, (len(tuples) + len(signature) + lowered.itemsize * len(lowered),
+                                array("I"), key, tuples, b"", {signature: lowered}))
     cx.vertices, cx._lids, cx._codes, cx._width = vertices, lids, codes, width
-    cx._store(index, list(map(int.bit_count, codes)),
-              None if pairings is None else (pairings, b""))
+    cx._store(index, degrees, None if pairings is None else (pairings, b""))
+    return cx
+
+
+def lyubeznik_power_complex(ideal, t, generators, max_faces=DEFAULT_MAX_FACES):
+    """Lyubeznik's complex on the minimal generators of the t-th power, in the order of
+    power_generators(ideal, t): the support complex's vertices, which generators() gives,
+    called only on a miss.
+
+    Its faces and label ids depend only on r and the shifted exponent
+    columns of that list (`lyubeznik_complex`), which m, t and the key of
+    I's generators fix, as do the factorization tuples: the columns of I^t
+    are the tuples' combinations of I's, and adding a to a column of I adds
+    t * a to its column of I^t.  So for t < 256 it is memoized as a shape
+    under ("lyubeznik", m, t, key) beside the support complex's, pointing at
+    its Lyubeznik key, with its label degrees per signature less t * lift
+    (`_shape_hit`): a hit walks no generators and builds no monomial, code
+    or label id until one is read.  A refusal is not kept; the next query
+    builds again and refuses as this one did.
+    """
+    shape = _power_shape("lyubeznik", ideal, t)
+    cx = shape and _shape_hit(shape, [g.exps for g in ideal.generators], t, max_faces,
+                              partial(_power_vertices, ideal))
+    if cx is None:
+        vertices = generators()
+        cx = _lyubeznik(tuple(vertices), max_faces, shape,
+                        shape and bytes(chain.from_iterable(b for b, _ in vertices)))
     return cx
 
 
@@ -677,19 +725,11 @@ def faridi_complex(ideal, t, max_faces=DEFAULT_MAX_FACES):
 
     The walk, the facets and the label ids depend only on m, t and the key
     of I's generators (`_columns`, `lyubeznik_complex`), which memoizes the
-    complex or its refusal before the walk (`_shape_hit`), for t < 256.  The
-    key pass does not depend on t, so it runs once per ideal and is kept on it.
+    complex or its refusal before the walk (`_shape_hit`), for t < 256.
     """
-    gens = ideal.generators
-    rows = [g.exps for g in gens]
-    shape = None
-    if t < 256:
-        if ideal._shifted is None:
-            ideal._shifted = _shifted(rows)
-        key, signature, lift = ideal._shifted
-        shape = ("faridi", len(gens), t, key), signature, t * lift
-    cx = shape and _shape_hit(shape, rows, t, max_faces, lambda tuples: products(
-        ideal, zip(*[iter(tuples)] * len(gens))))
+    shape = _power_shape("faridi", ideal, t)
+    cx = shape and _shape_hit(shape, [g.exps for g in ideal.generators], t, max_faces,
+                              partial(_power_vertices, ideal))
     if cx is None:
         vertices = power_generators(ideal, t)
         tuples = [b for b, _ in vertices]
@@ -697,3 +737,20 @@ def faridi_complex(ideal, t, max_faces=DEFAULT_MAX_FACES):
         cx._build(tuple(vertices), _support_facets(tuples, t), max_faces, shape,
                   shape and bytes(chain.from_iterable(tuples)))
     return cx
+
+
+def _power_shape(kind, ideal, t):
+    """The shape (key, signature, t * lift) of the kind's complex on I^t, keyed by
+    (kind, m, t, key of I's generators), or None for t >= 256, whose tuples do not fit a byte.
+    The key pass does not depend on t or the kind, so it runs once per ideal and is kept on it."""
+    if t >= 256:
+        return None
+    if ideal._shifted is None:
+        ideal._shifted = _shifted([g.exps for g in ideal.generators])
+    key, signature, lift = ideal._shifted
+    return (kind, len(ideal.generators), t, key), signature, t * lift
+
+
+def _power_vertices(ideal, tuples):
+    """The (tuple, monomial) generators of a power from its tuples, m bytes each."""
+    return products(ideal, zip(*[iter(tuples)] * len(ideal.generators)))

@@ -35,7 +35,7 @@ def _edges_by_least_used_vertex(edges):
 class Hypergraph:
     """A simple hypergraph: edges are incomparable vertex sets of size >= 2."""
 
-    __slots__ = ("n", "edges", "labels", "_vertices")
+    __slots__ = ("n", "edges", "labels", "_vertices", "_uniform", "_hash")
 
     def __init__(self, n, edges, labels=None):
         # vertex numbers and counts must be exactly `int`: JSON true/false
@@ -44,6 +44,7 @@ class Hypergraph:
             raise ValidationError(f"vertex count must be a nonnegative integer, got {n!r}")
         masks = []
         edge_vertices = []
+        sizes = set()
         for edge in edges:
             vertices = tuple(edge)
             digits = bytearray(1)  # the mask's bytes, lowest first: no big-int shift per vertex
@@ -62,6 +63,7 @@ class Hypergraph:
                 raise ValidationError(f"edge {sorted(vertices)} has fewer than two vertices")
             masks.append(int.from_bytes(digits, "little"))
             edge_vertices.append(vertices)
+            sizes.add(len(vertices))
         # the first offending pair (i, k), i < k, is the one reported
         index = _edges_by_least_used_vertex(edge_vertices)
         first = min(((min(i, k), max(i, k)) for k, vertices in enumerate(edge_vertices)
@@ -83,6 +85,8 @@ class Hypergraph:
         self.edges = tuple(masks)
         self.labels = labels
         self._vertices = tuple(edge_vertices)  # each edge's vertices, as given
+        self._uniform = sizes.pop() if len(sizes) == 1 else None
+        self._hash = None  # computed on first use: cache keys and check gates hash it
 
     @property
     def num_edges(self):
@@ -95,11 +99,8 @@ class Hypergraph:
         return self.edges[k].bit_count()
 
     def uniform_size(self):
-        """The common edge size d, or None when edges have mixed sizes."""
-        sizes = {mask.bit_count() for mask in self.edges}
-        if len(sizes) == 1:
-            return sizes.pop()
-        return None
+        """The common edge size d, or None when edges have mixed sizes (or there are none)."""
+        return self._uniform
 
     def __eq__(self, other):
         return (isinstance(other, Hypergraph)
@@ -108,7 +109,9 @@ class Hypergraph:
                 and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.n, self.edges, self.labels))
+        if self._hash is None:
+            self._hash = hash((self.n, self.edges, self.labels))
+        return self._hash
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, edges={[list(e) for e in self.edge_sets()]})"

@@ -113,6 +113,22 @@ class TestUniform:
     def test_graph(self, four_cycle):
         assert four_cycle.uniform_size() == 2
 
+    def test_kept_with_the_hash_as_first_computed(self):
+        # both are kept on the immutable hypergraph: the size of a random
+        # edge list's edges, none without edges, and the hash of its fields,
+        # equal for equal hypergraphs
+        rng = random.Random(7)
+        assert Hypergraph(3, []).uniform_size() is None
+        for _ in range(100):
+            n = rng.randint(4, 7)
+            edges = {tuple(sorted(rng.sample(range(1, n + 1), rng.randint(2, 3))))
+                     for _ in range(rng.randint(1, 5))}
+            edges = [e for e in edges if not any(set(e) < set(f) for f in edges)]
+            h, again = Hypergraph(n, edges), Hypergraph(n, list(edges))
+            sizes = {len(e) for e in edges}
+            assert h.uniform_size() == (sizes.pop() if len(sizes) == 1 else None)
+            assert hash(h) == hash(again) == hash((n, h.edges, None)) == h._hash
+
 
 class TestEdgeIdeal:
     def test_path5(self, path5):

@@ -177,14 +177,17 @@ class TestMemo:
     # a Lyubeznik complex is memoized under r and its set of nonzero exponent
     # columns; a hit replays the label recipe with the complex's own codes
     def test_every_corpus_list_from_a_warm_memo(self, monkeypatch, empty_memo, builds):
-        # every generator list the Taylor check builds over the builtin corpus
-        # at t <= 3 within the corpus cap: served from the memo the corpus run
-        # left, with its GF(2) pairings kept too, each equals a fresh build
-        lists = []
-        monkeypatch.setattr(verify, "lyubeznik_complex", lambda gens, cap: (
-            lists.append((gens, cap)) or lyubeznik_complex(gens, cap)))
+        # the generators of every power whose Lyubeznik complex the Taylor check
+        # builds over the builtin corpus at t <= 3 within the corpus cap: served
+        # from the memo the corpus run left, with its GF(2) pairings kept too,
+        # each equals a fresh build
+        queries = []
+        build = verify.lyubeznik_power_complex
+        monkeypatch.setattr(verify, "lyubeznik_power_complex", lambda ideal, t, gens, cap: (
+            queries.append((ideal, t, cap)) or build(ideal, t, gens, cap)))
         run_corpus(builtin_corpus(), t_max=3)
-        lists = list(dict.fromkeys(lists))
+        lists = [(tuple(power_generators(ideal, t)), cap)
+                 for ideal, t, cap in dict.fromkeys(queries)]
         assert len(lists) > 200 and len(builds) < len(lists)
         for gens, cap in lists:
             graded_betti(lyubeznik_complex(gens, cap), char=2)

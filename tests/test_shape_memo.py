@@ -16,15 +16,20 @@ from pathlib import Path
 
 import pytest
 
-from hyperbetti import complexes
+from hyperbetti import complexes, verify
 from hyperbetti.betti import graded_betti
-from hyperbetti.complexes import LabelledComplex, faridi_complex, lyubeznik_complex, taylor_complex
-from hyperbetti.errors import DimensionError, ResourceCapError
+from hyperbetti.cli import main
+from hyperbetti.complexes import (LabelledComplex, faridi_complex, lyubeznik_complex,
+                                  lyubeznik_power_complex, taylor_complex)
+from hyperbetti.errors import DEFAULT_MAX_FACES, DimensionError, ResourceCapError
 from hyperbetti.hypergraph import Hypergraph, edge_ideal
 from hyperbetti.monomials import Monomial, MonomialIdeal, power_generators
-from hyperbetti.verify import CORPUS_MAX_FACES, builtin_corpus
+from hyperbetti.verify import (CORPUS_MAX_FACES, ComputeCache, builtin_corpus,
+                               check_first_power_simplex, check_taylor_agreement)
+from helpers import unread
 
 POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+DATA = Path(__file__).resolve().parent.parent / "data"
 EMPTY = (("_skeletons", dict), ("_shapes", dict), ("_pairings_held", int), ("_shapes_held", int))
 
 
@@ -377,6 +382,141 @@ class TestRefusals:
             "1056768 64-bit words per label code, over the cap of 1048576")
 
 
+def class_representatives():
+    """The edge ideal of the first builtin instance of each isomorphism class that the
+    benchmark's corpus records."""
+    corpus = dict(builtin_corpus())
+    recorded = json.loads((POOLS / "corpus.json").read_text(encoding="utf-8"))
+    firsts = {}
+    for entry in recorded["instances"]:
+        firsts.setdefault(entry["class"], corpus[entry["name"]])
+    return [edge_ideal(h) for h in firsts.values()]
+
+
+def lyubeznik_as_cold(monkeypatch, ideal, t, flip, max_faces=CORPUS_MAX_FACES):
+    """complex_for(ideal, t, "lyubeznik") on a new ComputeCache, from the memo in use, equals
+    a cold lyubeznik_complex(power_generators(ideal, t)): the same tables over Q and GF(2),
+    vertices, label ids, codes, width, degrees, faces and label_exps, the tables read last
+    with flip; or the same refusal.  True when the lookup was a shape hit."""
+    warm = outcome(lambda: ComputeCache(max_faces=max_faces).complex_for(ideal, t, "lyubeznik"))
+    fresh = cold(monkeypatch, lambda: outcome(
+        lambda: lyubeznik_complex(power_generators(ideal, t), max_faces)))
+    if isinstance(fresh, str):
+        assert warm == fresh
+        return False
+    hit = isinstance(warm, complexes._Replayed)
+    tables = [cold(monkeypatch, lambda char=char: graded_betti(fresh, char=char))
+              for char in (0, 2)]
+    names = ("vertices", "_lids", "_codes", "_width", "_degrees")
+    for step in (("tables", *names[::-1]) if flip else (*names, "tables")):
+        if step == "tables":
+            assert [graded_betti(warm, char=char) for char in (0, 2)] == tables
+        else:
+            assert getattr(warm, step) == getattr(fresh, step), step
+    assert warm.faces == fresh.faces
+    faces = [face for faces in fresh.faces.values() for face in faces]
+    assert list(map(warm.label_exps, faces)) == list(map(fresh.label_exps, faces))
+    return hit
+
+
+class TestLyubeznikPowers:
+    # the Lyubeznik complex of (I, t) through ComputeCache.complex_for is a
+    # shape under ("lyubeznik", m, t, key of I): a warm lookup equals a cold
+    # build on the generators of I^t, and a hit walks and builds nothing
+    def test_every_class_and_its_variants(self, empty_memo, monkeypatch):
+        # relabelled, isolated, twin and cone vertices keep the key and hit;
+        # doubled exponents and a pendant vertex change it
+        for ideal in class_representatives():
+            for t in (1, 2):
+                outcome(lambda: ComputeCache().complex_for(ideal, t, "lyubeznik"))
+                for k, other in enumerate([ideal, *variants(ideal)]):
+                    hit = lyubeznik_as_cold(monkeypatch, other, t, k % 2)
+                    assert hit or k in (4, 6), (ideal, t, k)
+                # the Taylor check counts the generators of I^t as these faces
+                assert len(faridi_complex(ideal, t)._size(1)) == len(power_generators(ideal, t))
+
+    def test_the_data_files(self, empty_memo, monkeypatch):
+        # t = 1..3 up and then down under the default cap: the second round
+        # hits, but for the refusal of rp2-6 at t = 3, which is not kept
+        for path in sorted(DATA.glob("*.json")):
+            ideal = edge_ideal(Hypergraph.load(path))
+            hits = [lyubeznik_as_cold(monkeypatch, ideal, t, flip, DEFAULT_MAX_FACES)
+                    for flip, t in enumerate((1, 2, 3, 3, 2, 1))]
+            assert hits[3:] == [path.name != "rp2-6.json", True, True], path.name
+        assert ("lyubeznik", 10, 3) not in {key[:3] for key in complexes._shapes}
+
+    def test_a_refusal_is_the_cold_one(self, empty_memo, monkeypatch, capsys):
+        # rp2-6 at t = 3 exits 3 with one message from an empty memo, from a
+        # warm one, and again: the refusal is rebuilt, not kept
+        args = ["complex", "--complex", "lyubeznik", "-t", "3", str(DATA / "rp2-6.json")]
+        runs = [cold(monkeypatch, lambda: main(args))]
+        for t in (1, 2):
+            main(["complex", "--complex", "lyubeznik", "-t", str(t), str(DATA / "rp2-6.json")])
+        capsys.readouterr()
+        kept = dict(complexes._shapes)
+        for _ in range(2):
+            runs.append(main(args))
+            assert complexes._shapes == kept
+        assert runs == [3] * 3
+        message = ("resource cap: 1923145 front-extension tests on 210 generators, "
+                   "over the cap of 1048576\n")
+        assert capsys.readouterr().err == message * 2
+
+    def test_a_power_over_255_is_not_keyed(self, empty_memo, monkeypatch):
+        # its tuples do not fit a byte: every lookup builds as it did unkeyed
+        ideal = MonomialIdeal(3, [Monomial((1, 1, 0))])
+        hits = [lyubeznik_as_cold(monkeypatch, ideal, t, t % 2) for t in (255, 256, 255, 256)]
+        assert hits == [False, False, True, False]
+        assert [key[2] for key in complexes._shapes] == [255]
+
+    def test_a_refused_support_complex(self, empty_memo, monkeypatch, example39):
+        # example39 at t = 3 has a 16-vertex facet, over the corpus cap; its
+        # Lyubeznik complex of 2880 faces is built, kept and hit all the same
+        ideal, cache = edge_ideal(example39), ComputeCache()
+        with pytest.raises(ResourceCapError, match="facet with 16 vertices"):
+            cache.complex_for(ideal, 3)
+        assert cache.complex_for(ideal, 3, "lyubeznik").face_count == 2880
+        assert lyubeznik_as_cold(monkeypatch, ideal, 3, False)
+
+    def test_a_warm_lookup_builds_nothing(self, empty_memo, monkeypatch, example39):
+        # a warm lookup and its table, on example39 and on its twin, cone and
+        # doubled variants: no walk, no products, codes, key pass, recipe,
+        # replay, generator test or face enumeration, and no vertex, code or
+        # label id built
+        calls = []
+        for module, name in ((complexes, "products"), (complexes, "power_generators"),
+                             (verify, "power_generators"), (complexes, "_unary_codes"),
+                             (complexes, "_shifted"), (complexes, "_columns"),
+                             (complexes, "_replay_recipe"), (complexes, "_replay"),
+                             (complexes, "_generators"), (complexes, "_admissible")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real: (
+                calls.append(name) or real(*args)))
+        ideal = edge_ideal(example39)
+        others = variants(ideal)
+        for k, other in enumerate((ideal, others[2], others[4], others[3])):
+            for t in (1, 2):
+                for _ in range(2):
+                    graded_betti(ComputeCache().complex_for(other, t, "lyubeznik"))
+                del calls[:]
+                warm = ComputeCache().complex_for(other, t, "lyubeznik")
+                graded_betti(warm)
+                assert calls == [] and isinstance(warm, complexes._Replayed), (k, t, calls)
+                assert all(unread(warm, name) for name in ("vertices", "_codes", "_lids"))
+        # the Taylor check on a new cache, so on a new ideal: one key pass for
+        # its support and Lyubeznik complexes, and the simplex gate counts the
+        # support complex's vertices without building them, as the first-power
+        # check counts the ideal's generators
+        cone = Hypergraph(10, [edge + (10,) for edge in example39.edge_sets()])
+        for h in (example39, cone):
+            for check, args in ((check_taylor_agreement, (1,)), (check_taylor_agreement, (2,)),
+                                (check_first_power_simplex, ())):
+                check(h, *args)
+                del calls[:]
+                report = check(h, *args)
+                assert report.conclusion_holds and calls == ["_shifted"], (h, args, calls)
+
+
 def held_bytes():
     """The bytes that the kept shapes and pairings hold: each shape's facet
     sizes, and its tuples, labelling and per signature its length and label
@@ -397,22 +537,24 @@ def held_bytes():
 
 
 def test_each_labelling_is_counted_once(empty_memo):
-    # support, Taylor, Lyubeznik and plain complexes, over Q and GF(2), some
-    # twice, some sharing a labelling, some adding a signature: the two byte
-    # counts add up to what the shapes and pairings hold, and pairings keep
-    # labellings of both kinds
+    # support, Taylor, Lyubeznik (on a list and of a power) and plain
+    # complexes, over Q and GF(2), some twice, some sharing a labelling, some
+    # adding a signature: the two byte counts add up to what the shapes and
+    # pairings hold, and pairings keep labellings of both kinds
     for _, h in builtin_corpus()[::3]:
         for ideal in (edge_ideal(h), relabelled(edge_ideal(h), lambda e: e + (1,)),
                       relabelled(edge_ideal(h), lambda e: e[:1] + e)):
             for t in (1, 2):
                 gens = power_generators(ideal, t)
-                cxs = [faridi_complex(ideal, t), lyubeznik_complex(gens)]
+                cxs = [faridi_complex(ideal, t), lyubeznik_complex(gens),
+                       lyubeznik_power_complex(ideal, t, lambda: gens)]
                 if len(gens) <= 8:
                     cxs += [LabelledComplex(gens, [range(len(gens))]), taylor_complex(gens)]
                 for cx in cxs:
                     for char in (0, 2):
                         graded_betti(cx, char=char)
     assert complexes._pairings_held + complexes._shapes_held == held_bytes()
+    assert {key[0] for key in complexes._shapes} == {"faridi", "lyubeznik", "taylor"}
     shared = {id(entry[4]) for entry in complexes._shapes.values() if entry[2] is not None}
     kinds = {id(labelling) in shared for skeleton in complexes._skeletons.values()
              for labelling, _ in skeleton[3] if labelling}

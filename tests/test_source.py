@@ -36,20 +36,36 @@ def test_no_line_is_over_the_length_limit():
     assert not long, long
 
 
+# the nodes of a constant: numbers, strings and tuples, and operators on them
+CONSTANT = (ast.Constant, ast.Tuple, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop,
+            ast.Load)
+
+
+def module_state(name):
+    """The names that a source file binds at module level to anything but a constant (a
+    container, a call, a lambda, another name), or rebinds from a function."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    state = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if isinstance(node, ast.AugAssign) or not all(
+                    isinstance(part, CONSTANT) for part in ast.walk(node.value)):
+                state.update(target.id for target in targets)
+    return state | {name for node in ast.walk(tree) if isinstance(node, ast.Global)
+                    for name in node.names}
+
+
 def test_betti_binds_no_mutable_module_global():
     # every kept result of the Betti kernel and the survivor pass lives in the
     # memo of complexes.py, under its lock and its byte bound: betti.py binds
-    # only constants at module level (a literal that is no dict, list or set)
-    # and rebinds no global from a function
-    tree = ast.parse((SRC / "betti.py").read_text(encoding="utf-8"))
-    bound = []
-    for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            try:
-                value = ast.literal_eval(node.value)
-            except ValueError:
-                value = None
-            if value is None or isinstance(value, (dict, list, set)):
-                bound.append(node.lineno)
-    bound += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
-    assert not bound, bound
+    # only constants at module level and rebinds no global from a function
+    assert module_state("betti.py") == set()
+
+
+def test_the_memo_is_the_only_module_state():
+    # complexes.py keeps exactly the documented memo, every entry under its lock
+    # and its bounds, and verify.py no memo beside it: only the builders by name
+    assert module_state("complexes.py") == {
+        "_skeletons", "_shapes", "_pairings_held", "_shapes_held", "_memo_lock"}
+    assert module_state("verify.py") == {"COMPLEXES"}

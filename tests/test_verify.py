@@ -253,8 +253,8 @@ class TestIndividualChecks:
         # the Lyubeznik complex is memoized with the support complex, on its vertices
         h = dict(builtin_corpus())["two-triples-sharing-one"]
         calls = []
-        build = verify.lyubeznik_complex
-        monkeypatch.setattr(verify, "lyubeznik_complex",
+        build = verify.lyubeznik_power_complex
+        monkeypatch.setattr(verify, "lyubeznik_power_complex",
                             lambda *args: calls.append(args) or build(*args))
         cache = ComputeCache()
         first, again = (check_taylor_agreement(h, 2, cache=cache) for _ in range(2))
