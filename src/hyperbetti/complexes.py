@@ -11,20 +11,21 @@ Inside a complex a face is the int bitmask of its vertex indices and its
 label is the small int id of an interned lcm label, so the Betti kernel
 in `betti` works on ints alone; a label-free index per facet set, shared
 by every complex on it, numbers the faces, and one flat list of label ids
-by face number is the only store of the labels.  A label is interned as a
-unary code: exponent e is e ones in a fixed-width field per variable, so
-the lcm of two labels is the OR of their codes and a degree is a bit
-count.  At the public API a face is a sorted tuple of vertex indices.
+by face number is the only store of the labels, beside one degree per
+id.  A build interns labels as unary codes: exponent e is e ones in a
+fixed-width field per variable, so the lcm of two labels is the OR of
+their codes and a degree is a bit count; no complex keeps a code.  At the
+public API a face is a sorted tuple of vertex indices.
 
 Faces and label ids compare exponents one variable at a time, so each
 construction is memoized by its generator count, t and exponent columns
-less their minimum (`_columns`).  Under one key a label's degree is a
-kept one plus t times the change in the summed column minima whenever the
-shifted columns repeat alike, so a support, Taylor or Lyubeznik hit takes
-its degrees from the shape and builds its vertices, codes and label ids
-only when they are read (`_shape_hit`).  The support and Lyubeznik
-complexes of I^t are keyed by I's own columns, before the generators of
-I^t are walked.
+less their minimum (`_shifted`).  With the signature, which of those
+columns repeat, a label's degree is a kept one plus t times the change in
+the summed column minima, so a support, Taylor or Lyubeznik hit takes its
+degrees from the shape and builds its vertices and label ids only when
+they are read (`_shape_hit`).  A refusal does not depend on the signature
+and is shared by all of them.  The support and Lyubeznik complexes of I^t
+are keyed by I's own columns, before the generators of I^t are walked.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ _MEMO_BYTES = 1 << 19  # bytes held by all memoized pairings, survivor records a
 # pairings maps (labelling, char) to the Betti kernel's counts and (labelling, "survivors")
 # to the survivor pass's records
 _skeletons = {}
-# ("faridi", m, t, columns), ("lyubeznik", m, t, columns) and ("taylor", r, columns) ->
-# (bytes, facet sizes, skeleton or Lyubeznik key, tuples, labelling, {signature: degrees}), or
-# (bytes, facet sizes, None, cap) for a support or Taylor refusal (see `_shape_hit`); pairings
-# and shapes are kept while within _MEMO_BYTES
+# ("faridi", m, t, columns, signature), ("lyubeznik", m, t, columns, signature) and ("taylor",
+# r, columns, signature) -> (bytes, facet sizes, skeleton or Lyubeznik key, tuples, labelling,
+# degrees), and ("faridi", m, t, columns) or ("taylor", r, columns) -> (bytes, facet sizes,
+# None, cap) for a refusal, shared by every signature (see `_shape_hit`); pairings and shapes
+# are kept while within _MEMO_BYTES
 _shapes = {}
-_pairings_held = 0  # the bytes that all entries' pairings hold, less labellings kept shapes hold
-_shapes_held = 0  # the bytes that all shapes hold
+_held = 0  # the bytes that all pairings and shapes hold, each labelling once
 _memo_lock = Lock()  # held to test either bound and add an entry or a pairing
 
 
@@ -77,13 +78,13 @@ def _vertices_of(mask):
 
 
 def _unary_codes(vertices):
-    """(width, codes): the vertex labels as unary codes of `width` bits per variable.
+    """The vertex labels as unary codes of w bits per variable.
 
-    A code holds variable i in bits i * width .. (i + 1) * width - 1,
-    exponent e as e ones; width is the largest vertex exponent, at least
-    1.  The binary digits of all codes are joined in one string from one
-    field string per exponent that occurs.  A code over 2^20 64-bit words
-    is refused before any is built.
+    A code holds variable i in bits i * w .. (i + 1) * w - 1, exponent e
+    as e ones; w is the largest vertex exponent, at least 1.  The binary
+    digits of all codes are joined in one string from one field string per
+    exponent that occurs.  A code over 2^20 64-bit words is refused before
+    any is built.
     """
     nvars = len(vertices[0][1].exps) if vertices else 0
     for _, mono in vertices:
@@ -96,8 +97,7 @@ def _unary_codes(vertices):
     fields = {e: "0" * (width - e) + "1" * e for e in exponents}
     digits = "".join(map(fields.__getitem__, chain.from_iterable(map(reversed, vertex_labels))))
     size = nvars * width
-    return width, [int(digits[k * size:(k + 1) * size] or "0", 2)
-                   for k in range(len(vertex_labels))]
+    return [int(digits[k * size:(k + 1) * size] or "0", 2) for k in range(len(vertex_labels))]
 
 
 def _check_width(nvars, width):
@@ -131,11 +131,6 @@ def _shifted(rows):
             tuple(map(eq, columns, columns[1:])), lift)
 
 
-def _columns(rows):
-    """The memo key (columns, flag) of exponent rows (`_shifted`)."""
-    return _shifted(rows)[0]
-
-
 def _replay_recipe(recipe, vertex_codes):
     """Label codes by id from a recipe of flat (parent id, vertex) pairs, one per id after 0:
     the OR of that parent's code and that vertex's."""
@@ -146,30 +141,22 @@ def _replay_recipe(recipe, vertex_codes):
     return codes
 
 
-def _replay(blocks, labelling, vertex_codes=()):
-    """(lids, codes): each face's label id by number, from a labelling replayed on its skeleton's
-    blocks, and with vertex_codes the label codes by id, [0] without.
+def _replay(blocks, labelling):
+    """Each face's label id by number, from a labelling replayed on its skeleton's blocks.
 
     Each block joins its distinct parent ids, in the order its set takes
-    them, with the ids the labelling lists next; an id new to the list is
-    the next one, and its code the OR of its parent's and the block vertex's.
-    A Lyubeznik entry's labelling is empty and its blocks are (lids, recipe):
-    its key fixes every id, and the recipe gives the codes (`_replay_recipe`).
+    them, with the ids the labelling lists next.  A Lyubeznik entry's
+    labelling is empty and its blocks are (lids, recipe): its key fixes
+    every id.
     """
     if not labelling:
-        lids, recipe = blocks
-        return lids, _replay_recipe(recipe, vertex_codes) if vertex_codes else [0]
-    lids, codes, joins = [0], [0], iter(memoryview(labelling).cast("H"))
-    for v, parents in blocks:
+        return blocks[0]
+    lids, joins = [0], iter(memoryview(labelling).cast("H"))
+    for _, parents in blocks:
         parent_ids = parents(lids)
         step = dict(zip(set(parent_ids), joins))
-        if vertex_codes:
-            code = vertex_codes[v]
-            for lid, joined in step.items():
-                if joined == len(codes):
-                    codes.append(codes[lid] | code)
         lids += map(step.__getitem__, parent_ids)
-    return lids, codes
+    return lids
 
 
 def _u16(values):
@@ -225,62 +212,54 @@ def _memoized(key, build, max_faces):
     return entry
 
 
-def _lowered(degrees, lift):
-    """Label degrees less lift, but the empty face's id 0, packed in 16 bits where they fit."""
-    lowered = [0, *map(lift.__rsub__, degrees[1:])]
-    return array("H", _u16(lowered)) if max(lowered) < 1 << 16 else array("I", lowered)
-
-
-def _keep_degrees(key, signature, degrees):
-    """Add degrees (`_lowered`) under signature to the complete shape under key, while all
-    pairings and shapes hold at most _MEMO_BYTES bytes."""
-    global _shapes_held
-    size = len(signature) + degrees.itemsize * len(degrees)
-    with _memo_lock:
-        entry = _shapes.get(key)
-        if signature not in entry[5] and _pairings_held + _shapes_held + size <= _MEMO_BYTES:
-            entry[5][signature] = degrees
-            _shapes[key] = (entry[0] + size, *entry[1:])
-            _shapes_held += size
-
-
 def _keep_shape(key, entry):
     """Keep (its bytes, ...) under key, in place of a refusal there, while all pairings and
     shapes hold at most _MEMO_BYTES bytes; the complete entry then under key, or None."""
-    global _shapes_held
+    global _held
     with _memo_lock:
         kept = _shapes.get(key, (0, None, None))
         size = entry[0] - kept[0]
-        if kept[2] is None and _pairings_held + _shapes_held + size <= _MEMO_BYTES:
+        if kept[2] is None and _held + size <= _MEMO_BYTES:
             _shapes[key] = kept = entry
-            _shapes_held += size
+            _held += size
         return None if kept[2] is None else kept
+
+
+def _keep_complete(shape, sizes, source, tuples, labelling, degrees):
+    """Keep a complete entry (`_shape_hit`) under (*key, signature) of the shape (key, signature,
+    t * lift), its label degrees less t * lift, but the empty face's id 0, packed in 16 bits
+    where they fit; the complete entry then kept there, or None."""
+    key, signature, lift = shape
+    lowered = [0, *map(lift.__rsub__, degrees[1:])]
+    lowered = array("H", _u16(lowered)) if max(lowered) < 1 << 16 else array("I", lowered)
+    nbytes = (len(signature) + sizes.itemsize * len(sizes) + len(tuples) + len(labelling)
+              + lowered.itemsize * len(lowered))
+    return _keep_shape((*key, signature), (nbytes, sizes, source, tuples, labelling, lowered))
 
 
 def _shape_hit(shape, rows, t, max_faces, vertices_of):
     """The complex memoized under a shape (key, signature, t * lift), refused as a fresh build
     would be, or None.
 
-    A key fixes the facets, the skeleton and every label id.  Its entry
-    keeps the facet sizes in first-occurrence order, the skeleton's key (it
-    is read only while that skeleton is kept), the factorization tuples one
-    byte each, the labelling, and label degrees less t * lift per signature
-    (`_columns`): adding a to a column adds t * a to every nonempty label's
-    degree, and the signature fixes the rest.  A Lyubeznik complex of I^t
-    (`lyubeznik_power_complex`) keeps no facet sizes, its Lyubeznik key for
-    the skeleton's, an empty labelling and no refusal.  So a hit under a kept
-    signature sets only `_degrees`, and `_Replayed` builds the vertices
-    (vertices_of(tuples)), codes and label ids when they are read; it tests
-    at once what they would refuse: mixed rings, and the label-code budget
-    on t times the rows' largest exponent, at least the width of a fresh
-    build's codes.  A hit under a new signature, or over that bound, builds
-    them at once, which refuses as a fresh build does, and adds its degrees.
-    A refusal keeps the facet sizes and the cap the skeleton exceeded (0 if
-    none): a larger cap misses, and so do codes perhaps over the budget.
+    A key fixes the facets, the skeleton and every label id, and with the
+    signature (`_shifted`) every label's degree less t * lift: adding a to a
+    column adds t * a to every nonempty label's degree.  The complete entry
+    under (*key, signature) keeps the facet sizes in first-occurrence order,
+    the skeleton's key (it is read only while that skeleton is kept), the
+    factorization tuples one byte each, the labelling and those degrees.  A
+    Lyubeznik complex of I^t (`lyubeznik_power_complex`) keeps no facet
+    sizes, its Lyubeznik key for the skeleton's, an empty labelling and no
+    refusal.  A hit sets only `_degrees`, and `_Replayed` builds the
+    vertices (vertices_of(tuples)) and label ids when they are read.  It
+    refuses mixed rings at once, and misses when the label-code budget on t
+    times the rows' largest exponent, at least the width of a fresh build's
+    codes, is exceeded: a fresh build decides.  A refusal, kept under the
+    key alone and so shared by every signature, keeps the facet sizes and
+    the cap the skeleton exceeded (0 if none): a larger cap misses.
     Refusals come in a build's order: facets, label-code budget, face count.
     """
     key, signature, lift = shape
-    entry = _shapes.get(key)
+    entry = _shapes.get((*key, signature)) or _shapes.get(key)
     if entry is None:
         return None
     _, sizes, facets, *rest = entry
@@ -289,32 +268,23 @@ def _shape_hit(shape, rows, t, max_faces, vertices_of):
         raise DimensionError("vertex labels in different rings")
     try:
         _check_width(len(rows[0]), t * max({1}.union(*rows)))
-        fits = True
     except ResourceCapError:
-        fits = False
+        return None  # codes perhaps over the budget: a fresh build decides
     if facets is None:
-        if not fits or max_faces > rest[0]:
-            return None  # codes perhaps over the budget, or a larger cap: a fresh build decides
+        if max_faces > rest[0]:
+            return None  # a larger cap: a fresh build decides
         raise _over_cap(max_faces)
     skeleton = _skeletons.get(facets)
     if skeleton is None:
         return None
-    tuples, labelling, kept = rest
+    tuples, labelling, lowered = rest
     count, blocks, index, pairings = skeleton
-    cx = object.__new__(_Replayed)
-    cx._source, cx._blocks = partial(vertices_of, tuples), blocks
-    lowered = kept.get(signature) if fits else None
-    if lowered is None:  # the codes now, so that the budget refuses before the face count
-        cx._width, vertex_codes = _unary_codes(cx.vertices)
     if count > max_faces:
         raise _over_cap(max_faces)
-    if lowered is None:
-        cx._lids, cx._codes = _replay(blocks, labelling, vertex_codes)
-        degrees = list(map(int.bit_count, cx._codes))
-        _keep_degrees(key, signature, _lowered(degrees, lift))
-    else:
-        degrees = [d + lift for d in lowered] if lift else list(lowered)
-        degrees[0] = 0
+    cx = object.__new__(_Replayed)
+    cx._source, cx._blocks = partial(vertices_of, tuples), blocks
+    degrees = [d + lift for d in lowered] if lift else list(lowered)
+    degrees[0] = 0
     cx._store(index, degrees, (pairings, labelling), True)
     return cx
 
@@ -361,17 +331,18 @@ class LabelledComplex:
     builder's face list, which holds each size in increasing mask order, as
     the Betti kernel needs.  `_index[k]` maps the masks with k bits to face
     numbers, and `_lids[n]`, the one store of labels, is face n's label id
-    (the lcm of its vertex labels; equal ids, equal labels).  `_codes` lists
-    the labels by id as unary codes, `_width` bits per variable (the largest
-    vertex exponent, at least 1), and `_degrees` their bit counts.  Faces keep
-    ids, not codes: a code has n * `_width` bits, and faces outnumber labels
-    by far; one over 2^20 64-bit words is refused before any is built.
+    (the lcm of its vertex labels; equal ids, equal labels), and
+    `_degrees[i]` is label i's degree.  A label matters downstream only
+    through the faces that share it and its degree, so a build interns the
+    labels as unary codes (`_unary_codes`; a code over 2^20 64-bit words is
+    refused before any is built) and keeps neither codes nor exponents:
+    `label_exps` takes the lcm of a face's vertex labels when asked.
 
     Which faces there are depends on the facets alone, so the label-free
     skeleton (`_skeleton`) and its index are memoized by the sorted facet
     masks, up to `_MEMO_FACES` faces in all.  Each complex only labels it:
     per top vertex v, each distinct label id of the parents is joined with
-    v's code once, and the faces with v take the joined ids of their parents.
+    v's label once, and the faces with v take the joined ids of their parents.
 
     A memoized skeleton also keeps what `betti` computes from its labellings
     alone, in one dict: the kernel's pairing under (labelling, char) and the
@@ -386,9 +357,9 @@ class LabelledComplex:
     for support and Taylor complexes, the exponent columns for Lyubeznik
     complexes, whose key fixes every label id, so their labelling is b"".
     A shape is read only while its face source is kept, and a complex from
-    it (`_shape_hit`), support, Taylor or Lyubeznik, builds its vertices,
-    codes and `_lids` when first read, so a query that finds its pairing or
-    its survivor records reads only `_degrees`.  A labelling is counted against
+    it (`_shape_hit`), support, Taylor or Lyubeznik, builds its vertices and
+    `_lids` when first read, so a query that finds its pairing or its
+    survivor records reads only `_degrees`.  A labelling is counted against
     `_MEMO_BYTES` once: by the kept shape that holds it (`_shared`), else by
     each pairing or survivor record set kept under it.
 
@@ -397,8 +368,7 @@ class LabelledComplex:
     and are not kept.
     """
 
-    __slots__ = ("vertices", "_index", "_lids", "_codes", "_width", "_degrees", "_slices",
-                 "_memo", "_shared")
+    __slots__ = ("vertices", "_index", "_lids", "_degrees", "_slices", "_memo", "_shared")
 
     def __init__(self, vertices, facets, max_faces=DEFAULT_MAX_FACES):
         self._build(tuple(vertices), facets, max_faces)
@@ -412,7 +382,7 @@ class LabelledComplex:
         cap = 0  # a refusal before the skeleton says nothing of the face count
         try:
             _refuse_facets(sizes, max_faces)
-            width, vertex_codes = _unary_codes(vertices)
+            vertex_codes = _unary_codes(vertices)
             key, cap = tuple(sorted(canonical)), max_faces
             skeleton = _memoized(key, partial(_skeleton, key, max_faces), max_faces)
         except ResourceCapError:
@@ -441,14 +411,9 @@ class LabelledComplex:
         if pairings is not None:
             memo = pairings, _u16(joins)  # ids fit in 16 bits on a kept skeleton
             if shape is not None:
-                shape_key, signature, lift = shape
-                lowered = _lowered(degrees, lift)
-                nbytes = (len(tuples) + len(memo[1]) + sizes.itemsize * len(sizes)
-                          + len(signature) + lowered.itemsize * len(lowered))
-                kept = _keep_shape(shape_key, (nbytes, sizes, key, tuples, memo[1],
-                                           {signature: lowered}))
+                kept = _keep_complete(shape, sizes, key, tuples, memo[1], degrees)
                 memo = memo if kept is None else (pairings, kept[4])  # its labelling, held once
-        self.vertices, self._lids, self._codes, self._width = vertices, lids, codes, width
+        self.vertices, self._lids = vertices, lids
         self._store(index, degrees, memo, kept is not None)
 
     def _store(self, index, degrees, memo=None, shared=False):
@@ -468,16 +433,16 @@ class LabelledComplex:
     def _keep(self, key, values):
         """Memoize flat ints below 2^16 (`_pairing`) under key in 16 bits, if this complex has
         a `_memo` and the pairings stay within _MEMO_BYTES."""
-        global _pairings_held
+        global _held
         if self._memo is None:
             return
         pairings, labelling = self._memo
         kept = array("H", _u16(values))  # a bytes initializer is copied, not parsed per int
         size = kept.itemsize * len(kept) + (not self._shared) * len(labelling)
         with _memo_lock:  # another thread may have kept them first
-            if (_pairings_held + _shapes_held + size <= _MEMO_BYTES
+            if (_held + size <= _MEMO_BYTES
                     and pairings.setdefault((labelling, key), kept) is kept):
-                _pairings_held += size
+                _held += size
 
     @property
     def dim(self):
@@ -498,12 +463,12 @@ class LabelledComplex:
         return self._index[k] if 0 <= k < len(self._index) else {}
 
     def label_exps(self, face):
+        """The face's label, the lcm of its vertex labels, as an exponent tuple."""
         mask = _mask_of(face)
-        code = self._codes[self._lids[self._size(mask.bit_count())[mask]]]
+        self._size(mask.bit_count())[mask]  # a KeyError for a face not in the complex
+        labels = [self.vertices[v][1].exps for v in _vertices_of(mask)]
         nvars = len(self.vertices[0][1].exps) if self.vertices else 0
-        w = self._width
-        digits = format(code | 1 << nvars * w, "b")  # the leading 1 keeps zero fields
-        return tuple(digits.count("1", i - w, i) for i in range(len(digits), 1, -w))
+        return tuple(map(max, zip((0,) * nvars, *labels)))
 
     def degree(self, face):
         mask = _mask_of(face)
@@ -530,10 +495,9 @@ class LabelledComplex:
 
 class _Replayed(LabelledComplex):
     """A complex from a shape hit (`_shape_hit`), which builds what it was not given when
-    first read: its vertices from `_source`, its `_lids` by replaying its labelling on its
-    skeleton's blocks (a Lyubeznik complex's are kept), and its `_codes` and `_width` from both
-    (`_replay`); a subclass, so that no other complex pays for `__getattr__`.  The hit has
-    refused whatever these would."""
+    first read: its vertices from `_source`, and its `_lids` by replaying its labelling on its
+    skeleton's blocks (`_replay`; a Lyubeznik complex's are kept); a subclass, so that no other
+    complex pays for `__getattr__`."""
 
     __slots__ = ("_blocks", "_source")
 
@@ -541,10 +505,7 @@ class _Replayed(LabelledComplex):
         if name == "vertices":
             self.vertices = self._source()
         elif name == "_lids":
-            self._lids = _replay(self._blocks, self._memo[1])[0]
-        elif name in ("_codes", "_width"):
-            self._width, vertex_codes = _unary_codes(self.vertices)
-            self._lids, self._codes = _replay(self._blocks, self._memo[1], vertex_codes)
+            self._lids = _replay(self._blocks, self._memo[1])
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -637,9 +598,9 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
     variable at a time, so faces and label ids depend only on r and the
     exponent columns (one variable's exponents over the generators, in the
     given order): permuting, repeating or adding a zero variable keeps them,
-    and so does one in every generator, none being 1.  That key (`_columns`)
+    and so does one in every generator, none being 1.  That key (`_shifted`)
     memoizes the complex (see `LabelledComplex`) with a label recipe, replayed
-    on each complex's own codes, as degrees change.
+    on each complex's own codes for its degrees, as they change.
     """
     return _lyubeznik(_generators(gens), max_faces)
 
@@ -647,19 +608,15 @@ def lyubeznik_complex(gens, max_faces=DEFAULT_MAX_FACES):
 def _lyubeznik(vertices, max_faces, shape=None, tuples=None):
     """Lyubeznik's complex on the vertices (`lyubeznik_complex`); under a shape (key, signature,
     t * lift), also kept as a shape with the factorization tuples, while its key is kept."""
-    width, vertex_codes = _unary_codes(vertices)  # refuses mixed rings before zip cuts them
-    key = "lyubeznik", len(vertices), _columns([mono.exps for _, mono in vertices])
+    vertex_codes = _unary_codes(vertices)  # refuses mixed rings before zip cuts them
+    key = "lyubeznik", len(vertices), _shifted([mono.exps for _, mono in vertices])[0]
     _, (lids, recipe), index, pairings = _memoized(
         key, partial(_admissible, vertex_codes, max_faces), max_faces)
     cx = object.__new__(LabelledComplex)
-    codes = _replay_recipe(recipe, vertex_codes)
-    degrees = list(map(int.bit_count, codes))
+    degrees = list(map(int.bit_count, _replay_recipe(recipe, vertex_codes)))
     if pairings is not None and shape is not None:
-        shape_key, signature, lift = shape
-        lowered = _lowered(degrees, lift)
-        _keep_shape(shape_key, (len(tuples) + len(signature) + lowered.itemsize * len(lowered),
-                                array("I"), key, tuples, b"", {signature: lowered}))
-    cx.vertices, cx._lids, cx._codes, cx._width = vertices, lids, codes, width
+        _keep_complete(shape, array("I"), key, tuples, b"", degrees)
+    cx.vertices, cx._lids = vertices, lids
     cx._store(index, degrees, None if pairings is None else (pairings, b""))
     return cx
 
@@ -675,9 +632,9 @@ def lyubeznik_power_complex(ideal, t, generators, max_faces=DEFAULT_MAX_FACES):
     are the tuples' combinations of I's, and adding a to a column of I adds
     t * a to its column of I^t.  So for t < 256 it is memoized as a shape
     under ("lyubeznik", m, t, key) beside the support complex's, pointing at
-    its Lyubeznik key, with its label degrees per signature less t * lift
-    (`_shape_hit`): a hit walks no generators and builds no monomial, code
-    or label id until one is read.  A refusal is not kept; the next query
+    its Lyubeznik key, with its label degrees less t * lift under its
+    signature (`_shape_hit`): a hit walks no generators and builds no
+    monomial or label id until one is read.  A refusal is not kept; the next query
     builds again and refuses as this one did.
     """
     shape = _power_shape("lyubeznik", ideal, t)
@@ -724,7 +681,7 @@ def faridi_complex(ideal, t, max_faces=DEFAULT_MAX_FACES):
     vertex set, so the result is the Taylor simplex.
 
     The walk, the facets and the label ids depend only on m, t and the key
-    of I's generators (`_columns`, `lyubeznik_complex`), which memoizes the
+    of I's generators (`_shifted`, `lyubeznik_complex`), which memoizes the
     complex or its refusal before the walk (`_shape_hit`), for t < 256.
     """
     shape = _power_shape("faridi", ideal, t)

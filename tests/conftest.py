@@ -45,6 +45,5 @@ def empty_memo(monkeypatch):
     labelled skeleton."""
     monkeypatch.setattr(complexes, "_skeletons", {})
     monkeypatch.setattr(complexes, "_shapes", {})
-    monkeypatch.setattr(complexes, "_pairings_held", 0)
-    monkeypatch.setattr(complexes, "_shapes_held", 0)
+    monkeypatch.setattr(complexes, "_held", 0)
     return complexes._skeletons

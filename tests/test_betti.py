@@ -610,15 +610,15 @@ class TestPairingMemo:
         for seed in range(12):
             cx = plane(random.Random(seed), 2)
             for char in (0, 2):
-                held = complexes._pairings_held
+                held = complexes._held
                 table = graded_betti(cx, char=char).entries
                 assert table == dense_table(cx, char), (seed, char)
                 kept = cx._pairing(char)
                 computed[cx._memo[1], char] = kept is not None
                 if kept is None:
-                    assert complexes._pairings_held == held
-                assert complexes._pairings_held == bytes_held(empty_memo)
-                assert complexes._pairings_held <= bound
+                    assert complexes._held == held
+                assert complexes._held == bytes_held(empty_memo)
+                assert complexes._held <= bound
         assert any(computed.values()) and not all(computed.values())
 
     def test_threads_keep_the_bound(self, monkeypatch, empty_memo):
@@ -641,7 +641,7 @@ class TestPairingMemo:
         try:
             for _ in range(10):
                 pairings.clear()
-                complexes._pairings_held = 0
+                complexes._held = 0
                 workers = [threading.Thread(target=query, args=(seed,)) for seed in range(4)]
                 for worker in workers:
                     worker.start()
@@ -649,8 +649,8 @@ class TestPairingMemo:
                     worker.join(timeout=60)
                 assert not any(worker.is_alive() for worker in workers)
                 assert not wrong
-                assert complexes._pairings_held == bytes_held(empty_memo)
-                assert bound // 2 < complexes._pairings_held <= bound
+                assert complexes._held == bytes_held(empty_memo)
+                assert bound // 2 < complexes._held <= bound
         finally:
             sys.setswitchinterval(interval)
 
@@ -681,7 +681,7 @@ class TestPairingMemo:
         assert cxs[0]._index is cxs[1]._index and len(empty_memo) == 1
         for cx in cxs:
             assert graded_betti(cx).entries == dense_table(cx, 0)
-        assert complexes._pairings_held == bytes_held(empty_memo) > 0
+        assert complexes._held == bytes_held(empty_memo) > 0
 
     def test_complexes_without_a_key(self, monkeypatch, empty_memo, kernel_runs, four_cycle):
         # a skeleton or a Lyubeznik complex over the memo's bound is reduced
@@ -704,7 +704,7 @@ class TestPairingMemo:
         assert graded_betti(lyubeznik_complex(gens)).entries == table  # an equal key
         assert kernel_runs[4:] == [kept] and len(kept_pairings(empty_memo)) == 1
         simplex = LabelledComplex(free, [range(9)])
-        assert len(simplex._codes) == 512 and simplex._memo is not None
+        assert len(simplex._degrees) == 512 and simplex._memo is not None
         assert graded_betti(simplex).entries == graded_betti(simplex).entries
         assert kernel_runs[5:] == [simplex] and len(kept_pairings(empty_memo)) == 2
 
@@ -714,7 +714,7 @@ class TestPairingMemo:
         # table is the Koszul complex's, beta_{i,i} = C(17, i)
         free = [((v,), Monomial(tuple(int(k == v) for k in range(17)))) for v in range(17)]
         simplex = LabelledComplex(free, [range(17)])
-        assert simplex._memo is None and len(simplex._codes) == 1 << 17
+        assert simplex._memo is None and len(simplex._degrees) == 1 << 17
         assert graded_betti(simplex).entries == {(i, i): comb(17, i) for i in range(18)}
         assert kernel_runs == [simplex] and not kept_pairings(empty_memo)
 
@@ -871,8 +871,8 @@ class TestSurvivorBounds:
             kept += isinstance(hit, complexes._Replayed) and hit._pairing("survivors") is not None
             warm[ideal, t] = survivor_face_sets(hit)
         assert kept == len(warm) > 500
-        for name, value in (("_skeletons", {}), ("_shapes", {}), ("_pairings_held", 0),
-                            ("_shapes_held", 0), ("_MEMO_BYTES", 0)):
+        for name, value in (("_skeletons", {}), ("_shapes", {}), ("_held", 0),
+                            ("_MEMO_BYTES", 0)):
             monkeypatch.setattr(complexes, name, value)
         for (ideal, t), bounds in warm.items():
             assert survivor_face_sets(faridi_complex(ideal, t, CORPUS_MAX_FACES)) == bounds
@@ -921,7 +921,7 @@ class TestSurvivorBounds:
         assert all(cx._memo is None for cx in cxs)
         bounds = [survivor_face_sets(cx) for cx in cxs]
         assert bounds[:2] == bounds[2:] and passes == cxs
-        assert not empty_memo and complexes._pairings_held == 0
+        assert not empty_memo and complexes._held == 0
 
     def test_bound(self, empty_memo, monkeypatch, passes):
         # past _MEMO_BYTES new records are computed and not kept, and stay right
@@ -930,15 +930,15 @@ class TestSurvivorBounds:
         kept = []
         for seed in range(12):
             cx, fresh = plane(random.Random(seed), 2), plane(random.Random(seed), 2)
-            held = complexes._pairings_held
+            held = complexes._held
             graded_betti(cx)
             bounds = survivor_face_sets(cx)
             fresh._memo = None
             assert bounds == survivor_face_sets(fresh)
             kept.append(cx._pairing("survivors") is not None)
             if not kept[-1]:
-                assert complexes._pairings_held == held or cx._pairing(0) is not None
-            assert complexes._pairings_held == bytes_held(empty_memo) <= bound
+                assert complexes._held == held or cx._pairing(0) is not None
+            assert complexes._held == bytes_held(empty_memo) <= bound
         assert any(kept) and not all(kept)
 
 

@@ -143,12 +143,12 @@ class TestCosts:
 
 def assert_fresh(monkeypatch, cx, gens, max_faces=complexes.DEFAULT_MAX_FACES):
     """cx equals a build of gens from an empty memo: the same faces, label
-    ids and codes, and the same tables over Q and GF(2)."""
+    ids and degrees, and the same tables over Q and GF(2)."""
     memo = complexes._skeletons
     monkeypatch.setattr(complexes, "_skeletons", {})
     fresh = lyubeznik_complex(gens, max_faces)
     monkeypatch.setattr(complexes, "_skeletons", memo)
-    assert cx.faces == fresh.faces and cx._lids == fresh._lids and cx._codes == fresh._codes
+    assert cx.faces == fresh.faces and cx._lids == fresh._lids and cx._degrees == fresh._degrees
     for char in (0, 2):
         assert graded_betti(cx, char=char).entries == graded_betti(fresh, char=char).entries
 

@@ -1,12 +1,13 @@
-"""The shape memo of support and Taylor complexes.  A complex is memoized
-under its kind, its generator count, t (support complexes), the set of
-exponent columns of its generators less their minimum, nonzero, and whether
-a generator is 1; a hit takes its label degrees from those kept under its
-signature (the columns with their repeats), shifted by t times the change
-in the columns' summed minima, and builds its vertices, codes and label ids
-only when read.  These tests pin every hit against a build from an empty
-memo, its refusals against a fresh build's, the bytes counted against the
-memo's bound, and the memo's emptying between tests."""
+"""The shape memo of support, Taylor and Lyubeznik complexes.  A complex is
+memoized under its kind, its generator count, t (complexes of a power), the
+set of exponent columns of its generators less their minimum, nonzero,
+whether a generator is 1, and its signature (which of those columns
+repeat); a hit takes its label degrees from the entry, shifted by t times
+the change in the columns' summed minima, and builds its vertices and label
+ids only when read.  A refusal is kept without the signature, and so is
+shared by every signature.  These tests pin every hit against a build from
+an empty memo, its refusals against a fresh build's, the bytes counted
+against the memo's bound, and the memo's emptying between tests."""
 
 import json
 import random
@@ -30,7 +31,7 @@ from helpers import unread
 
 POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 DATA = Path(__file__).resolve().parent.parent / "data"
-EMPTY = (("_skeletons", dict), ("_shapes", dict), ("_pairings_held", int), ("_shapes_held", int))
+EMPTY = (("_skeletons", dict), ("_shapes", dict), ("_held", int))
 
 
 def cold(monkeypatch, build):
@@ -53,19 +54,29 @@ def outcome(build):
         return str(exc)
 
 
+def label_faces(cx):
+    """One face of each label id of cx, as a vertex tuple, in increasing id order."""
+    faces = {}
+    for size in cx._index:
+        for mask, number in size.items():
+            faces.setdefault(cx._lids[number], mask)
+    return [complexes._vertices_of(mask) for _, mask in sorted(faces.items())]
+
+
 def assert_as_cold(monkeypatch, build):
     """build() from the memo in use equals build() from an empty memo: the
-    same vertices, faces and face numbers, label ids, codes and width, and
-    the same tables over Q and GF(2), or the same refusal.  True when the
-    warm build was a shape hit."""
+    same vertices, faces and face numbers, label ids, degrees and labels,
+    and the same tables over Q and GF(2), or the same refusal.  True when
+    the warm build was a shape hit."""
     warm, fresh = outcome(build), cold(monkeypatch, lambda: outcome(build))
     if isinstance(fresh, str):
         assert warm == fresh
         return False
     assert warm.vertices == fresh.vertices and warm._index == fresh._index
     assert warm._lids == fresh._lids
-    assert warm._codes == fresh._codes and warm._width == fresh._width
     assert warm._degrees == fresh._degrees
+    faces = label_faces(fresh)
+    assert list(map(warm.label_exps, faces)) == list(map(fresh.label_exps, faces))
     for char in (0, 2):
         table = cold(monkeypatch, lambda: graded_betti(fresh, char=char))
         assert graded_betti(warm, char=char) == table
@@ -111,8 +122,8 @@ def variants(ideal):
 
 def test_a_build_after_the_fixture_misses(empty_memo, monkeypatch, four_cycle):
     # the fixture empties the skeletons, the Lyubeznik complexes and the
-    # shapes, and resets both byte counts: each first build walks and labels
-    assert not complexes._shapes and complexes._pairings_held == complexes._shapes_held == 0
+    # shapes, and resets the byte count: each first build walks and labels
+    assert not complexes._shapes and complexes._held == 0
     walks = []
     walk = complexes.power_generators
     monkeypatch.setattr(complexes, "power_generators",
@@ -124,7 +135,7 @@ def test_a_build_after_the_fixture_misses(empty_memo, monkeypatch, four_cycle):
     gens = power_generators(ideal, 2)
     assert type(taylor_complex(gens)) is complexes.LabelledComplex
     assert isinstance(taylor_complex(gens), complexes._Replayed)
-    assert len(complexes._shapes) == 2 and complexes._shapes_held > 0
+    assert len(complexes._shapes) == 2 and complexes._held > 0
 
 
 class TestExactness:
@@ -157,9 +168,11 @@ class TestExactness:
         assert sum(hits) > 0.9 * len(hits)
 
     def test_variants_of_every_class(self, empty_memo, monkeypatch):
-        # relabelled, isolated, twin and cone vertices keep the key and hit;
-        # doubled exponents and a pendant vertex change it, and the skeleton
-        # and labelling are reused; the bumped cone hits the pendant's shape
+        # relabelled, isolated and cone vertices keep the key and signature
+        # and hit; a twin vertex keeps the key but not the signature, and
+        # doubled exponents and a pendant vertex change the key, and the
+        # skeleton and labelling are reused; the bumped cone hits the
+        # pendant's shape
         seen = set()
         for _, h in builtin_corpus():
             ideal = edge_ideal(h)
@@ -171,7 +184,7 @@ class TestExactness:
                     outcome(build)
                 for k, other in enumerate(variants(ideal)):
                     for build in builders(other, t, CORPUS_MAX_FACES):
-                        assert assert_as_cold(monkeypatch, build) or k in (3, 5), (h, t, k)
+                        assert assert_as_cold(monkeypatch, build) or k in (2, 3, 5), (h, t, k)
 
     def test_generator_order_and_count_are_in_the_key(self, empty_memo, monkeypatch):
         # the paths x1x2, x2x3, x3x4 and x2x3, x1x2, x3x4 have the same
@@ -183,7 +196,7 @@ class TestExactness:
                                                        (0, 2, 0))])
         three = MonomialIdeal(4, [Monomial(e) for e in ((0, 0, 0, 2), (0, 1, 2, 0),
                                                         (2, 0, 1, 0))])
-        assert complexes._columns(rows(four)) == complexes._columns(rows(three))
+        assert complexes._shifted(rows(four))[0] == complexes._shifted(rows(three))[0]
         for t in (1, 2, 3):
             for ideal in (path, swapped, four, three):
                 for build in builders(ideal, t, CORPUS_MAX_FACES):
@@ -198,7 +211,7 @@ class TestExactness:
         # same columns less their minimum (none), and other label ids, for
         # Taylor, Lyubeznik and support complexes
         x1, one = Monomial((1, 0)), Monomial((0, 0))
-        assert complexes._columns([x1.exps]) != complexes._columns([one.exps])
+        assert complexes._shifted([x1.exps])[0] != complexes._shifted([one.exps])[0]
         for gens in ([((0,), x1)], [((0,), one)]) * 2:
             for build in (taylor_complex, lyubeznik_complex):
                 assert_as_cold(monkeypatch, lambda gens=gens, build=build: build(gens))
@@ -210,7 +223,8 @@ class TestExactness:
         # and x2 and x1^300 x2, have the same columns less their minimum
         x2, big = Monomial((0, 1)), Monomial((300, 1))
         units = [((0,), one), ((1,), Monomial((300, 0)))], [((0,), x2), ((1,), big)]
-        assert complexes._columns([one.exps, (300, 0)]) != complexes._columns([x2.exps, big.exps])
+        assert (complexes._shifted([one.exps, (300, 0)])[0]
+                != complexes._shifted([x2.exps, big.exps])[0])
         for gens in units * 2:
             for build in (taylor_complex, lyubeznik_complex):
                 assert_as_cold(monkeypatch, lambda gens=gens, build=build: build(gens))
@@ -230,9 +244,9 @@ class TestExactness:
 
     def test_a_pairing_hit_builds_nothing(self, empty_memo, monkeypatch, example39):
         # a warm support complex and its table, on the ideal and on its twin,
-        # cone and doubled variants, once a shape and that signature are
-        # kept: no walk, no products, no codes and no replayed labels; what is
-        # read afterwards is built then, in either order, and equals a cold build
+        # cone and doubled variants, once their shapes are kept: no walk, no
+        # products, no codes and no replayed labels; what is read afterwards
+        # is built then, in either order, and equals a cold build
         calls = []
         for name in ("products", "power_generators", "_unary_codes", "_replay"):
             real = getattr(complexes, name)
@@ -248,10 +262,38 @@ class TestExactness:
             graded_betti(warm, char=2)
             assert calls == [] and isinstance(warm, complexes._Replayed), (k, calls)
             fresh = cold(monkeypatch, lambda other=other: faridi_complex(other, 2))
-            names = ("vertices", "_codes", "_width", "_lids")[::1 - 2 * (k % 2)]
+            names = ("vertices", "_lids")[::1 - 2 * (k % 2)]
             assert [getattr(warm, name) for name in names] == [
                 getattr(fresh, name) for name in names]
             assert warm._degrees == fresh._degrees
+
+    def test_label_ids_are_the_labels(self, empty_memo, monkeypatch):
+        # on cold builds of all three kinds, two faces share a label id exactly
+        # when they have one lcm, and a face's degree is its lcm's: the
+        # interning that the label codes decide, read through the vertices
+        seen, labels = set(), 0
+        for _, h in builtin_corpus():
+            ideal = edge_ideal(h)
+            if ideal.generators in seen:
+                continue
+            seen.add(ideal.generators)
+            for t in (1, 2):
+                gens = power_generators(ideal, t)
+                for build in (*builders(ideal, t, CORPUS_MAX_FACES),
+                              lambda: lyubeznik_complex(gens, CORPUS_MAX_FACES)):
+                    cx = cold(monkeypatch, lambda: outcome(build))
+                    if isinstance(cx, str):
+                        continue
+                    pairs = set()
+                    for size in cx._index:
+                        for mask, number in size.items():
+                            face = complexes._vertices_of(mask)
+                            exps = cx.label_exps(face)
+                            assert cx.degree(face) == sum(exps), (h, t, face)
+                            pairs.add((cx._lids[number], exps))
+                    assert len(pairs) == len(dict(pairs)) == len({e for _, e in pairs}), (h, t)
+                    labels += len(pairs)
+        assert labels > 10000
 
     def test_one_key_pass_per_ideal(self, empty_memo, monkeypatch, example39):
         # the key pass does not depend on t: it runs on the first support
@@ -312,6 +354,28 @@ class TestRefusals:
                                  for cap in (100, 511, 511)]
         assert messages[0].face_count == messages[4].face_count == 512
 
+    def test_a_refusal_is_shared_by_every_signature(self, empty_memo, monkeypatch,
+                                                     four_cycle):
+        # the 4-cycle and its twin variant have one key and two signatures:
+        # once the square's support complex is refused, for its face count at
+        # 55 and for a facet at 3, the twin's is refused with the fresh
+        # build's message and no generator walk
+        ideal = edge_ideal(four_cycle)
+        twin = variants(ideal)[2]
+        (key, signature, _), (twin_key, twin_signature, _) = map(complexes._shifted,
+                                                                 (rows(ideal), rows(twin)))
+        assert key == twin_key and signature != twin_signature
+        walks = []
+        walk = complexes.power_generators
+        monkeypatch.setattr(complexes, "power_generators",
+                            lambda ideal, t: walks.append(t) or walk(ideal, t))
+        for cap in (55, 3):
+            fresh = cold(monkeypatch, lambda: outcome(lambda: faridi_complex(twin, 2, cap)))
+            assert outcome(lambda: faridi_complex(ideal, 2, cap)) == fresh
+            del walks[:]
+            assert outcome(lambda: faridi_complex(twin, 2, cap)) == fresh and walks == []
+        assert fresh.startswith("facet with ") and len(complexes._shapes) == 1
+
     def test_label_code_budget_is_never_memoized(self, empty_memo, monkeypatch):
         # the 4-cycle with every exponent 2^16, so labels 2^17 bits wide per
         # variable at t = 2: in 4 variables the codes fit the budget; with
@@ -343,7 +407,7 @@ class TestRefusals:
         cycle = edge_ideal(Hypergraph(4, [[1, 2], [2, 3], [3, 4], [1, 4]]))
         low = relabelled(cycle, lambda e: e + (256,))
         high = relabelled(cycle, lambda e: e + (1 << 16,) * 516)
-        assert complexes._columns(rows(low)) == complexes._columns(rows(high))
+        assert complexes._shifted(rows(low))[0] == complexes._shifted(rows(high))[0]
         messages = []
         for ideal in (low, high, low, high):
             messages.append(outcome(lambda: faridi_complex(ideal, 2, 40)))
@@ -359,8 +423,8 @@ class TestRefusals:
         # the rings as a fresh build does, before any code is built
         kept = [((0,), Monomial((1, 0))), ((1,), Monomial((0, 1)))]
         mixed = [((0,), Monomial((1, 0))), ((1,), Monomial((0, 1, 0)))]
-        assert complexes._columns(rows(MonomialIdeal(2, [m for _, m in kept]))) == (
-            complexes._columns([m.exps for _, m in mixed]))
+        assert complexes._shifted(rows(MonomialIdeal(2, [m for _, m in kept])))[0] == (
+            complexes._shifted([m.exps for _, m in mixed])[0])
         taylor_complex(kept)
         for _ in range(2):
             with pytest.raises(DimensionError, match="different rings"):
@@ -396,8 +460,8 @@ def class_representatives():
 def lyubeznik_as_cold(monkeypatch, ideal, t, flip, max_faces=CORPUS_MAX_FACES):
     """complex_for(ideal, t, "lyubeznik") on a new ComputeCache, from the memo in use, equals
     a cold lyubeznik_complex(power_generators(ideal, t)): the same tables over Q and GF(2),
-    vertices, label ids, codes, width, degrees, faces and label_exps, the tables read last
-    with flip; or the same refusal.  True when the lookup was a shape hit."""
+    vertices, label ids, degrees, faces and label_exps, the tables read last with flip; or
+    the same refusal.  True when the lookup was a shape hit."""
     warm = outcome(lambda: ComputeCache(max_faces=max_faces).complex_for(ideal, t, "lyubeznik"))
     fresh = cold(monkeypatch, lambda: outcome(
         lambda: lyubeznik_complex(power_generators(ideal, t), max_faces)))
@@ -407,7 +471,7 @@ def lyubeznik_as_cold(monkeypatch, ideal, t, flip, max_faces=CORPUS_MAX_FACES):
     hit = isinstance(warm, complexes._Replayed)
     tables = [cold(monkeypatch, lambda char=char: graded_betti(fresh, char=char))
               for char in (0, 2)]
-    names = ("vertices", "_lids", "_codes", "_width", "_degrees")
+    names = ("vertices", "_lids", "_degrees")
     for step in (("tables", *names[::-1]) if flip else (*names, "tables")):
         if step == "tables":
             assert [graded_betti(warm, char=char) for char in (0, 2)] == tables
@@ -424,14 +488,15 @@ class TestLyubeznikPowers:
     # shape under ("lyubeznik", m, t, key of I): a warm lookup equals a cold
     # build on the generators of I^t, and a hit walks and builds nothing
     def test_every_class_and_its_variants(self, empty_memo, monkeypatch):
-        # relabelled, isolated, twin and cone vertices keep the key and hit;
-        # doubled exponents and a pendant vertex change it
+        # relabelled, isolated and cone vertices keep the key and signature
+        # and hit; a twin vertex changes the signature, and doubled exponents
+        # and a pendant vertex change the key
         for ideal in class_representatives():
             for t in (1, 2):
                 outcome(lambda: ComputeCache().complex_for(ideal, t, "lyubeznik"))
                 for k, other in enumerate([ideal, *variants(ideal)]):
                     hit = lyubeznik_as_cold(monkeypatch, other, t, k % 2)
-                    assert hit or k in (4, 6), (ideal, t, k)
+                    assert hit or k in (3, 4, 6), (ideal, t, k)
                 # the Taylor check counts the generators of I^t as these faces
                 assert len(faridi_complex(ideal, t)._size(1)) == len(power_generators(ideal, t))
 
@@ -486,7 +551,7 @@ class TestLyubeznikPowers:
         calls = []
         for module, name in ((complexes, "products"), (complexes, "power_generators"),
                              (verify, "power_generators"), (complexes, "_unary_codes"),
-                             (complexes, "_shifted"), (complexes, "_columns"),
+                             (complexes, "_shifted"),
                              (complexes, "_replay_recipe"), (complexes, "_replay"),
                              (complexes, "_generators"), (complexes, "_admissible")):
             real = getattr(module, name)
@@ -502,7 +567,7 @@ class TestLyubeznikPowers:
                 warm = ComputeCache().complex_for(other, t, "lyubeznik")
                 graded_betti(warm)
                 assert calls == [] and isinstance(warm, complexes._Replayed), (k, t, calls)
-                assert all(unread(warm, name) for name in ("vertices", "_codes", "_lids"))
+                assert all(unread(warm, name) for name in ("vertices", "_lids"))
         # the Taylor check on a new cache, so on a new ideal: one key pass for
         # its support and Lyubeznik complexes, and the simplex gate counts the
         # support complex's vertices without building them, as the first-power
@@ -519,17 +584,16 @@ class TestLyubeznikPowers:
 
 def held_bytes():
     """The bytes that the kept shapes and pairings hold: each shape's facet
-    sizes, and its tuples, labelling and per signature its length and label
-    degrees when complete; each pairing's counts, and its labelling unless
-    that very object is a kept shape's."""
+    sizes, and its signature's length, tuples, labelling and label degrees
+    when complete; each pairing's counts, and its labelling unless that very
+    object is a kept shape's."""
     shared = {id(entry[4]) for entry in complexes._shapes.values() if entry[2] is not None}
     held = 0
-    for _, sizes, facets, *rest in complexes._shapes.values():
+    for key, (_, sizes, facets, *rest) in complexes._shapes.items():
         held += sizes.itemsize * len(sizes)
         if facets is not None:
             tuples, labelling, degrees = rest
-            held += len(tuples) + len(labelling) + sum(
-                len(signature) + kept.itemsize * len(kept) for signature, kept in degrees.items())
+            held += len(key[-1]) + len(tuples) + len(labelling) + degrees.itemsize * len(degrees)
     for skeleton in complexes._skeletons.values():
         for (labelling, _), counts in skeleton[3].items():
             held += counts.itemsize * len(counts) + (id(labelling) not in shared) * len(labelling)
@@ -539,8 +603,8 @@ def held_bytes():
 def test_each_labelling_is_counted_once(empty_memo):
     # support, Taylor, Lyubeznik (on a list and of a power) and plain
     # complexes, over Q and GF(2), some twice, some sharing a labelling, some
-    # adding a signature: the two byte counts add up to what the shapes and
-    # pairings hold, and pairings keep labellings of both kinds
+    # under a new signature: the byte count is what the shapes and pairings
+    # hold, and pairings keep labellings of both kinds
     for _, h in builtin_corpus()[::3]:
         for ideal in (edge_ideal(h), relabelled(edge_ideal(h), lambda e: e + (1,)),
                       relabelled(edge_ideal(h), lambda e: e[:1] + e)):
@@ -553,7 +617,7 @@ def test_each_labelling_is_counted_once(empty_memo):
                 for cx in cxs:
                     for char in (0, 2):
                         graded_betti(cx, char=char)
-    assert complexes._pairings_held + complexes._shapes_held == held_bytes()
+    assert complexes._held == held_bytes()
     assert {key[0] for key in complexes._shapes} == {"faridi", "lyubeznik", "taylor"}
     shared = {id(entry[4]) for entry in complexes._shapes.values() if entry[2] is not None}
     kinds = {id(labelling) in shared for skeleton in complexes._skeletons.values()
@@ -562,27 +626,25 @@ def test_each_labelling_is_counted_once(empty_memo):
 
 
 def test_threads_keep_the_shape_bytes(empty_memo, monkeypatch):
-    # threads that build and refuse shapes at once count each kept shape
-    # once, keep pairings and shapes within the byte bound, and build what a
-    # cold build does
+    # threads that build and refuse shapes at once count each kept shape and
+    # pairing once, keep them within the byte bound, and build what a cold
+    # build does; the cold tables are read before, so that no pairing is kept
+    # on a cold memo's skeleton
     queries = list(dict.fromkeys((edge_ideal(h), t) for _, h in builtin_corpus()[::4]
                                  for t in (1, 2, 3)))
-    expected = {q: cold(monkeypatch, lambda q=q: outcome(
-        lambda: faridi_complex(q[0], q[1], 1 << 10))) for q in queries}
+
+    def labelled(ideal, t):
+        cx = outcome(lambda: faridi_complex(ideal, t, 1 << 10))
+        return cx if isinstance(cx, str) else (cx.vertices, cx._lids, graded_betti(cx).entries)
+
+    expected = {q: cold(monkeypatch, lambda q=q: labelled(*q)) for q in queries}
     bound = 6000
     monkeypatch.setattr(complexes, "_MEMO_BYTES", bound)
     wrong = []
 
     def build(seed):
         for ideal, t in random.Random(seed).sample(queries, len(queries)):
-            got = outcome(lambda: faridi_complex(ideal, t, 1 << 10))
-            want = expected[ideal, t]
-            if isinstance(want, str) or isinstance(got, str):
-                if got != want:
-                    wrong.append((ideal, t))
-            elif got.vertices != want.vertices or got._lids != want._lids:
-                wrong.append((ideal, t))
-            elif graded_betti(got).entries != graded_betti(want).entries:
+            if labelled(ideal, t) != expected[ideal, t]:
                 wrong.append((ideal, t))
 
     interval = sys.getswitchinterval()
@@ -597,7 +659,7 @@ def test_threads_keep_the_shape_bytes(empty_memo, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not wrong
-    assert complexes._shapes_held == sum(entry[0] for entry in complexes._shapes.values()) > 0
-    assert complexes._pairings_held + complexes._shapes_held <= bound
+    assert complexes._held == held_bytes() <= bound
+    assert sum(entry[0] for entry in complexes._shapes.values()) > 0
     assert 0 < len(complexes._shapes) < len(queries)
     assert any(isinstance(want, str) for want in expected.values())

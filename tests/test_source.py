@@ -67,5 +67,5 @@ def test_the_memo_is_the_only_module_state():
     # complexes.py keeps exactly the documented memo, every entry under its lock
     # and its bounds, and verify.py no memo beside it: only the builders by name
     assert module_state("complexes.py") == {
-        "_skeletons", "_shapes", "_pairings_held", "_shapes_held", "_memo_lock"}
+        "_skeletons", "_shapes", "_held", "_memo_lock"}
     assert module_state("verify.py") == {"COMPLEXES"}

@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import hyperbetti
+from hyperbetti import betti, complexes
 from hyperbetti.hypergraph import edge_ideal
 from hyperbetti.verify import ComputeCache, run_checks
+from helpers import unread
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -60,3 +62,21 @@ def test_tracer_sees_every_complex_the_cache_builds(path5):
     self_times = tracer.self_times()
     for name in ("complexes.faridi", "complexes.taylor"):
         assert self_times.get(name, 0) > 0, name
+
+
+def test_the_boundary_hook_reads_a_shape_hit(empty_memo, four_cycle):
+    # the boundary hook counts the distinct labels of a matrix's columns
+    # through label_exps, which reads the vertices that a shape hit builds
+    # only when first read
+    ideal = edge_ideal(four_cycle)
+    complexes.faridi_complex(ideal, 2)
+    hit = complexes.faridi_complex(ideal, 2)
+    assert isinstance(hit, complexes._Replayed) and unread(hit, "vertices")
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install(hyperbetti)
+        matrix = betti.reduced_boundary(hit, 1, 4)
+    finally:
+        tracer.uninstall()
+    assert len(matrix.cols) == 9  # the generators of the square, all of degree 4
+    assert tracer.counts["betti.boundary.label_blocks"] == 9
